@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "nn/autoencoder.h"
-#include "nn/backend.h"
 #include "nn/gemm.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
@@ -66,37 +65,6 @@ void BM_GemmRef(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmRef)->Arg(64)->Arg(128)->Arg(256);
-
-// --- Panel-parallel GEMM ----------------------------------------------------
-//
-// Same square shapes at explicit GEMM thread counts. The in-run ratio
-// BM_GemmMT/N/4 over BM_GemmMT/N/1 is the multi-thread speedup
-// check_bench.py gates (only on machines with >= 4 hardware threads —
-// the ratio is meaningless when the pool is oversubscribed on one core).
-
-void BM_GemmMT(benchmark::State& state) {
-  const std::size_t n = state.range(0);
-  const int threads = static_cast<int>(state.range(1));
-  Rng rng(9);
-  const Tensor a = RandomTensor(n, n, rng);
-  const Tensor b = RandomTensor(n, n, rng);
-  Tensor c;
-  SetNnThreads(threads);
-  for (auto _ : state) {
-    Gemm(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  SetNnThreads(1);
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-// Real time, not main-thread CPU time: the work happens on pool
-// workers, which per-thread CPU clocks don't see.
-BENCHMARK(BM_GemmMT)
-    ->Args({256, 1})
-    ->Args({256, 2})
-    ->Args({256, 4})
-    ->Args({384, 4})
-    ->UseRealTime();
 
 // --- Layer-shaped sweeps ----------------------------------------------------
 //
@@ -353,10 +321,11 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&bench_argc, passthrough.data());
   GaugeReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  // Machine context the gate needs: multi-thread speedup ratios are
-  // only meaningful when the hardware can actually run the workers
+  // Machine context the gate needs: the fused-stream speedup is only
+  // meaningful when the hardware can actually run the workers
   // concurrently, so check_bench.py reads bench.hw_threads to decide
-  // whether to apply or skip the threaded floors.
+  // whether to apply that floor, and refuses to compare a run against a
+  // baseline recorded with a different count.
   telemetry::GetGauge("bench.hw_threads")
       .Set(static_cast<double>(std::thread::hardware_concurrency()));
   if (!metrics_out.empty() && !telemetry::WriteMetricsJsonFile(metrics_out)) {

@@ -142,14 +142,13 @@ LedgerEvent MakeManifestEvent(std::string_view tool, const BuildInfo& build) {
   AppendEscaped(build_json, build.simd);
   build_json += "\", \"telemetry\": ";
   build_json += build.telemetry ? "true" : "false";
-  // NN-core identity (nn::AnnotateBuildInfo): attributes every score in
-  // the run to the kernel family and GEMM thread count that produced
-  // it. Absent for tools with no neural-net dependency.
+  // NN kernel family (nn::kKernelFamily): attributes every score in the
+  // run to the kernels that produced it. Absent when the tool leaves
+  // BuildInfo::nn_backend empty.
   if (!build.nn_backend.empty()) {
     build_json += ", \"nn_backend\": \"";
     AppendEscaped(build_json, build.nn_backend);
-    build_json += "\", \"nn_threads\": ";
-    build_json += std::to_string(build.nn_threads);
+    build_json += '"';
   }
   build_json += '}';
 

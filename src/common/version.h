@@ -18,11 +18,10 @@ struct BuildInfo {
   std::string build_type;  // CMAKE_BUILD_TYPE baked in at compile time
   std::string simd;        // "avx2" or "scalar" (runtime dispatch)
   bool telemetry = false;  // instrumentation compiled in
-  // NN-core identity, stamped by nn::AnnotateBuildInfo. Left at the
-  // defaults below by tools with no neural-net dependency (acobe_gen),
-  // whose manifests simply omit the fields.
-  std::string nn_backend;  // active kernel family ("default", "fma", ...)
-  int nn_threads = 0;      // resolved GEMM thread count (0 = n/a)
+  // NN kernel family (nn::kKernelFamily), stamped by acobe_detect. Left
+  // empty by tools that do not report it, whose manifests omit the
+  // field.
+  std::string nn_backend;
 };
 
 /// The active GEMM dispatch decision. Mirrors the runtime check in

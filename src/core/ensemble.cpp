@@ -207,8 +207,8 @@ void AspectEnsemble::Train(
 
   // Phase 2 — the fused training stream: every still-untrained aspect
   // becomes one TrainJob and the whole batch goes through
-  // nn::TrainStream sharing one backend context (warm shared pool,
-  // per-worker reused workspaces and pack arenas; with a serial thread
+  // nn::TrainStream sharing one context (warm shared pool, per-worker
+  // reused workspaces and pack arenas; with a serial thread
   // budget, round-robin interleaved per-model epochs on one workspace)
   // instead of N cold independent trainers. Divergence is handled at
   // stream granularity: diverged aspects re-enter the next round with

@@ -13,11 +13,11 @@
 namespace acobe {
 namespace {
 
-// v1: magic + raw payload. v2 adds a byte count and CRC32 over the
-// whole payload so a truncated or bit-rotted ensemble file fails fast
-// with "corrupt artifact" instead of deserializing garbage weights.
-// v1 files remain loadable.
-constexpr std::uint32_t kMagicV1 = 0xAC0BE002;
+// v2 frame: magic, payload byte count, CRC32 over the whole payload, so
+// a truncated or bit-rotted ensemble file fails fast with "corrupt
+// artifact" instead of deserializing garbage weights. The unframed v1
+// format (magic 0xAC0BE002 + raw payload) is no longer read: it fails
+// as bad magic.
 constexpr std::uint32_t kMagicV2 = 0xAC0BE003;
 
 // Hostile-input ceilings, checked before any allocation sized from the
@@ -121,9 +121,7 @@ void SaveEnsemble(AspectEnsemble& ensemble, std::ostream& out) {
 }
 
 AspectEnsemble LoadEnsemble(std::istream& in) {
-  const std::uint32_t magic = ReadU32(in);
-  if (magic == kMagicV1) return ReadPayload(in);  // legacy format
-  if (magic != kMagicV2) {
+  if (ReadU32(in) != kMagicV2) {
     throw std::runtime_error("LoadEnsemble: bad magic");
   }
   const std::uint32_t size = ReadU32(in);

@@ -4,17 +4,12 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/backend.h"
-#include "nn/gemm_internal.h"
-
 namespace acobe::nn {
 
-namespace detail {
+namespace {
 
-// The shared scalar activation kernels every built-in backend registers
-// in its KernelSet (see backend.h): keeping one definition makes
-// activation arithmetic bit-identical across backends by construction,
-// so backend parity tests only ever chase GEMM differences.
+// The scalar kernels shared by each layer's Forward (training) and
+// Infer paths, so both compute bit-identical activations.
 void ScalarRelu(const float* in, float* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const float v = in[i];
@@ -28,16 +23,16 @@ void ScalarSigmoid(const float* in, float* out, std::size_t n) {
   }
 }
 
-}  // namespace detail
+}  // namespace
 
 void ReLU::Forward(const Tensor& x, Tensor& y, bool /*training*/) {
   y.ResizeUninit(x.rows(), x.cols());
-  ActiveBackend().kernels().relu(x.data(), y.data(), x.size());
+  ScalarRelu(x.data(), y.data(), x.size());
 }
 
 void ReLU::Infer(MatSpan x, Tensor& y) const {
   y.ResizeUninit(x.rows, x.cols);
-  ActiveBackend().kernels().relu(x.data, y.data(), x.size());
+  ScalarRelu(x.data, y.data(), x.size());
 }
 
 void ReLU::Backward(const Tensor& /*x*/, const Tensor& y, const Tensor& g,
@@ -58,12 +53,12 @@ void ReLU::Backward(const Tensor& /*x*/, const Tensor& y, const Tensor& g,
 
 void Sigmoid::Forward(const Tensor& x, Tensor& y, bool /*training*/) {
   y.ResizeUninit(x.rows(), x.cols());
-  ActiveBackend().kernels().sigmoid(x.data(), y.data(), x.size());
+  ScalarSigmoid(x.data(), y.data(), x.size());
 }
 
 void Sigmoid::Infer(MatSpan x, Tensor& y) const {
   y.ResizeUninit(x.rows, x.cols);
-  ActiveBackend().kernels().sigmoid(x.data, y.data(), x.size());
+  ScalarSigmoid(x.data, y.data(), x.size());
 }
 
 void Sigmoid::Backward(const Tensor& /*x*/, const Tensor& y, const Tensor& g,

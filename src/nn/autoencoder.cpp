@@ -43,7 +43,8 @@ Sequential BuildAutoencoder(const AutoencoderSpec& spec) {
 
 std::vector<std::size_t> ScaledEncoderDims(std::size_t divisor) {
   if (divisor == 0) throw std::invalid_argument("ScaledEncoderDims: divisor==0");
-  std::vector<std::size_t> dims = {512, 256, 128, 64};
+  std::vector<std::size_t> dims(std::begin(kPaperEncoderDims),
+                                std::end(kPaperEncoderDims));
   for (std::size_t& d : dims) d = std::max<std::size_t>(8, d / divisor);
   return dims;
 }

@@ -6,17 +6,23 @@
 // [0,1] before training).
 
 #include <cstddef>
+#include <iterator>
 #include <vector>
 
 #include "nn/sequential.h"
 
 namespace acobe::nn {
 
+/// The paper's encoder widths, outer to inner.
+inline constexpr std::size_t kPaperEncoderDims[] = {512, 256, 128, 64};
+
 struct AutoencoderSpec {
   std::size_t input_dim = 0;
-  /// Encoder widths outer-to-inner; decoder mirrors them. The paper uses
-  /// {512, 256, 128, 64}.
-  std::vector<std::size_t> encoder_dims = {512, 256, 128, 64};
+  /// Encoder widths outer-to-inner; decoder mirrors them. Copied from a
+  /// static array rather than a braced list, whose temporary backing
+  /// array GCC 12 flags as dangling once this initializer is inlined.
+  std::vector<std::size_t> encoder_dims{std::begin(kPaperEncoderDims),
+                                        std::end(kPaperEncoderDims)};
   bool batch_norm = true;
   bool sigmoid_output = true;
 };

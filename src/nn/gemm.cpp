@@ -6,10 +6,7 @@
 #include <vector>
 #include <stdexcept>
 
-#include "common/parallel.h"
 #include "common/telemetry.h"
-#include "nn/backend.h"
-#include "nn/gemm_internal.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -20,8 +17,12 @@ namespace acobe::nn {
 
 namespace {
 
-using detail::kMR;
-using detail::kNR;
+using detail::MicroKernelFn;
+
+// Micro-tile geometry shared by every kernel: kMR C-rows by kNR
+// C-columns per full tile (one j-panel is kNR wide).
+constexpr std::size_t kMR = 4;
+constexpr std::size_t kNR = 16;
 
 // ---------------------------------------------------------------------------
 // Telemetry: per-call flop accounting plus an achieved-GFLOP/s histogram
@@ -83,30 +84,23 @@ struct GemmTimer {
 // ---------------------------------------------------------------------------
 // Blocked kernels.
 //
-// The blocked backends share one tile driver: C is walked in kMR x kNR
-// tiles; for each tile a micro-kernel runs the full k loop with the
-// tile's accumulators live in registers, then writes C once (plus the
-// optional fused bias). A[row r of the tile, term l] is addressed as
-// a[r * ars + l * als], which expresses both the plain (ars = lda,
-// als = 1) and the A-transposed (ars = 1, als = lda) layouts without
-// separate kernels.
+// One tile driver: C is walked in kMR x kNR tiles; for each tile a
+// micro-kernel runs the full k loop with the tile's accumulators live in
+// registers, then writes C once (plus the optional fused bias).
+// A[row r of the tile, term l] is addressed as a[r * ars + l * als],
+// which expresses both the plain (ars = lda, als = 1) and the
+// A-transposed (ars = 1, als = lda) layouts without separate kernels.
 //
-// Accumulation-order invariant for the *contract* kernels (Edge, Full,
-// Avx2 — everything the "default" backend runs; see gemm.h): each C
+// Accumulation-order invariant (Edge, Full, Avx2; see gemm.h): each C
 // element owns one accumulator chain, added to in ascending-l order,
 // multiply and add as separate roundings. Vectorization is across j
 // (independent elements), never across k, so the blocked results are
-// bit-identical to the scalar reference kernels. The opt-in Fma and
-// Avx512 kernels below deliberately break the separate-rounding rule
-// (and, for Avx512, the single-chain rule) in exchange for speed; they
-// are tolerance-tested, never bit-tested, and never selected by
-// default.
+// bit-identical to the scalar reference kernels.
 // ---------------------------------------------------------------------------
 
 // Portable micro-kernel, runtime tile bounds (mr <= kMR, nr <= kNR):
-// handles edge tiles for every backend and serves as the full-tile
-// fallback on CPUs without AVX2 (the fixed-bound copy below
-// auto-vectorizes).
+// handles every edge tile. MicroKernelFull below is the same code with
+// fixed bounds, the full-tile kernel on CPUs without AVX2.
 void MicroKernelEdge(std::size_t mr, std::size_t nr, std::size_t k,
                      const float* __restrict a, std::size_t ars,
                      std::size_t als, const float* __restrict b,
@@ -133,8 +127,8 @@ void MicroKernelEdge(std::size_t mr, std::size_t nr, std::size_t k,
   }
 }
 
-// Full-tile portable micro-kernel: same code with compile-time bounds so
-// the j loops auto-vectorize under the baseline build flags.
+// Full-tile portable micro-kernel: compile-time bounds let the j loops
+// auto-vectorize under the baseline build flags.
 void MicroKernelFull(std::size_t k, const float* __restrict a,
                      std::size_t ars, std::size_t als,
                      const float* __restrict b, std::size_t ldb,
@@ -210,117 +204,6 @@ __attribute__((target("avx2"))) void MicroKernelAvx2(
   _mm256_storeu_ps(c + 3 * ldc, acc30);
   _mm256_storeu_ps(c + 3 * ldc + 8, acc31);
 }
-
-// AVX2+FMA full-tile micro-kernel ("fma" backend, opt-in): identical
-// tile walk to MicroKernelAvx2, but each term is a fused multiply-add
-// that rounds once where the contract kernels round twice. Still one
-// accumulator chain per element in ascending-l order, so run-to-run
-// results are deterministic; only the bit pattern vs reference differs
-// (<= 1e-5 relative, pinned by tests/backend_test.cpp).
-// -ffp-contract=off on this file does not affect these explicit
-// intrinsics — it only forbids the compiler from contracting a*b+c
-// expressions behind our back.
-__attribute__((target("avx2,fma"))) void MicroKernelFma(
-    std::size_t k, const float* __restrict a, std::size_t ars,
-    std::size_t als, const float* __restrict b, std::size_t ldb,
-    float* __restrict c, std::size_t ldc, const float* __restrict bias) {
-  __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
-  __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
-  __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
-  __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
-  for (std::size_t l = 0; l < k; ++l) {
-    const float* brow = b + l * ldb;
-    const __m256 b0 = _mm256_loadu_ps(brow);
-    const __m256 b1 = _mm256_loadu_ps(brow + 8);
-    const float* al = a + l * als;
-    __m256 av = _mm256_set1_ps(al[0 * ars]);
-    acc00 = _mm256_fmadd_ps(av, b0, acc00);
-    acc01 = _mm256_fmadd_ps(av, b1, acc01);
-    av = _mm256_set1_ps(al[1 * ars]);
-    acc10 = _mm256_fmadd_ps(av, b0, acc10);
-    acc11 = _mm256_fmadd_ps(av, b1, acc11);
-    av = _mm256_set1_ps(al[2 * ars]);
-    acc20 = _mm256_fmadd_ps(av, b0, acc20);
-    acc21 = _mm256_fmadd_ps(av, b1, acc21);
-    av = _mm256_set1_ps(al[3 * ars]);
-    acc30 = _mm256_fmadd_ps(av, b0, acc30);
-    acc31 = _mm256_fmadd_ps(av, b1, acc31);
-  }
-  if (bias != nullptr) {
-    const __m256 bias0 = _mm256_loadu_ps(bias);
-    const __m256 bias1 = _mm256_loadu_ps(bias + 8);
-    acc00 = _mm256_add_ps(acc00, bias0);
-    acc01 = _mm256_add_ps(acc01, bias1);
-    acc10 = _mm256_add_ps(acc10, bias0);
-    acc11 = _mm256_add_ps(acc11, bias1);
-    acc20 = _mm256_add_ps(acc20, bias0);
-    acc21 = _mm256_add_ps(acc21, bias1);
-    acc30 = _mm256_add_ps(acc30, bias0);
-    acc31 = _mm256_add_ps(acc31, bias1);
-  }
-  _mm256_storeu_ps(c + 0 * ldc, acc00);
-  _mm256_storeu_ps(c + 0 * ldc + 8, acc01);
-  _mm256_storeu_ps(c + 1 * ldc, acc10);
-  _mm256_storeu_ps(c + 1 * ldc + 8, acc11);
-  _mm256_storeu_ps(c + 2 * ldc, acc20);
-  _mm256_storeu_ps(c + 2 * ldc + 8, acc21);
-  _mm256_storeu_ps(c + 3 * ldc, acc30);
-  _mm256_storeu_ps(c + 3 * ldc + 8, acc31);
-}
-
-// AVX-512F full-tile micro-kernel ("avx512" backend, opt-in): one zmm
-// covers the whole kNR=16 panel, so the tile is 4 rows x 1 vector with
-// the k loop unrolled 2-way into two accumulator sets per row (combined
-// once at the end). That splits each element's sum into two chains —
-// allowed here because this family is tolerance-tested, and still
-// run-to-run deterministic since the split depends only on k.
-__attribute__((target("avx512f"))) void MicroKernelAvx512(
-    std::size_t k, const float* __restrict a, std::size_t ars,
-    std::size_t als, const float* __restrict b, std::size_t ldb,
-    float* __restrict c, std::size_t ldc, const float* __restrict bias) {
-  __m512 acc0 = _mm512_setzero_ps(), acc1 = _mm512_setzero_ps();
-  __m512 acc2 = _mm512_setzero_ps(), acc3 = _mm512_setzero_ps();
-  __m512 alt0 = _mm512_setzero_ps(), alt1 = _mm512_setzero_ps();
-  __m512 alt2 = _mm512_setzero_ps(), alt3 = _mm512_setzero_ps();
-  std::size_t l = 0;
-  for (; l + 1 < k; l += 2) {
-    const __m512 b0 = _mm512_loadu_ps(b + l * ldb);
-    const __m512 b1 = _mm512_loadu_ps(b + (l + 1) * ldb);
-    const float* al0 = a + l * als;
-    const float* al1 = a + (l + 1) * als;
-    acc0 = _mm512_fmadd_ps(_mm512_set1_ps(al0[0 * ars]), b0, acc0);
-    alt0 = _mm512_fmadd_ps(_mm512_set1_ps(al1[0 * ars]), b1, alt0);
-    acc1 = _mm512_fmadd_ps(_mm512_set1_ps(al0[1 * ars]), b0, acc1);
-    alt1 = _mm512_fmadd_ps(_mm512_set1_ps(al1[1 * ars]), b1, alt1);
-    acc2 = _mm512_fmadd_ps(_mm512_set1_ps(al0[2 * ars]), b0, acc2);
-    alt2 = _mm512_fmadd_ps(_mm512_set1_ps(al1[2 * ars]), b1, alt2);
-    acc3 = _mm512_fmadd_ps(_mm512_set1_ps(al0[3 * ars]), b0, acc3);
-    alt3 = _mm512_fmadd_ps(_mm512_set1_ps(al1[3 * ars]), b1, alt3);
-  }
-  if (l < k) {
-    const __m512 b0 = _mm512_loadu_ps(b + l * ldb);
-    const float* al = a + l * als;
-    acc0 = _mm512_fmadd_ps(_mm512_set1_ps(al[0 * ars]), b0, acc0);
-    acc1 = _mm512_fmadd_ps(_mm512_set1_ps(al[1 * ars]), b0, acc1);
-    acc2 = _mm512_fmadd_ps(_mm512_set1_ps(al[2 * ars]), b0, acc2);
-    acc3 = _mm512_fmadd_ps(_mm512_set1_ps(al[3 * ars]), b0, acc3);
-  }
-  acc0 = _mm512_add_ps(acc0, alt0);
-  acc1 = _mm512_add_ps(acc1, alt1);
-  acc2 = _mm512_add_ps(acc2, alt2);
-  acc3 = _mm512_add_ps(acc3, alt3);
-  if (bias != nullptr) {
-    const __m512 bv = _mm512_loadu_ps(bias);
-    acc0 = _mm512_add_ps(acc0, bv);
-    acc1 = _mm512_add_ps(acc1, bv);
-    acc2 = _mm512_add_ps(acc2, bv);
-    acc3 = _mm512_add_ps(acc3, bv);
-  }
-  _mm512_storeu_ps(c + 0 * ldc, acc0);
-  _mm512_storeu_ps(c + 1 * ldc, acc1);
-  _mm512_storeu_ps(c + 2 * ldc, acc2);
-  _mm512_storeu_ps(c + 3 * ldc, acc3);
-}
 #endif
 
 // ---------------------------------------------------------------------------
@@ -383,156 +266,121 @@ class PackArena {
 thread_local PackArena t_pack_arena;
 
 // ---------------------------------------------------------------------------
-// Blocked tile driver, serial panel walk + optional panel-parallel grid.
+// Blocked tile driver.
 // ---------------------------------------------------------------------------
 
-// Runs the i-tile loop for one j-panel over rows [i_begin, i_end).
-// i_begin is always a kMR multiple (chunk heights are), so tiles never
-// split across workers.
-void PanelRows(std::size_t i_begin, std::size_t i_end, std::size_t j0,
-               std::size_t nr, std::size_t k, std::size_t n, const float* pa,
-               std::size_t ars, std::size_t als, const float* pb, float* pc,
-               const float* bias, MicroKernelFn full) {
-  const float* bpanel = pb + j0;
-  const float* bias_panel = bias == nullptr ? nullptr : bias + j0;
-  for (std::size_t i0 = i_begin; i0 < i_end; i0 += kMR) {
-    const std::size_t mr = i_end - i0 < kMR ? i_end - i0 : kMR;
-    const float* atile = pa + i0 * ars;
-    float* ctile = pc + i0 * n + j0;
-    if (mr == kMR && nr == kNR) {
-      full(k, atile, ars, als, bpanel, n, ctile, n, bias_panel);
-    } else {
-      MicroKernelEdge(mr, nr, k, atile, ars, als, bpanel, n, ctile, n,
-                      bias_panel);
-    }
-  }
-}
-
-// Below this many flops (2*m*k*n) a GEMM always runs serial: the
-// pool's wake/join latency would dominate. 4M flops is roughly a
-// 128x128x128 multiply — the small per-layer training GEMMs stay
-// serial, the scoring/packing heavies go wide.
-constexpr std::uint64_t kParallelFlopFloor = 4u << 20;
-
-// Rows per i-chunk when the j-panel supply alone is too thin to feed
-// the pool. Must be a kMR multiple.
-constexpr std::size_t kRowChunk = 64;
-
-}  // namespace
-
-namespace detail {
-
-bool CpuHasAvx2() {
+// The CPU's full-tile kernel, resolved once: no-FMA AVX2 where the CPU
+// has it, portable otherwise. Both are bit-identical.
+MicroKernelFn CpuKernel() {
 #ifdef ACOBE_GEMM_X86
-  return __builtin_cpu_supports("avx2");
+  static const MicroKernelFn kernel =
+      __builtin_cpu_supports("avx2") ? MicroKernelAvx2 : MicroKernelFull;
+  return kernel;
 #else
-  return false;
-#endif
-}
-
-bool CpuHasFma() {
-#ifdef ACOBE_GEMM_X86
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-bool CpuHasAvx512() {
-#ifdef ACOBE_GEMM_X86
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
-
-MicroKernelFn PortableKernel() { return MicroKernelFull; }
-
-MicroKernelFn DefaultKernel() {
-#ifdef ACOBE_GEMM_X86
-  if (CpuHasAvx2()) return MicroKernelAvx2;
-#endif
   return MicroKernelFull;
-}
-
-MicroKernelFn FmaKernel() {
-#ifdef ACOBE_GEMM_X86
-  return MicroKernelFma;
-#else
-  return nullptr;
 #endif
 }
 
-MicroKernelFn Avx512Kernel() {
-#ifdef ACOBE_GEMM_X86
-  return MicroKernelAvx512;
-#else
-  return nullptr;
-#endif
-}
-
+// C (m x n, row-major, fully overwritten) = A * B (+ bias per row), with
+// A addressed as a[r * ars + l * als]. Full kMR x kNR tiles run `full`;
+// edge tiles run the portable edge kernel (same accumulation order).
+// The j-panel loop is outermost so the k x kNR panel of B stays
+// cache-resident while A streams past it once per panel.
 void BlockedGemm(std::size_t m, std::size_t k, std::size_t n, const float* pa,
                  std::size_t ars, std::size_t als, const float* pb, float* pc,
                  const float* bias, MicroKernelFn full) {
-  const std::size_t panels = (n + kNR - 1) / kNR;
-  const int threads = NnThreads();
-  const std::uint64_t flops = 2ull * m * k * n;
-  if (threads > 1 && !OnWorkerThread() && flops >= kParallelFlopFloor &&
-      panels >= 2) {
-    // Task grid: j-panels, split further into i-chunks only when the
-    // panel supply alone cannot feed every worker twice over (B-panel
-    // reuse inside a task is worth keeping when it can). Workers own
-    // disjoint C regions and every tile runs start-to-finish on one
-    // worker, so the result is bit-identical to the serial walk below.
-    std::size_t ichunks = 1;
-    if (panels < 2 * static_cast<std::size_t>(threads)) {
-      ichunks = (m + kRowChunk - 1) / kRowChunk;
-    }
-    const std::size_t rows_per_chunk = ichunks == 1 ? m : kRowChunk;
-    ACOBE_COUNT("nn.gemm.parallel_calls", 1);
-    PooledParallelFor(
-        0, static_cast<int>(panels * ichunks), threads, [&](int t) {
-          const std::size_t p = static_cast<std::size_t>(t) / ichunks;
-          const std::size_t ic = static_cast<std::size_t>(t) % ichunks;
-          const std::size_t j0 = p * kNR;
-          const std::size_t nr = n - j0 < kNR ? n - j0 : kNR;
-          const std::size_t i_begin = ic * rows_per_chunk;
-          const std::size_t i_end =
-              m - i_begin < rows_per_chunk ? m : i_begin + rows_per_chunk;
-          PanelRows(i_begin, i_end, j0, nr, k, n, pa, ars, als, pb, pc, bias,
-                    full);
-        });
-    return;
-  }
-  // Serial walk: the j-panel loop is outermost so the k x kNR panel of
-  // B stays cache-resident while A streams past it once per panel.
   for (std::size_t j0 = 0; j0 < n; j0 += kNR) {
     const std::size_t nr = n - j0 < kNR ? n - j0 : kNR;
-    PanelRows(0, m, j0, nr, k, n, pa, ars, als, pb, pc, bias, full);
+    const float* bpanel = pb + j0;
+    const float* bias_panel = bias == nullptr ? nullptr : bias + j0;
+    for (std::size_t i0 = 0; i0 < m; i0 += kMR) {
+      const std::size_t mr = m - i0 < kMR ? m - i0 : kMR;
+      const float* atile = pa + i0 * ars;
+      float* ctile = pc + i0 * n + j0;
+      if (mr == kMR && nr == kNR) {
+        full(k, atile, ars, als, bpanel, n, ctile, n, bias_panel);
+      } else {
+        MicroKernelEdge(mr, nr, k, atile, ars, als, bpanel, n, ctile, n,
+                        bias_panel);
+      }
+    }
   }
 }
 
-float* AcquirePackBuffer(std::size_t floats) {
-  return t_pack_arena.Acquire(floats);
+inline void AssertNoAlias(const Tensor& c, MatSpan a, MatSpan b) {
+#ifndef NDEBUG
+  assert(c.data() != a.data && c.data() != b.data);
+#else
+  (void)c;
+  (void)a;
+  (void)b;
+#endif
 }
 
-void ReleasePackBuffer() { t_pack_arena.Release(); }
+}  // namespace
 
-std::size_t PackBytes() {
+std::size_t PackBytesInUse() {
   return g_pack_bytes.load(std::memory_order_relaxed);
+}
+
+void ReleaseThreadScratch() { t_pack_arena.Release(); }
+
+namespace detail {
+
+MicroKernelFn PortableKernel() { return MicroKernelFull; }
+
+void Gemm(MicroKernelFn full, MatSpan a, MatSpan b, Tensor& c,
+          const float* bias) {
+  const std::size_t m = a.rows, k = a.cols, n = b.cols;
+  c.ResizeUninit(m, n);
+  AssertNoAlias(c, a, b);
+  BlockedGemm(m, k, n, a.data, /*ars=*/k, /*als=*/1, b.data, c.data(), bias,
+              full);
+}
+
+void GemmTransA(MicroKernelFn full, MatSpan a, MatSpan b, Tensor& c) {
+  const std::size_t k = a.rows, m = a.cols, n = b.cols;
+  c.ResizeUninit(m, n);
+  AssertNoAlias(c, a, b);
+  // C[i][j] = sum_l A[l][i] * B[l][j]: row stride through A is 1, term
+  // stride is the A row length m.
+  BlockedGemm(m, k, n, a.data, /*ars=*/1, /*als=*/m, b.data, c.data(),
+              nullptr, full);
+}
+
+void GemmTransB(MicroKernelFn full, MatSpan a, MatSpan b, Tensor& c) {
+  const std::size_t m = a.rows, k = a.cols, n = b.rows;
+  c.ResizeUninit(m, n);
+  AssertNoAlias(c, a, b);
+  // C = A B^T has the same per-element accumulation chains as C = A Bt
+  // with Bt the explicit transpose, so transposing B once (pure data
+  // movement, no arithmetic) lets the blocked driver -- and its
+  // vectorize-across-j micro-kernels -- run at full Gemm speed instead
+  // of being stuck with scalar dot-product chains. The O(k*n) pack
+  // amortizes over the O(m*k*n) math; the arena reuses the buffer
+  // across calls, so it allocates during warm-up only, preserving the
+  // zero-allocation train loop.
+  float* bt = t_pack_arena.Acquire(k * n);
+  const float* pb = b.data;
+  for (std::size_t j = 0; j < n; ++j) {
+    const float* brow = pb + j * k;
+    for (std::size_t l = 0; l < k; ++l) bt[l * n + j] = brow[l];
+  }
+  BlockedGemm(m, k, n, a.data, /*ars=*/k, /*als=*/1, bt, c.data(), nullptr,
+              full);
 }
 
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Public entry points: validate shapes, time the call, and route to the
-// active backend (backend.cpp owns resize + dispatch).
+// Public entry points: validate shapes, time the call, and run the CPU's
+// kernel.
 // ---------------------------------------------------------------------------
 
 void Gemm(MatSpan a, MatSpan b, Tensor& c, const float* bias) {
   if (a.cols != b.rows) throw std::invalid_argument("Gemm: shape mismatch");
   const GemmTimer timer;
-  ActiveBackend().Gemm(a, b, c, bias);
+  detail::Gemm(CpuKernel(), a, b, c, bias);
   timer.Finish(a.rows, a.cols, b.cols);
 }
 
@@ -541,7 +389,7 @@ void GemmTransA(MatSpan a, MatSpan b, Tensor& c) {
     throw std::invalid_argument("GemmTransA: shape mismatch");
   }
   const GemmTimer timer;
-  ActiveBackend().GemmTransA(a, b, c);
+  detail::GemmTransA(CpuKernel(), a, b, c);
   timer.Finish(a.cols, a.rows, b.cols);
 }
 
@@ -550,7 +398,7 @@ void GemmTransB(MatSpan a, MatSpan b, Tensor& c) {
     throw std::invalid_argument("GemmTransB: shape mismatch");
   }
   const GemmTimer timer;
-  ActiveBackend().GemmTransB(a, b, c);
+  detail::GemmTransB(CpuKernel(), a, b, c);
   timer.Finish(a.rows, a.cols, b.rows);
 }
 
@@ -627,3 +475,4 @@ void GemmTransB(MatSpan a, MatSpan b, Tensor& c) {
 }  // namespace reference
 
 }  // namespace acobe::nn
+

@@ -13,11 +13,11 @@
 namespace acobe::nn {
 namespace {
 
-// v1: magic + raw payload. v2 wraps the same payload with a byte count
-// and a CRC32, so truncation and bit rot are detected up front instead
-// of crashing mid-parse or silently loading garbage weights. v1 files
-// remain loadable.
-constexpr std::uint32_t kMagicV1 = 0xAC0BE001;
+// v2 frame: magic, payload byte count, CRC32 of the payload, payload.
+// Truncation and bit rot are detected up front instead of crashing
+// mid-parse or silently loading garbage weights. The unframed v1 format
+// (magic 0xAC0BE001 + raw payload) is no longer read: it fails as bad
+// magic.
 constexpr std::uint32_t kMagicV2 = 0xAC0BE101;
 
 // Hostile-input ceilings: reject absurd header values before they turn
@@ -122,9 +122,7 @@ void SaveAutoencoder(const AutoencoderSpec& spec, Sequential& net,
 }
 
 Sequential LoadAutoencoder(std::istream& in, AutoencoderSpec& spec_out) {
-  const std::uint32_t magic = ReadU32(in);
-  if (magic == kMagicV1) return ReadPayload(in, spec_out);  // legacy format
-  if (magic != kMagicV2) {
+  if (ReadU32(in) != kMagicV2) {
     throw std::runtime_error("LoadAutoencoder: bad magic");
   }
   const std::uint32_t size = ReadU32(in);

@@ -1,0 +1,48 @@
+// Program-wide operator new/delete replacements that count heap
+// allocations, linked into gemm_test for its zero-allocation assertion.
+// They live in their own translation unit so the compiler never inlines
+// a replaced delete's free() next to the new-expression that allocated
+// the pointer (which it would flag as a mismatched new/delete pair).
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+namespace {
+std::atomic<std::uint64_t> g_alloc_calls{0};
+}  // namespace
+
+std::uint64_t HeapAllocCalls() {
+  return g_alloc_calls.load(std::memory_order_relaxed);
+}
+
+void* operator new(std::size_t size) {
+  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+  void* p = nullptr;
+  if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1)) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}

@@ -1,17 +1,17 @@
 // Tests for the extension modules: ensemble persistence, the
 // waveform-aware advanced critic (the paper's Section VII.B future
-// work), the operational monitor, and the discrete-event sequence
-// model (Section VI.B.1).
+// work), and the operational monitor.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "behavior/normalized_day.h"
 #include "core/ensemble_io.h"
 #include "core/monitor.h"
 #include "core/waveform_critic.h"
-#include "features/sequence_model.h"
 
 namespace acobe {
 namespace {
@@ -71,6 +71,22 @@ TEST(EnsembleIoTest, UntrainedSaveThrows) {
 TEST(EnsembleIoTest, BadStreamThrows) {
   std::stringstream ss("definitely not an ensemble");
   EXPECT_THROW(LoadEnsemble(ss), std::runtime_error);
+}
+
+TEST(EnsembleIoTest, LegacyV1MagicIsRejected) {
+  // The unframed v1 format is no longer read: its magic fails up front
+  // instead of the payload being parsed.
+  const std::uint32_t v1_magic = 0xAC0BE002;
+  std::string bytes(reinterpret_cast<const char*>(&v1_magic), 4);
+  bytes.append(64, '\0');
+  std::stringstream ss(bytes);
+  try {
+    LoadEnsemble(ss);
+    FAIL() << "v1 bytes loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- Waveform critic --------------------------------------------------------
@@ -194,60 +210,6 @@ TEST(MonitorTest, NoAlertWithoutPersistence) {
   cfg.persistence_days = 2;
   const auto alerts = FindPersistentAlerts(grid, cfg);
   for (const Alert& a : alerts) EXPECT_NE(a.user_idx, 0);
-}
-
-// --- SequenceModel -----------------------------------------------------------
-
-TEST(SequenceModelTest, LearnsDeterministicPattern) {
-  SequenceModel model(2, 4);
-  std::vector<std::uint32_t> pattern;
-  for (int i = 0; i < 50; ++i) {
-    pattern.push_back(1);
-    pattern.push_back(2);
-    pattern.push_back(3);
-  }
-  model.Train(pattern);
-  // In-pattern continuation is likely; out-of-pattern is surprising.
-  const std::vector<std::uint32_t> ctx = {1, 2};
-  EXPECT_GT(model.Probability(ctx, 3), 0.8);
-  EXPECT_LT(model.Probability(ctx, 1), 0.1);
-  const std::vector<std::uint32_t> normal = {1, 2, 3, 1, 2, 3};
-  const std::vector<std::uint32_t> abnormal = {1, 2, 1, 2, 1, 1};
-  EXPECT_LT(model.MeanSurprise(normal), model.MeanSurprise(abnormal));
-}
-
-TEST(SequenceModelTest, UnseenContextFallsBackToUniform) {
-  SequenceModel model(2, 10);
-  const std::vector<std::uint32_t> ctx = {42, 43};
-  EXPECT_DOUBLE_EQ(model.Probability(ctx, 7), 1.0 / 10.0);
-}
-
-TEST(SequenceModelTest, OrderValidation) {
-  EXPECT_THROW(SequenceModel(0), std::invalid_argument);
-  SequenceModel model(1);
-  EXPECT_EQ(model.order(), 1);
-  EXPECT_DOUBLE_EQ(model.MeanSurprise(std::vector<std::uint32_t>{1}), 0.0);
-}
-
-TEST(DailySurpriseTrackerTest, FlagsBehaviorChange) {
-  DailySurpriseTracker tracker(2);
-  // 10 days of habitual pattern, then one day of chaos.
-  Rng rng(53);
-  for (std::int32_t day = 0; day < 10; ++day) {
-    for (int i = 0; i < 30; ++i) {
-      tracker.Observe(1, day, static_cast<std::uint32_t>(i % 3 + 1));
-    }
-  }
-  for (int i = 0; i < 30; ++i) {
-    tracker.Observe(1, 10, static_cast<std::uint32_t>(rng.NextInt(10, 30)));
-  }
-  tracker.Flush();
-  const double habitual = tracker.DaySurprise(1, 9);
-  const double chaotic = tracker.DaySurprise(1, 10);
-  EXPECT_LT(habitual, chaotic);
-  EXPECT_GT(chaotic, 2.0);
-  // Unknown user/day yields 0.
-  EXPECT_DOUBLE_EQ(tracker.DaySurprise(2, 0), 0.0);
 }
 
 }  // namespace

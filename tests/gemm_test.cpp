@@ -2,7 +2,11 @@
 // core (src/nn/gemm.cpp):
 //   - the blocked/vectorized kernels must be BIT-identical to the scalar
 //     reference kernels for every shape class (interior tiles, row/col
-//     edges, k = 1, vector widths straddling the 4x16 micro-tile);
+//     edges, k = 1, vector widths straddling the 4x16 micro-tile), with
+//     the CPU's full-tile kernel and with the portable one;
+//   - pack-arena accounting: PackBytesInUse grows with GemmTransB
+//     staging, ReleaseThreadScratch returns it, oversized retained
+//     capacity shrinks back on the next small request;
 //   - Tensor::ResizeUninit semantics (capacity-reusing, no zero-fill);
 //   - golden-value regressions pinning the training loop and the full
 //     ensemble train/score pipeline to the pre-refactor seed outputs, at
@@ -11,15 +15,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
 #include "behavior/normalized_day.h"
 #include "common/parallel.h"
-#include "nn/backend.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "core/critic.h"
@@ -32,42 +32,9 @@
 #include "nn/tensor.h"
 #include "nn/trainer.h"
 
-// ---------------------------------------------------------------------------
-// Global allocation counter. Replacing operator new program-wide lets the
-// allocation test observe every heap allocation the epoch loop performs.
-// ---------------------------------------------------------------------------
-
-static std::atomic<std::uint64_t> g_alloc_calls{0};
-
-void* operator new(std::size_t size) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1)) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+// Heap allocations so far, counted by the program-wide operator new
+// replacements in counting_new.cpp.
+std::uint64_t HeapAllocCalls();
 
 namespace acobe::nn {
 namespace {
@@ -110,19 +77,6 @@ void ExpectBitIdentical(const Tensor& got, const Tensor& want,
   }
 }
 
-// Bitwise parity and the golden regressions only hold for bit-exact
-// backends ("default", "reference"). Under an opt-in throughput family
-// (CI runs this binary with ACOBE_NN_BACKEND=fma) those cases skip;
-// backend_test.cpp holds the tolerance contract for that path.
-#define SKIP_UNLESS_BIT_EXACT_BACKEND()                                  \
-  do {                                                                   \
-    if (!ActiveBackend().bit_exact()) {                                  \
-      GTEST_SKIP() << "backend '" << ActiveBackendName()                 \
-                   << "' is not bit-exact; parity holds to tolerance "   \
-                      "only (see backend_test.cpp)";                     \
-    }                                                                    \
-  } while (0)
-
 // --- Blocked vs reference parity -------------------------------------------
 
 // The shape set straddles every micro-tile boundary: 1..3 (degenerate),
@@ -130,26 +84,34 @@ void ExpectBitIdentical(const Tensor& got, const Tensor& want,
 // 16-wide panel and the 32-element unroll).
 const std::size_t kDims[] = {1, 2, 3, 7, 8, 9, 31, 32, 33};
 
-TEST(GemmParityTest, BlockedMatchesReferenceBitwise) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND();
+// The kDims^3 sweep of all three forms against nn::reference, bitwise;
+// `gemm` (with and without bias), `trans_a` and `trans_b` are the forms
+// under test.
+template <typename GemmFn, typename TransAFn, typename TransBFn>
+void ExpectSweepMatchesReference(GemmFn gemm, TransAFn trans_a,
+                                 TransBFn trans_b) {
   for (std::size_t m : kDims) {
     for (std::size_t k : kDims) {
       for (std::size_t n : kDims) {
         Rng rng(m * 131071 + k * 8191 + n);
         const Tensor a = RandomTensor(m, k, rng);
         const Tensor b = RandomTensor(k, n, rng);
+        const Tensor bias = RandomTensor(1, n, rng);
         Tensor c, cref;
-        Gemm(a, b, c);
+        gemm(a, b, c, nullptr);
         reference::Gemm(a, b, cref);
         ExpectBitIdentical(c, cref, "Gemm", m, k, n);
+        gemm(a, b, c, bias.data());
+        reference::Gemm(a, b, cref, bias.data());
+        ExpectBitIdentical(c, cref, "Gemm+bias", m, k, n);
 
         const Tensor at = RandomTensor(k, m, rng);
-        GemmTransA(at, b, c);
+        trans_a(at, b, c);
         reference::GemmTransA(at, b, cref);
         ExpectBitIdentical(c, cref, "GemmTransA", m, k, n);
 
         const Tensor bt = RandomTensor(n, k, rng);
-        GemmTransB(a, bt, c);
+        trans_b(a, bt, c);
         reference::GemmTransB(a, bt, cref);
         ExpectBitIdentical(c, cref, "GemmTransB", m, k, n);
       }
@@ -157,8 +119,32 @@ TEST(GemmParityTest, BlockedMatchesReferenceBitwise) {
   }
 }
 
+TEST(GemmParityTest, BlockedMatchesReferenceBitwise) {
+  ExpectSweepMatchesReference(
+      [](MatSpan a, MatSpan b, Tensor& c, const float* bias) {
+        Gemm(a, b, c, bias);
+      },
+      [](MatSpan a, MatSpan b, Tensor& c) { GemmTransA(a, b, c); },
+      [](MatSpan a, MatSpan b, Tensor& c) { GemmTransB(a, b, c); });
+}
+
+// The portable full-tile kernel is the one CPUs without AVX2 run; the
+// detail:: entry points reach it on every host.
+TEST(GemmParityTest, PortableKernelMatchesReferenceBitwise) {
+  const detail::MicroKernelFn portable = detail::PortableKernel();
+  ExpectSweepMatchesReference(
+      [&](MatSpan a, MatSpan b, Tensor& c, const float* bias) {
+        detail::Gemm(portable, a, b, c, bias);
+      },
+      [&](MatSpan a, MatSpan b, Tensor& c) {
+        detail::GemmTransA(portable, a, b, c);
+      },
+      [&](MatSpan a, MatSpan b, Tensor& c) {
+        detail::GemmTransB(portable, a, b, c);
+      });
+}
+
 TEST(GemmParityTest, SparseInputsMatchReferenceBitwise) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND();
   // Zero entries make the reference kernels skip accumulator updates the
   // blocked kernels perform; the results must still agree bit-for-bit.
   for (std::size_t m : {1u, 5u, 9u, 33u}) {
@@ -182,7 +168,6 @@ TEST(GemmParityTest, SparseInputsMatchReferenceBitwise) {
 }
 
 TEST(GemmParityTest, FusedBiasMatchesSeparateEpilogue) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND();
   for (std::size_t m : {1u, 4u, 9u, 32u}) {
     for (std::size_t n : {1u, 15u, 16u, 33u}) {
       const std::size_t k = 17;
@@ -225,6 +210,48 @@ TEST(GemmTelemetryTest, CountsCallsAndFlops) {
   EXPECT_GE(calls, 2u);
   // First call alone contributes 2*8*16*4 = 1024 flops.
   EXPECT_GE(flops, 1024u);
+}
+
+// --- Pack-arena accounting ---------------------------------------------------
+
+TEST(PackArenaTest, GemmTransBStagingIsAccountedAndReleasable) {
+  ReleaseThreadScratch();
+  const std::size_t base = PackBytesInUse();
+
+  Rng rng(11);
+  const std::size_t k = 96, n = 128;  // 48 KiB of B^T staging
+  const Tensor a = RandomTensor(8, k, rng);
+  const Tensor bt = RandomTensor(n, k, rng);
+  Tensor c;
+  GemmTransB(a, bt, c);
+  EXPECT_GE(PackBytesInUse(), base + k * n * sizeof(float));
+
+  ReleaseThreadScratch();
+  EXPECT_EQ(PackBytesInUse(), base);
+}
+
+TEST(PackArenaTest, OversizedArenaShrinksOnSmallRequest) {
+  ReleaseThreadScratch();
+  const std::size_t base = PackBytesInUse();
+
+  Rng rng(13);
+  // Grow the arena past the shrink floor (> 1 MiB retained)...
+  const std::size_t big_k = 600, big_n = 600;
+  const Tensor a_big = RandomTensor(4, big_k, rng);
+  const Tensor bt_big = RandomTensor(big_n, big_k, rng);
+  Tensor c;
+  GemmTransB(a_big, bt_big, c);
+  EXPECT_GE(PackBytesInUse(), base + big_k * big_n * sizeof(float));
+
+  // ...then a tiny request must shed the retained capacity rather than
+  // pinning ~1.4 MiB for the rest of the thread's life.
+  const Tensor a_small = RandomTensor(2, 8, rng);
+  const Tensor bt_small = RandomTensor(8, 8, rng);
+  GemmTransB(a_small, bt_small, c);
+  EXPECT_LT(PackBytesInUse(), base + (1u << 20));
+
+  ReleaseThreadScratch();
+  EXPECT_EQ(PackBytesInUse(), base);
 }
 
 // --- Tensor::ResizeUninit ----------------------------------------------------
@@ -342,12 +369,10 @@ void ExpectGolden(const GoldenRun& run) {
 }
 
 TEST(GoldenTest, TrainingHistoryMatchesSeedBitwise) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND();
   ExpectGolden(RunGoldenTraining());
 }
 
 TEST(GoldenTest, ConcurrentTrainingsMatchSeedBitwise) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND();
   // Four independent trainings on four threads: per-thread scratch state
   // must not leak across models, and results must not depend on
   // scheduling.
@@ -413,14 +438,11 @@ void RunEnsembleGolden(int threads) {
   }
 }
 
-TEST(GoldenTest, EnsembleMatchesSeedSingleThread) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND(); RunEnsembleGolden(1); }
+TEST(GoldenTest, EnsembleMatchesSeedSingleThread) { RunEnsembleGolden(1); }
 
-TEST(GoldenTest, EnsembleMatchesSeedFourThreads) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND(); RunEnsembleGolden(4); }
+TEST(GoldenTest, EnsembleMatchesSeedFourThreads) { RunEnsembleGolden(4); }
 
 TEST(GoldenTest, EnsembleMatchesSeedWithTelemetryEnabled) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND();
   telemetry::EnableMetrics(true);
   telemetry::ResetTelemetry();
   RunEnsembleGolden(4);
@@ -454,7 +476,7 @@ TEST(AllocationTest, EpochLoopIsAllocationFreeAfterWarmup) {
   std::vector<std::uint64_t> marks;
   marks.reserve(static_cast<std::size_t>(cfg.epochs));
   TrainReconstruction(net, opt, data, cfg, [&](const EpochStats&) {
-    marks.push_back(g_alloc_calls.load(std::memory_order_relaxed));
+    marks.push_back(HeapAllocCalls());
   });
   ASSERT_EQ(marks.size(), 6u);
   // Epoch 0 warms every buffer up to steady-state capacity; epoch 1 is

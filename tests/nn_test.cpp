@@ -1,13 +1,18 @@
 // Unit tests for src/nn: tensors, GEMM, layers (with numeric gradient
-// checks), optimizers, autoencoder construction, training, serialization.
+// checks), optimizers, autoencoder construction, training (including
+// the fused TrainStream), serialization.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/faults.h"
 #include "nn/activations.h"
 #include "nn/autoencoder.h"
 #include "nn/batchnorm.h"
@@ -734,9 +739,23 @@ TEST(SerializeTest, ChecksumDetectsEveryByteFlip) {
   }
 }
 
-TEST(SerializeTest, LegacyV1PayloadStillLoads) {
+// Runs LoadAutoencoder on `bytes` and returns the error message it
+// throws ("" when it loads).
+std::string LoadError(const std::string& bytes) {
+  std::stringstream in(bytes);
+  AutoencoderSpec out;
+  try {
+    LoadAutoencoder(in, out);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SerializeTest, LegacyV1PayloadIsRejected) {
   // A v1 file is the v1 magic followed by the raw payload; synthesize
-  // one from a v2 save (v2 = magic + size + crc + same payload).
+  // one from a v2 save (v2 = magic + size + crc + same payload). The v1
+  // loader is gone, so it must fail on the magic, not parse the payload.
   Rng rng(26);
   AutoencoderSpec spec;
   spec.input_dim = 5;
@@ -749,24 +768,25 @@ TEST(SerializeTest, LegacyV1PayloadStillLoads) {
   const std::uint32_t v1_magic = 0xAC0BE001;
   std::string v1(reinterpret_cast<const char*>(&v1_magic), 4);
   v1 += v2.substr(12);  // skip v2 magic + size + crc
-  std::stringstream in(v1);
-  AutoencoderSpec out;
-  Sequential loaded = LoadAutoencoder(in, out);
-  EXPECT_EQ(out.input_dim, spec.input_dim);
-  EXPECT_EQ(out.encoder_dims, spec.encoder_dims);
+  EXPECT_NE(LoadError(v1).find("bad magic"), std::string::npos)
+      << LoadError(v1);
 }
 
 TEST(SerializeTest, HostileHeaderRejectedBeforeAllocation) {
   // input_dim = 0xFFFFFFFF must throw "implausible", not attempt a
-  // multi-gigabyte BuildAutoencoder.
-  const std::uint32_t v1_magic = 0xAC0BE001;
+  // multi-gigabyte BuildAutoencoder. The payload sits in a well-formed
+  // v2 frame (magic + size + CRC32) so it gets past the frame checks
+  // and reaches the header bounds check.
   const std::uint32_t huge = 0xFFFFFFFFu;
-  std::string bytes(reinterpret_cast<const char*>(&v1_magic), 4);
-  bytes.append(reinterpret_cast<const char*>(&huge), 4);
-  bytes.append(64, '\0');
-  std::stringstream in(bytes);
-  AutoencoderSpec out;
-  EXPECT_THROW(LoadAutoencoder(in, out), std::runtime_error);
+  std::string payload(reinterpret_cast<const char*>(&huge), 4);
+  payload.append(64, '\0');
+  const std::uint32_t frame[] = {0xAC0BE101u,
+                                 static_cast<std::uint32_t>(payload.size()),
+                                 Crc32(payload)};
+  std::string bytes(reinterpret_cast<const char*>(frame), sizeof(frame));
+  bytes += payload;
+  EXPECT_NE(LoadError(bytes).find("implausible input dim"), std::string::npos)
+      << LoadError(bytes);
 }
 
 TEST(TrainerTest, NonFiniteLossThrowsTrainingDiverged) {
@@ -802,6 +822,137 @@ TEST(TrainerTest, NonFiniteGuardCanBeDisabled) {
   const auto history = TrainReconstruction(net, opt, data, cfg);
   EXPECT_EQ(history.size(), 3u);
   EXPECT_TRUE(std::isnan(history.back().loss));
+}
+
+// --- TrainStream ---------------------------------------------------------------
+
+std::uint32_t Bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+Tensor TrainingData(std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor data(40, 12);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data.data()[i] = 0.5f + 0.25f * static_cast<float>(rng.NextGaussian());
+  }
+  return data;
+}
+
+Sequential MakeNet(std::uint64_t init_seed) {
+  AutoencoderSpec spec;
+  spec.input_dim = 12;
+  spec.encoder_dims = {16, 8};
+  spec.batch_norm = true;
+  spec.sigmoid_output = true;
+  Sequential net = BuildAutoencoder(spec);
+  Rng init_rng(init_seed);
+  net.InitParams(init_rng);
+  return net;
+}
+
+TrainConfig StreamConfig(std::uint64_t seed) {
+  TrainConfig cfg;
+  cfg.epochs = 5;
+  cfg.batch_size = 16;
+  cfg.seed = seed;
+  return cfg;
+}
+
+void RunStreamParityAt(int threads) {
+  const int kJobs = 3;
+
+  // Baseline: each model trained alone through the original API.
+  std::vector<std::vector<EpochStats>> solo(kJobs);
+  std::vector<std::vector<float>> solo_params(kJobs);
+  for (int j = 0; j < kJobs; ++j) {
+    Sequential net = MakeNet(100 + j);
+    Adadelta opt(1.0f);
+    const Tensor data = TrainingData(200 + j);
+    solo[j] = TrainReconstruction(net, opt, data, StreamConfig(300 + j));
+    for (const Param* p : net.Params()) {
+      solo_params[j].insert(solo_params[j].end(), p->value.data(),
+                            p->value.data() + p->value.size());
+    }
+  }
+
+  // The same three models as one stream.
+  std::vector<Sequential> nets;
+  std::vector<Adadelta> opts;
+  std::vector<Tensor> datas;
+  nets.reserve(kJobs);
+  opts.reserve(kJobs);
+  datas.reserve(kJobs);
+  for (int j = 0; j < kJobs; ++j) {
+    nets.push_back(MakeNet(100 + j));
+    opts.emplace_back(1.0f);
+    datas.push_back(TrainingData(200 + j));
+  }
+  std::vector<TrainJob> jobs(kJobs);
+  for (int j = 0; j < kJobs; ++j) {
+    jobs[j].net = &nets[j];
+    jobs[j].optimizer = &opts[j];
+    jobs[j].data = &datas[j];
+    jobs[j].config = StreamConfig(300 + j);
+  }
+  TrainStream(jobs, threads);
+
+  for (int j = 0; j < kJobs; ++j) {
+    EXPECT_FALSE(jobs[j].diverged) << "job " << j;
+    ASSERT_EQ(jobs[j].history.size(), solo[j].size()) << "job " << j;
+    for (std::size_t e = 0; e < solo[j].size(); ++e) {
+      EXPECT_EQ(Bits(jobs[j].history[e].loss), Bits(solo[j][e].loss))
+          << "threads=" << threads << " job " << j << " epoch " << e;
+    }
+    std::vector<float> params;
+    for (const Param* p : nets[j].Params()) {
+      params.insert(params.end(), p->value.data(),
+                    p->value.data() + p->value.size());
+    }
+    ASSERT_EQ(params.size(), solo_params[j].size()) << "job " << j;
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      ASSERT_EQ(Bits(params[i]), Bits(solo_params[j][i]))
+          << "threads=" << threads << " job " << j << " param " << i;
+    }
+  }
+}
+
+TEST(TrainStreamTest, SerialRoundRobinMatchesSoloTrainingBitwise) {
+  RunStreamParityAt(1);
+}
+
+TEST(TrainStreamTest, ParallelFanOutMatchesSoloTrainingBitwise) {
+  RunStreamParityAt(4);
+}
+
+TEST(TrainStreamTest, DivergedJobIsCapturedWithoutPoisoningTheStream) {
+  Sequential good_net = MakeNet(100);
+  Sequential bad_net = MakeNet(101);
+  Adadelta good_opt(1.0f), bad_opt(1.0f);
+  const Tensor good_data = TrainingData(200);
+  Tensor bad_data = TrainingData(201);
+  bad_data.data()[0] = std::nanf("");  // poisons the first epoch's loss
+
+  std::vector<TrainJob> jobs(2);
+  jobs[0].net = &bad_net;
+  jobs[0].optimizer = &bad_opt;
+  jobs[0].data = &bad_data;
+  jobs[0].config = StreamConfig(300);
+  jobs[1].net = &good_net;
+  jobs[1].optimizer = &good_opt;
+  jobs[1].data = &good_data;
+  jobs[1].config = StreamConfig(301);
+  TrainStream(jobs, 1);
+
+  EXPECT_TRUE(jobs[0].diverged);
+  EXPECT_FALSE(jobs[0].error.empty());
+  EXPECT_FALSE(jobs[1].diverged);
+  ASSERT_EQ(jobs[1].history.size(), 5u);
+  for (const EpochStats& s : jobs[1].history) {
+    EXPECT_TRUE(std::isfinite(s.loss));
+  }
 }
 
 }  // namespace

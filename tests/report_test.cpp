@@ -1,11 +1,9 @@
-// Tests for eval/report (CSV + table exporters) and behavior/render
-// (the library form of Figure 4's shade maps).
+// Tests for eval/report (CSV + table exporters).
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "behavior/render.h"
 #include "common/json.h"
 #include "eval/report.h"
 
@@ -120,41 +118,6 @@ TEST(ReportTest, CutoffSweepCsv) {
   int rows = 1;
   while (std::getline(ss, line)) ++rows;
   EXPECT_EQ(rows, 3);
-}
-
-// --- render -----------------------------------------------------------------
-
-TEST(RenderTest, ShadeRampEndsAndMidpoint) {
-  EXPECT_EQ(SigmaShade(-3.0, 3.0), ' ');
-  EXPECT_EQ(SigmaShade(3.0, 3.0), '@');
-  EXPECT_EQ(SigmaShade(0.0, 3.0), '=');
-  EXPECT_EQ(SigmaShade(-99.0, 3.0), ' ');  // clamped
-  EXPECT_EQ(SigmaShade(99.0, 3.0), '@');
-}
-
-TEST(RenderTest, RendersRowsAndMarks) {
-  MeasurementCube cube(Date(2010, 1, 4), 20, 2, 1);
-  const int u = cube.RegisterUser(1);
-  for (int d = 0; d < 20; ++d) cube.At(u, 0, d, 0) = 2.0f;
-  cube.At(u, 0, 15, 0) = 100.0f;  // a spike
-  DeviationConfig cfg;
-  cfg.omega = 5;
-  const auto dev = DeviationSeries::Compute(cube, cfg);
-  FeatureCatalog catalog({{"spiky", "x", 1.0}, {"other", "x", 1.0}});
-
-  RenderOptions options;
-  options.day_begin = 5;
-  options.marked_days = {15};
-  std::stringstream ss;
-  RenderAspect(dev, catalog, 0, "x", options, ss);
-  const std::string text = ss.str();
-  EXPECT_NE(text.find("spiky"), std::string::npos);
-  EXPECT_NE(text.find('@'), std::string::npos);  // the spike renders dark
-  EXPECT_NE(text.find('*'), std::string::npos);  // the mark row
-  // Unknown aspect renders nothing.
-  std::stringstream empty;
-  RenderAspect(dev, catalog, 0, "nope", options, empty);
-  EXPECT_TRUE(empty.str().empty());
 }
 
 }  // namespace

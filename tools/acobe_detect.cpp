@@ -103,7 +103,7 @@
 #include "features/shard_extract.h"
 #include "logs/log_io.h"
 #include "logs/spool.h"
-#include "nn/backend.h"
+#include "nn/gemm.h"
 
 using namespace acobe;
 
@@ -128,7 +128,6 @@ void Usage() {
       "acobe-detect --in=DIR --train-end=YYYY-MM-DD\n"
       "             [--test-end=YYYY-MM-DD] [--omega=N] [--epochs=N]\n"
       "             [--votes=N] [--top=N] [--threads=N]\n"
-      "             [--nn-backend=NAME] [--nn-threads=N]\n"
       "             [--ingest=strict|permissive|quarantine]\n"
       "             [--error-budget=R] [--quarantine-dir=DIR]\n"
       "             [--stream] [--shards=N] [--spool-dir=DIR]\n"
@@ -142,12 +141,6 @@ void Usage() {
       "  --votes=N           critic votes (>= 1; default 2)\n"
       "  --top=N             list entries printed per department (>= 1)\n"
       "  --threads=N         worker threads (0 = ACOBE_THREADS/hardware)\n"
-      "  --nn-backend=NAME   NN compute backend: default|reference|fma|avx512\n"
-      "                      (0-risk 'default' is bit-reproducible; others\n"
-      "                      fall back to it when the CPU lacks them)\n"
-      "  --nn-threads=N      GEMM worker threads (0 = ACOBE_NN_THREADS,\n"
-      "                      else 1; >1 splits large GEMMs panel-wise,\n"
-      "                      results stay bit-identical)\n"
       "  --ingest=POLICY     malformed-row policy (default strict)\n"
       "  --error-budget=R    abort past this rejected-row fraction (def 0.05)\n"
       "  --quarantine-dir=D  write rejected raw rows under D\n"
@@ -269,6 +262,15 @@ void JsonStr(std::ostream& out, std::string_view s) {
   out << '"';
 }
 
+/// The build identity stamped into --version, the explain report and the
+/// ledger manifest: GetBuildInfo() plus the NN kernel family that
+/// produced every score.
+BuildInfo DetectBuildInfo() {
+  BuildInfo info = GetBuildInfo();
+  info.nn_backend = nn::kKernelFamily;
+  return info;
+}
+
 /// One department's full output, retained for the emit stage, the
 /// explain report and the ledger. Both detection paths buffer these and
 /// emit in canonical LDAP department order, which is what makes their
@@ -381,8 +383,7 @@ void WriteExplainJson(std::ostream& out, const std::vector<DeptResult>& results,
                       const TimeFramePartition& partition, Date start,
                       const std::string& in_dir, std::uint32_t dataset_digest,
                       int train_end, int test_end, int top) {
-  BuildInfo build = GetBuildInfo();
-  nn::AnnotateBuildInfo(build);
+  const BuildInfo build = DetectBuildInfo();
   out << "{\"schema\":\"acobe.explain.v1\",\"build\":{\"version\":";
   JsonStr(out, build.version);
   out << ",\"build_type\":";
@@ -392,7 +393,7 @@ void WriteExplainJson(std::ostream& out, const std::vector<DeptResult>& results,
   out << ",\"telemetry\":" << (build.telemetry ? "true" : "false")
       << ",\"nn_backend\":";
   JsonStr(out, build.nn_backend);
-  out << ",\"nn_threads\":" << build.nn_threads << "},\"dataset\":{\"dir\":";
+  out << "},\"dataset\":{\"dir\":";
   JsonStr(out, in_dir);
   out << ",\"digest\":" << dataset_digest << ",\"start\":";
   JsonStr(out, start.ToString());
@@ -568,9 +569,7 @@ int main(int argc, char** argv) {
   std::string explain_out, ledger_out;
   std::string health_out, prom_out;
   std::string quarantine_dir, checkpoint_dir, spool_dir;
-  std::string nn_backend;  // empty = "default" (or ACOBE_NN_BACKEND)
   int omega = 14, epochs = 25, votes = 2, top = 10, threads = 0;
-  int nn_threads = 0;  // 0 = ACOBE_NN_THREADS / serial
   int shards = 8, health_interval_ms = 1000;
   bool resume = false, stream = false;
   IngestOptions ingest;
@@ -597,11 +596,6 @@ int main(int argc, char** argv) {
         top = static_cast<int>(cli::ParseInt(arg, arg + 6, 1, kMaxInt));
       } else if (std::strncmp(arg, "--threads=", 10) == 0) {
         threads = static_cast<int>(cli::ParseInt(arg, arg + 10, 0, kMaxInt));
-      } else if (std::strncmp(arg, "--nn-backend=", 13) == 0) {
-        nn_backend = arg + 13;
-      } else if (std::strncmp(arg, "--nn-threads=", 13) == 0) {
-        nn_threads =
-            static_cast<int>(cli::ParseInt(arg, arg + 13, 0, kMaxInt));
       } else if (std::strncmp(arg, "--ingest=", 9) == 0) {
         ingest.policy = IngestPolicyFromString(arg + 9);
       } else if (std::strncmp(arg, "--error-budget=", 15) == 0) {
@@ -634,15 +628,7 @@ int main(int argc, char** argv) {
       } else if (std::strncmp(arg, "--prom-out=", 11) == 0) {
         prom_out = arg + 11;
       } else if (std::strcmp(arg, "--version") == 0) {
-        // Apply any backend/thread flags seen so far, so
-        // `--nn-backend=fma --version` reports the resolved (possibly
-        // fallen-back) selection the run would actually use. No flag
-        // leaves the ACOBE_NN_BACKEND-driven selection untouched.
-        if (!nn_backend.empty()) nn::SelectBackend(nn_backend);
-        if (nn_threads > 0) nn::SetNnThreads(nn_threads);
-        BuildInfo info = GetBuildInfo();
-        nn::AnnotateBuildInfo(info);
-        cli::PrintVersionInfo("acobe-detect", info);
+        cli::PrintVersionInfo("acobe-detect", DetectBuildInfo());
         return 0;
       } else if (std::strcmp(arg, "--help") == 0) {
         Usage();
@@ -687,20 +673,6 @@ int main(int argc, char** argv) {
     }
   }
   if (spool_dir.empty()) spool_dir = in_dir + "/.acobe-spool";
-  // Pin the NN compute backend and GEMM thread budget before any math
-  // runs; the resolved pair lands in --version, the explain report, and
-  // the ledger manifest. An unknown or CPU-unsupported backend request
-  // falls back to "default" (warn, don't die — the default is the
-  // bit-reproducible anchor, so results are still well-defined).
-  if (!nn_backend.empty()) {
-    const std::string active = nn::SelectBackend(nn_backend);
-    if (active != nn_backend) {
-      std::fprintf(stderr,
-                   "acobe-detect: nn backend '%s' unavailable, using '%s'\n",
-                   nn_backend.c_str(), active.c_str());
-    }
-  }
-  if (nn_threads > 0) nn::SetNnThreads(nn_threads);
   // Provenance is driven by the output flags: asking for an explain
   // report or a ledger turns attribution + drift on; neither flag, and
   // the detection path runs exactly as before (bit-identical scores).
@@ -745,9 +717,7 @@ int main(int argc, char** argv) {
     if (spooler) spooler->Remove();
     if (!ledger_out.empty()) {
       RunLedger aborted;
-      BuildInfo build_info = GetBuildInfo();
-      nn::AnnotateBuildInfo(build_info);
-      aborted.Append(MakeManifestEvent("acobe-detect", build_info));
+      aborted.Append(MakeManifestEvent("acobe-detect", DetectBuildInfo()));
       LedgerEvent ev("run_aborted");
       ev.Str("reason", "signal")
           .Int("signal", ShutdownSignal())
@@ -931,9 +901,8 @@ int main(int argc, char** argv) {
 
   RunLedger ledger;
   if (!ledger_out.empty()) {
-    BuildInfo build_info = GetBuildInfo();
-    nn::AnnotateBuildInfo(build_info);
-    LedgerEvent manifest = MakeManifestEvent("acobe-detect", build_info);
+    LedgerEvent manifest =
+        MakeManifestEvent("acobe-detect", DetectBuildInfo());
     manifest.Str("in", in_dir)
         .Int("dataset_digest", dataset_digest)
         .Str("start", start.ToString())

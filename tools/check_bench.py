@@ -13,21 +13,20 @@ cancels out clock speed, turbo state, and container noise. The gate fails
 if any size's current speedup drops below `tolerance` times the baseline
 speedup (default 0.8, i.e. a >20% relative regression of BM_Gemm).
 
-Default mode also gates the threaded compute paths on their own in-run
-ratios, which equally transfer across machines:
+Default mode also gates the fused ensemble training stream on its own
+in-run ratio, which equally transfers across machines:
+BM_TrainStreamFused/112/4 over BM_TrainStreamSolo/112 must be
+>= --fused-floor (default 1.5). It is applied when the run's
+bench.hw_threads gauge is >= 2 — on one core four workers time-slice
+and the ratio measures the scheduler — and skipped (loudly) otherwise.
 
-  - panel-parallel GEMM: BM_GemmMT/256/4 over BM_GemmMT/256/1 must be
-    >= --mt-floor (default 3.0). Applied only when the current run's
-    bench.hw_threads gauge is >= 4 — on smaller machines four workers
-    time-slice one core and the ratio measures the scheduler, not the
-    kernels — and skipped (loudly) otherwise.
-  - fused ensemble training: BM_TrainStreamFused/112/4 over
-    BM_TrainStreamSolo/112 must be >= --fused-floor (default 1.5),
-    applied when bench.hw_threads >= 2, skipped otherwise.
+The baseline and the current run must carry the same bench.hw_threads:
+a ratio recorded with one core count says nothing about another, so a
+mismatch fails instead of comparing.
 
 Usage:
     tools/check_bench.py BASELINE.json CURRENT.json [--tolerance 0.8]
-        [--mt-floor 3.0] [--fused-floor 1.5]
+        [--fused-floor 1.5]
     tools/check_bench.py --pipeline BASELINE.json CURRENT.json \
         [--rss-tolerance 1.25]
 
@@ -40,7 +39,8 @@ ratio exceeds the baseline ratio times --rss-tolerance (default 1.25,
 i.e. a >25% relative RSS regression of the out-of-core path), or if any
 required pipeline gauge is missing or non-positive.
 
-Exit status 0 on pass, 1 on regression or malformed input.
+Exit status 0 on pass, 1 on regression, hw_threads mismatch or
+malformed input. A failure names every gate that failed.
 """
 
 import argparse
@@ -127,49 +127,31 @@ def check_pipeline(base, cur, rss_tolerance):
     return 0
 
 
-# In-run ratio gates for the threaded compute paths. Each is (label,
-# numerator gauge, denominator gauge, floor-argument name, minimum
-# bench.hw_threads for the ratio to be meaningful).
-THREADED_GATES = (
-    ("GEMM 4-thread speedup",
-     "bench.BM_GemmMT/256/4/real_time.items_per_second",
-     "bench.BM_GemmMT/256/1/real_time.items_per_second",
-     "mt_floor", 4),
-    ("fused train-stream speedup",
-     "bench.BM_TrainStreamFused/112/4/real_time.items_per_second",
-     "bench.BM_TrainStreamSolo/112/real_time.items_per_second",
-     "fused_floor", 2),
-)
+FUSED_LABEL = "fused train-stream speedup"
+FUSED_NUM = "bench.BM_TrainStreamFused/112/4/real_time.items_per_second"
+FUSED_DEN = "bench.BM_TrainStreamSolo/112/real_time.items_per_second"
 
 
-def check_threaded(cur, args):
-    """Absolute in-run floors for the threaded paths, hardware-gated by
-    the run's own bench.hw_threads gauge."""
+def check_fused(cur, floor):
+    """The fused train-stream floor, hardware-gated by the run's own
+    bench.hw_threads gauge. Returns True on failure."""
+    num, den = cur.get(FUSED_NUM), cur.get(FUSED_DEN)
+    if num is None or den is None:
+        print(f"check_bench: missing gauge for {FUSED_LABEL} "
+              f"({FUSED_NUM if num is None else FUSED_DEN})", file=sys.stderr)
+        return True
+    if float(den) <= 0.0:
+        print(f"check_bench: non-positive {FUSED_DEN}", file=sys.stderr)
+        return True
+    ratio = float(num) / float(den)
     hw = float(cur.get("bench.hw_threads", 0.0))
-    failed = False
-    for label, num_key, den_key, floor_arg, min_hw in THREADED_GATES:
-        floor = getattr(args, floor_arg)
-        num, den = cur.get(num_key), cur.get(den_key)
-        if num is None or den is None:
-            print(f"check_bench: missing gauge for {label} "
-                  f"({num_key if num is None else den_key})",
-                  file=sys.stderr)
-            failed = True
-            continue
-        if float(den) <= 0.0:
-            print(f"check_bench: non-positive {den_key}", file=sys.stderr)
-            failed = True
-            continue
-        ratio = float(num) / float(den)
-        if hw < min_hw:
-            print(f"{label}: {ratio:.2f}x — SKIPPED "
-                  f"(hw_threads {hw:.0f} < {min_hw}, floor not applied)")
-            continue
-        status = "ok" if ratio >= floor else "REGRESSION"
-        print(f"{label}: {ratio:.2f}x (floor {floor:.2f}x) {status}")
-        if ratio < floor:
-            failed = True
-    return failed
+    if hw < 2:
+        print(f"{FUSED_LABEL}: {ratio:.2f}x — SKIPPED "
+              f"(hw_threads {hw:.0f} < 2, floor not applied)")
+        return False
+    status = "ok" if ratio >= floor else "REGRESSION"
+    print(f"{FUSED_LABEL}: {ratio:.2f}x (floor {floor:.2f}x) {status}")
+    return ratio < floor
 
 
 def main():
@@ -179,9 +161,6 @@ def main():
     ap.add_argument("--tolerance", type=float, default=0.8,
                     help="fail if current speedup < baseline speedup * "
                          "TOLERANCE (default 0.8)")
-    ap.add_argument("--mt-floor", type=float, default=3.0,
-                    help="minimum BM_GemmMT 4-thread/1-thread speedup on "
-                         "machines with >= 4 hardware threads (default 3.0)")
     ap.add_argument("--fused-floor", type=float, default=1.5,
                     help="minimum fused/solo train-stream speedup on "
                          "machines with >= 2 hardware threads (default 1.5)")
@@ -202,7 +181,14 @@ def main():
     if args.pipeline:
         return check_pipeline(base, cur, args.rss_tolerance)
 
-    failed = False
+    base_hw, cur_hw = base.get("bench.hw_threads"), cur.get("bench.hw_threads")
+    if base_hw is None or cur_hw is None or float(base_hw) != float(cur_hw):
+        print(f"check_bench: bench.hw_threads differs (baseline {base_hw}, "
+              f"current {cur_hw}); re-record the baseline on this machine "
+              "shape instead of comparing", file=sys.stderr)
+        return 1
+
+    failed = []
     for n in SIZES:
         try:
             base_s = speedup(base, n, args.baseline)
@@ -215,17 +201,17 @@ def main():
         print(f"BM_Gemm/{n}: blocked/ref speedup {cur_s:.2f}x "
               f"(baseline {base_s:.2f}x, floor {floor:.2f}x) {status}")
         if cur_s < floor:
-            failed = True
+            failed.append(f"BM_Gemm/{n} blocked/ref speedup regressed >"
+                          f"{(1 - args.tolerance) * 100:.0f}% vs baseline")
 
-    if check_threaded(cur, args):
-        failed = True
+    if check_fused(cur, args.fused_floor):
+        failed.append(FUSED_LABEL)
 
     if failed:
-        print("check_bench: blocked GEMM regressed >"
-              f"{(1 - args.tolerance) * 100:.0f}% vs baseline",
+        print("check_bench: failed gates: " + "; ".join(failed),
               file=sys.stderr)
         return 1
-    print("check_bench: all GEMM speedups within tolerance")
+    print("check_bench: all gates within tolerance")
     return 0
 
 

@@ -77,10 +77,6 @@ def check_ledger(path):
         backend = build.get("nn_backend")
         if not isinstance(backend, str) or not backend:
             return fail(f"{path}: acobe-detect manifest lacks nn_backend")
-        threads = build.get("nn_threads")
-        if not isinstance(threads, int) or threads < 1:
-            return fail(f"{path}: acobe-detect manifest nn_threads must be "
-                        f"a positive integer, got {threads!r}")
 
     completes = [e for e in events if e["event"] == "run_complete"]
     if not completes:

@@ -26,15 +26,13 @@ namespace acobe::cli {
 /// `--version` output, identical across tools and identical in content
 /// to the build block in every run-ledger manifest: repo version, build
 /// type, active SIMD dispatch, telemetry compile state, and — for tools
-/// that link the NN core and annotate their BuildInfo — the active
-/// compute backend and resolved GEMM thread count.
+/// that stamp it into their BuildInfo — the NN kernel family.
 inline void PrintVersionInfo(const char* tool, const BuildInfo& info) {
   std::printf("%s %s (build: %s, simd: %s, telemetry: %s", tool,
               info.version.c_str(), info.build_type.c_str(), info.simd.c_str(),
               info.telemetry ? "on" : "off");
   if (!info.nn_backend.empty()) {
-    std::printf(", nn-backend: %s, nn-threads: %d", info.nn_backend.c_str(),
-                info.nn_threads);
+    std::printf(", nn-backend: %s", info.nn_backend.c_str());
   }
   std::printf(")\n");
 }
