@@ -1,6 +1,5 @@
 #include "common/csv.h"
 
-#include <istream>
 #include <ostream>
 
 namespace acobe {
@@ -69,32 +68,6 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   std::vector<std::string> fields;
   SplitCsvLineChecked(line, fields);
   return fields;
-}
-
-bool CsvReader::ReadRow(std::vector<std::string>& fields) {
-  raw_.clear();
-  if (!std::getline(in_, raw_)) return false;
-  row_line_ = next_line_++;
-  if (!raw_.empty() && raw_.back() == '\r') raw_.pop_back();
-  status_ = SplitCsvLineChecked(raw_, fields);
-  // A still-open quote means the field legitimately contains the
-  // newline getline consumed: keep appending physical lines until the
-  // quote closes, input ends (truncated row), or the size cap trips.
-  // In line mode the row is simply reported damaged instead.
-  while (multiline_ && status_ == CsvRowStatus::kUnterminatedQuote) {
-    if (raw_.size() > kMaxCsvRowBytes) {
-      status_ = CsvRowStatus::kOversizedRow;
-      break;
-    }
-    std::string more;
-    if (!std::getline(in_, more)) break;  // unterminated at EOF
-    ++next_line_;
-    if (!more.empty() && more.back() == '\r') more.pop_back();
-    raw_ += '\n';
-    raw_ += more;
-    status_ = SplitCsvLineChecked(raw_, fields);
-  }
-  return true;
 }
 
 }  // namespace acobe

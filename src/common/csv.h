@@ -1,12 +1,12 @@
 #pragma once
 
 // Minimal CSV reading/writing used for log round-trips and bench output.
-// Handles quoting of fields containing commas/quotes/newlines (including
-// newlines embedded in quoted fields, which span physical lines) and
-// CRLF line endings; reports structural damage (unterminated quotes,
-// runaway rows) instead of guessing, so ingestion policies can decide.
+// The writer quotes fields containing commas, quotes or newlines. The
+// reader splits one physical line at a time (the CERT log layout is one
+// record per line; logs/log_io.cpp cuts files into lines), handles CRLF
+// endings, and reports structural damage (an unterminated quote)
+// instead of guessing, so ingestion policies can decide.
 
-#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -24,51 +24,10 @@ class CsvWriter {
   std::ostream& out_;
 };
 
-/// Structural verdict for one logical row.
+/// Structural verdict for one line.
 enum class CsvRowStatus {
   kOk,
-  kUnterminatedQuote,  // quote still open at end of input (truncated row)
-  kOversizedRow,       // quoted row exceeded kMaxCsvRowBytes; parse stopped
-};
-
-/// Cap on one logical row's byte size. An unterminated quote would
-/// otherwise swallow the rest of the file as "one row"; past this cap
-/// the reader stops accumulating and reports kOversizedRow.
-constexpr std::size_t kMaxCsvRowBytes = 1u << 20;
-
-/// Reads logical rows from an input stream. Returns false at EOF. A
-/// quoted field may span physical lines; the reader keeps consuming
-/// lines until the quote closes (or the row-size cap trips). After each
-/// ReadRow the accessors describe the row just read: its structural
-/// status, the raw text (for quarantine sinks), and the 1-based
-/// physical line it started on (for file:line diagnostics).
-class CsvReader {
- public:
-  /// `multiline` governs what an open quote at end-of-line means. True
-  /// (default): the field legitimately contains the newline — keep
-  /// consuming physical lines until the quote closes. False: records
-  /// are line-oriented (the CERT log layout) — the open quote is damage
-  /// confined to this one line, which is reported kUnterminatedQuote
-  /// while the next line parses normally. Line mode is what lets
-  /// permissive ingestion resync after a corrupted byte happens to be a
-  /// quote; in multiline mode that row would swallow everything up to
-  /// the size cap.
-  explicit CsvReader(std::istream& in, bool multiline = true)
-      : in_(in), multiline_(multiline) {}
-
-  bool ReadRow(std::vector<std::string>& fields);
-
-  CsvRowStatus status() const { return status_; }
-  const std::string& raw_row() const { return raw_; }
-  std::size_t row_line() const { return row_line_; }
-
- private:
-  std::istream& in_;
-  bool multiline_ = true;
-  CsvRowStatus status_ = CsvRowStatus::kOk;
-  std::string raw_;
-  std::size_t next_line_ = 1;
-  std::size_t row_line_ = 0;
+  kUnterminatedQuote,  // quote still open at end of line (truncated row)
 };
 
 /// Splits a single CSV line into fields, reporting structural damage.

@@ -43,26 +43,50 @@ void IngestStats::Merge(const IngestStats& other) {
 
 namespace {
 
-std::array<std::uint32_t, 256> MakeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables: t[0] is the bytewise CRC table, and t[k][b] is
+/// t[0][b] carried through k more zero bytes, so eight input bytes fold
+/// into the running value with eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+std::uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = MakeCrcTable();
+  static const CrcTables t = MakeCrcTables();
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = LoadLe32(bytes) ^ c;
+    const std::uint32_t hi = LoadLe32(bytes + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

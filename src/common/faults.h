@@ -68,6 +68,10 @@ struct IngestOptions {
   /// day-range (and with it the measurement-cube allocation).
   std::int64_t ts_min = std::numeric_limits<std::int64_t>::min();
   std::int64_t ts_max = std::numeric_limits<std::int64_t>::max();
+  /// Workers that parse one file's newline-aligned chunks (resolved via
+  /// ResolveThreadCount: 0 = ACOBE_THREADS, else hardware concurrency).
+  /// Stats, diagnostics, ids and event order are identical at any count.
+  int threads = 0;
 };
 
 struct IngestStats {

@@ -5,6 +5,8 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "common/faults.h"
 #include "common/telemetry.h"
@@ -36,7 +38,8 @@ void PutStr(std::string& buf, const std::string& s) {
 
 class PayloadReader {
  public:
-  explicit PayloadReader(std::string payload) : payload_(std::move(payload)) {}
+  /// Reads from `payload`, which must outlive the reader.
+  explicit PayloadReader(std::string_view payload) : payload_(payload) {}
 
   std::int32_t I32() { return static_cast<std::int32_t>(U32()); }
   std::uint32_t U32() {
@@ -52,7 +55,7 @@ class PayloadReader {
   std::string Str() {
     const std::uint32_t n = U32();
     if (n > payload_.size() - pos_) Fail();
-    std::string s = payload_.substr(pos_, n);
+    std::string s(payload_.substr(pos_, n));
     pos_ += n;
     return s;
   }
@@ -68,7 +71,7 @@ class PayloadReader {
     throw std::runtime_error("MonitorState: truncated payload");
   }
 
-  std::string payload_;
+  std::string_view payload_;
   std::size_t pos_ = 0;
 };
 
@@ -235,7 +238,7 @@ MonitorState MonitorState::Load(std::istream& in) {
     throw std::runtime_error("MonitorState: CRC mismatch (corrupt artifact)");
   }
 
-  PayloadReader r(std::move(payload));
+  PayloadReader r(payload);
   MonitorConfig config;
   config.n_votes = r.I32();
   config.top_positions = r.I32();

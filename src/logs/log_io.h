@@ -8,7 +8,15 @@
 // bad rows under a bounded error budget, quarantine mode additionally
 // copies every rejected raw row to a sink. Telemetry:
 // logs.rows_read / rows_rejected / rows_quarantined / rows_deduped.
+//
+// Every reader runs one chunked loop: the calling thread cuts the body
+// into ~1 MiB newline-aligned chunks, IngestOptions::threads pool
+// workers parse them against chunk-local entity tables, and the caller
+// merges finished chunks in file order — interning names, delivering
+// events and applying the policy exactly as one serial pass would.
+// Input shorter than one chunk (or threads == 1) parses on the caller.
 
+#include <cstddef>
 #include <iosfwd>
 #include <ostream>
 #include <string>
@@ -100,6 +108,26 @@ IngestStats ReadProxyCsv(std::istream& in, EntityCatalog& tables,
 IngestStats ReadLdapCsv(std::istream& in, EntityCatalog& tables,
                         const IngestOptions& options,
                         const std::string& source = "ldap.csv");
+
+namespace detail {
+
+/// Bytes per chunk of the reader loop.
+constexpr std::size_t kIngestChunkBytes = std::size_t{1} << 20;
+
+/// Test seam: sets the chunk size of every reader, process-wide, while
+/// in scope, so small inputs cross chunk boundaries.
+class ScopedIngestChunkBytes {
+ public:
+  explicit ScopedIngestChunkBytes(std::size_t bytes);
+  ~ScopedIngestChunkBytes();
+  ScopedIngestChunkBytes(const ScopedIngestChunkBytes&) = delete;
+  ScopedIngestChunkBytes& operator=(const ScopedIngestChunkBytes&) = delete;
+
+ private:
+  std::size_t previous_;
+};
+
+}  // namespace detail
 
 /// A LogSink that renders events as CERT-layout CSV rows the moment
 /// they are consumed — the write-side dual of the streaming readers.

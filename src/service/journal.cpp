@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "common/faults.h"
 
@@ -35,7 +37,8 @@ void PutStr(std::string& buf, const std::string& s) {
 
 class Reader {
  public:
-  explicit Reader(std::string payload) : payload_(std::move(payload)) {}
+  /// Reads from `payload`, which must outlive the reader.
+  explicit Reader(std::string_view payload) : payload_(payload) {}
 
   std::uint32_t U32() {
     std::uint32_t v = 0;
@@ -51,7 +54,7 @@ class Reader {
   std::string Str() {
     const std::uint64_t n = U64();
     if (n > payload_.size() - pos_) Fail();
-    std::string s = payload_.substr(pos_, n);
+    std::string s(payload_.substr(pos_, n));
     pos_ += n;
     return s;
   }
@@ -67,7 +70,7 @@ class Reader {
     throw JournalError("journal: truncated payload");
   }
 
-  std::string payload_;
+  std::string_view payload_;
   std::size_t pos_ = 0;
 };
 
@@ -143,7 +146,7 @@ std::optional<JournalState> LoadJournal(const std::string& path) {
     throw JournalError("journal: CRC mismatch in " + path);
   }
 
-  Reader r(std::move(payload));
+  Reader r(payload);
   JournalState state;
   state.config_fingerprint = r.U64();
   state.cycle = r.U64();

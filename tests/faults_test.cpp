@@ -266,6 +266,171 @@ TEST(FuzzRoundTripTest, RedeliveryRecoversCleanStreamExactly) {
   }
 }
 
+// --- Chunk-boundary equivalence --------------------------------------------
+//
+// The readers parse newline-aligned chunks on a worker pool and merge
+// them in file order. Whatever the chunk size and worker count, every
+// observable outcome must equal the single-chunk serial read: stats,
+// the error message of a strict or budget abort, quarantine bytes, the
+// entity tables and the delivered events (in order, up to an abort).
+
+/// Every table's names in id order, then every stream rendered in
+/// delivery order: equal dumps mean equal ids and equal event sequences.
+std::string DumpStore(const LogStore& store) {
+  std::ostringstream out;
+  auto names = [&](const char* what, const EntityTable& table) {
+    out << what << ':';
+    for (std::uint32_t id = 0; id < table.size(); ++id) {
+      out << ' ' << table.NameOf(id);
+    }
+    out << '\n';
+  };
+  names("users", store.users());
+  names("pcs", store.pcs());
+  names("files", store.files());
+  names("domains", store.domains());
+  names("objects", store.objects());
+  for (const Stream& stream : AllStreams()) out << Render(stream, store);
+  return out.str();
+}
+
+struct IngestOutcome {
+  IngestStats stats;
+  std::string error;  // IngestError message; empty when the read finished
+  std::string quarantine;
+  std::string dump;
+};
+
+IngestOutcome IngestChunked(const Stream& stream, const std::string& text,
+                            IngestOptions opts, std::size_t chunk_bytes,
+                            int threads) {
+  const detail::ScopedIngestChunkBytes chunking(chunk_bytes);
+  std::ostringstream quarantine;
+  if (opts.policy == IngestPolicy::kQuarantine) opts.quarantine = &quarantine;
+  opts.threads = threads;
+  IngestOutcome out;
+  LogStore store;
+  std::istringstream in(text);
+  try {
+    out.stats = stream.read(in, store, opts);
+  } catch (const IngestError& e) {
+    out.error = e.what();
+  }
+  out.quarantine = quarantine.str();
+  out.dump = DumpStore(store);
+  return out;
+}
+
+struct NamedOptions {
+  const char* name;
+  IngestOptions options;
+};
+
+std::vector<NamedOptions> ChunkPolicies() {
+  IngestOptions strict;
+  IngestOptions permissive;
+  permissive.policy = IngestPolicy::kPermissive;
+  permissive.error_budget = 1.0;
+  IngestOptions quarantine = permissive;
+  quarantine.policy = IngestPolicy::kQuarantine;
+  quarantine.drop_consecutive_duplicates = true;
+  // Trips part-way through a heavily corrupted file.
+  IngestOptions budget = quarantine;
+  budget.error_budget = 0.2;
+  budget.budget_min_rows = 8;
+  return {{"strict", strict},
+          {"permissive", permissive},
+          {"quarantine+dedup", quarantine},
+          {"budget", budget}};
+}
+
+/// Runs `text` through `stream` at chunk sizes 1, 7, 64 bytes and one
+/// whole chunk, on 1 and 4 workers, under every policy, and checks each
+/// outcome against the single-chunk serial read.
+void ExpectChunkingInvariant(const Stream& stream, const std::string& text) {
+  for (const NamedOptions& policy : ChunkPolicies()) {
+    const IngestOutcome want = IngestChunked(
+        stream, text, policy.options, detail::kIngestChunkBytes, 1);
+    for (const std::size_t chunk_bytes :
+         {std::size_t{1}, std::size_t{7}, std::size_t{64},
+          detail::kIngestChunkBytes}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(stream.name) + " " + policy.name +
+                     " chunk=" + std::to_string(chunk_bytes) +
+                     " threads=" + std::to_string(threads));
+        const IngestOutcome got =
+            IngestChunked(stream, text, policy.options, chunk_bytes, threads);
+        EXPECT_EQ(got.error, want.error);
+        EXPECT_EQ(got.stats.rows_read, want.stats.rows_read);
+        EXPECT_EQ(got.stats.rows_rejected, want.stats.rows_rejected);
+        EXPECT_EQ(got.stats.rows_quarantined, want.stats.rows_quarantined);
+        EXPECT_EQ(got.stats.rows_deduped, want.stats.rows_deduped);
+        EXPECT_EQ(got.stats.first_error, want.stats.first_error);
+        EXPECT_EQ(got.quarantine, want.quarantine);
+        EXPECT_EQ(got.dump, want.dump);
+      }
+    }
+  }
+}
+
+TEST(ChunkedIngestTest, FaultInjectedStreamsMatchSerialRead) {
+  const LogStore store = MakeRichStore();
+  struct Variant {
+    double rate;
+    std::uint64_t seed;
+    bool redeliver;
+    bool truncate_file;
+  };
+  const Variant variants[] = {{0.0, 1, false, false},
+                              {0.15, 3, true, false},
+                              {0.35, 7, false, true},
+                              {0.6, 13, true, false}};
+  for (const Stream& stream : AllStreams()) {
+    const std::string clean = Render(stream, store);
+    for (const Variant& v : variants) {
+      FaultInjectorConfig cfg;
+      cfg.rate = v.rate;
+      cfg.seed = v.seed;
+      cfg.redeliver = v.redeliver;
+      cfg.truncate_file = v.truncate_file;
+      SCOPED_TRACE("rate=" + std::to_string(v.rate));
+      ExpectChunkingInvariant(stream,
+                              FaultInjector(cfg).Corrupted(clean, /*key=*/3));
+    }
+  }
+}
+
+TEST(ChunkedIngestTest, HandBuiltEdgeCasesMatchSerialRead) {
+  const Stream device = AllStreams()[0];
+  const Stream ldap = AllStreams()[4];
+  const std::string header = "ts,user,pc,activity\n";
+  const std::string a = "100,alice,pc1,connect\n";
+  const std::string b = "200,bob,pc2,disconnect\n";
+  const std::string bad = "2x0,bob,pc2,disconnect\n";
+  const std::vector<std::string> device_inputs = {
+      "",                                  // empty file
+      "ts,user,pc,activity",               // header only, no newline
+      header,                              // header only
+      header + a + a + a + b + b,          // duplicates straddling chunks
+      header + a + bad + a + b + bad + b,  // a reject between duplicates
+      header + "\n" + a + "\r\n\n" + a + "\n" + b + "\n",  // blank lines
+      "ts,user,pc,activity\r\n100,alice,pc1,connect\r\n"
+      "100,alice,pc1,connect\r\n200,bob,pc2,disconnect\r\n",  // CRLF
+      header + a + b + "300,carol,pc3,connect",  // no trailing newline
+      header + bad + bad + a + "300,al\"ice,pc1,connect\n" + a,
+  };
+  for (const std::string& text : device_inputs) {
+    ExpectChunkingInvariant(device, text);
+  }
+  ExpectChunkingInvariant(ldap,
+                          "user,department,team,role\n"
+                          "alice,D1,T1,Employee\n"
+                          "alice,D1,T1,Employee\n"
+                          "bob,D2\n"
+                          "carol,D1,T2,Manager\n"
+                          "carol,D1,T2,Manager");
+}
+
 // --- WriteFileAtomic durability -------------------------------------------
 
 TEST(WriteFileAtomicTest, SyncsParentDirectoryAfterRename) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "logs/entity_table.h"
 #include "logs/log_io.h"
@@ -151,6 +152,20 @@ TEST(LogIoTest, MalformedRowThrows) {
   std::stringstream ss("ts,user,pc,activity\n1,alice\n");
   LogStore store;
   EXPECT_THROW(ReadDeviceCsv(ss, store), std::invalid_argument);
+}
+
+TEST(LogIoTest, CrlfLineEndingsParse) {
+  std::stringstream ss(
+      "ts,user,pc,activity\r\n"
+      "100,alice,pc1,connect\r\n"
+      "\r\n"
+      "200,bob,pc2,disconnect\r\n");
+  LogStore store;
+  ReadDeviceCsv(ss, store);
+  ASSERT_EQ(store.devices().size(), 2u);
+  EXPECT_EQ(store.users().NameOf(store.devices()[0].user), "alice");
+  EXPECT_EQ(store.pcs().NameOf(store.devices()[1].pc), "pc2");
+  EXPECT_EQ(store.devices()[1].activity, DeviceActivity::kDisconnect);
 }
 
 TEST(LogIoTest, EmptyStreamYieldsNothing) {
@@ -315,6 +330,85 @@ TEST(LogIoTest, EnterpriseAndProxyCsvRoundTrips) {
   EXPECT_FALSE(loaded.proxy_events()[0].success);
   EXPECT_EQ(loaded.domains().NameOf(loaded.proxy_events()[0].domain),
             "cnc.example.net");
+}
+
+// --- Chunked parsing -----------------------------------------------------
+//
+// Tiny chunks make every few bytes a chunk boundary; four workers make
+// chunks finish out of order. Line numbers, dedup and ids must still
+// come out as one serial pass reports them (the exhaustive sweep lives
+// in faults_test).
+
+IngestOptions ChunkedOptions(IngestPolicy policy) {
+  IngestOptions opts;
+  opts.policy = policy;
+  opts.error_budget = 1.0;
+  opts.threads = 4;
+  return opts;
+}
+
+TEST(ChunkedIngestTest, StrictLineNumberCountsEarlierChunks) {
+  std::string csv = "ts,user,pc,activity\n";
+  for (int i = 0; i < 50; ++i) {
+    csv += std::to_string(100 + i) + ",u" + std::to_string(i) +
+           ",pc1,connect\n";
+  }
+  csv += "oops,u0,pc1,connect\n";  // line 52
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{64}}) {
+    const detail::ScopedIngestChunkBytes chunking(chunk);
+    std::stringstream ss(csv);
+    LogStore store;
+    try {
+      ReadDeviceCsv(ss, store, ChunkedOptions(IngestPolicy::kStrict),
+                    "device.csv");
+      FAIL() << "expected IngestError";
+    } catch (const IngestError& e) {
+      EXPECT_EQ(e.line(), 52u);
+    }
+    EXPECT_EQ(store.devices().size(), 50u);  // every row before the abort
+  }
+}
+
+TEST(ChunkedIngestTest, DedupSeesAcrossChunkBoundaries) {
+  const detail::ScopedIngestChunkBytes chunking(1);  // one line per chunk
+  std::stringstream ss(
+      "ts,user,pc,activity\n"
+      "100,alice,pc1,connect\n"
+      "bad,alice,pc1,connect\n"
+      "100,alice,pc1,connect\n"
+      "100,alice,pc1,connect\n"
+      "200,bob,pc2,connect\n");
+  LogStore store;
+  IngestOptions opts = ChunkedOptions(IngestPolicy::kPermissive);
+  opts.drop_consecutive_duplicates = true;
+  const IngestStats stats = ReadDeviceCsv(ss, store, opts, "device.csv");
+  EXPECT_EQ(stats.rows_read, 5u);
+  EXPECT_EQ(stats.rows_rejected, 1u);
+  EXPECT_EQ(stats.rows_deduped, 2u);
+  EXPECT_EQ(stats.first_error.rfind("device.csv:3:", 0), 0u)
+      << stats.first_error;
+  EXPECT_EQ(store.devices().size(), 2u);
+}
+
+TEST(ChunkedIngestTest, StreamingIdsAndOrderMatchFirstSeen) {
+  std::string csv = "ts,user,pc,activity\n";
+  for (int i = 0; i < 400; ++i) {
+    csv += std::to_string(i) + ",u" + std::to_string(i % 37) + ",pc" +
+           std::to_string(i % 11) + ",connect\n";
+  }
+  const detail::ScopedIngestChunkBytes chunking(64);
+  std::stringstream ss(csv);
+  EntityCatalog tables;
+  LogStore sink;
+  ReadDeviceCsv(ss, tables, sink, ChunkedOptions(IngestPolicy::kStrict));
+  ASSERT_EQ(sink.devices().size(), 400u);
+  ASSERT_EQ(tables.users().size(), 37u);
+  for (int i = 0; i < 400; ++i) {
+    const DeviceEvent& e = sink.devices()[static_cast<std::size_t>(i)];
+    EXPECT_EQ(e.ts, i);
+    EXPECT_EQ(e.user, static_cast<UserId>(i % 37));
+    EXPECT_EQ(e.pc, static_cast<PcId>(i % 11));
+  }
 }
 
 TEST(TeeSinkTest, FansOutToAllSinks) {

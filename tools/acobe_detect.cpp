@@ -13,8 +13,9 @@
 //                [--health-out=FILE] [--health-interval-ms=N]
 //                [--prom-out=FILE] [--version]
 //
-// --threads: worker threads for training/scoring/deviation (0 = the
-// ACOBE_THREADS environment variable, else hardware concurrency).
+// --threads: worker threads for CSV parsing and training/scoring/
+// deviation (0 = the ACOBE_THREADS environment variable, else hardware
+// concurrency).
 // Results are identical for any thread count, and identical with
 // telemetry on or off.
 //
@@ -140,7 +141,8 @@ void Usage() {
       "  --epochs=N          training epochs per aspect (>= 1; default 25)\n"
       "  --votes=N           critic votes (>= 1; default 2)\n"
       "  --top=N             list entries printed per department (>= 1)\n"
-      "  --threads=N         worker threads (0 = ACOBE_THREADS/hardware)\n"
+      "  --threads=N         worker threads for CSV parsing and detection\n"
+      "                      (0 = ACOBE_THREADS/hardware)\n"
       "  --ingest=POLICY     malformed-row policy (default strict)\n"
       "  --error-budget=R    abort past this rejected-row fraction (def 0.05)\n"
       "  --quarantine-dir=D  write rejected raw rows under D\n"
@@ -663,6 +665,7 @@ int main(int argc, char** argv) {
   if (ingest.policy != IngestPolicy::kStrict) {
     ingest.drop_consecutive_duplicates = true;
   }
+  ingest.threads = threads;
   if (ingest.policy == IngestPolicy::kQuarantine && !quarantine_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(quarantine_dir, ec);
@@ -893,11 +896,16 @@ int main(int argc, char** argv) {
   }
 
   // Ledger groundwork: answer key + dataset digest (both provenance-only
-  // work, skipped entirely without --explain-out/--ledger-out).
-  const std::map<std::string, std::pair<Date, Date>> truth =
-      provenance ? LoadTruth(in_dir)
-                 : std::map<std::string, std::pair<Date, Date>>{};
-  const std::uint32_t dataset_digest = provenance ? DigestDataset(in_dir) : 0;
+  // work, skipped entirely without --explain-out/--ledger-out). A stage
+  // and span of their own keep the re-read out of ingest and spool time.
+  std::map<std::string, std::pair<Date, Date>> truth;
+  std::uint32_t dataset_digest = 0;
+  if (provenance) {
+    health::SetStage("digest");
+    ACOBE_SPAN("logs.digest");
+    truth = LoadTruth(in_dir);
+    dataset_digest = DigestDataset(in_dir);
+  }
 
   RunLedger ledger;
   if (!ledger_out.empty()) {
