@@ -34,17 +34,10 @@ int main() {
               data.extractor->catalog().feature_count(),
               data.extractor->catalog().aspects().size());
 
-  DetectorSpec spec;
+  // Two-week compound matrices (Section VI.B).
+  DetectorSpec spec = AcobeSpec(14, 25, 3);
   spec.name = "enterprise";
-  spec.deviation.omega = 14;  // two-week compound matrices (Section VI.B)
-  spec.deviation.matrix_days = 14;
-  spec.ensemble.encoder_dims = {64, 32, 16, 8};
-  spec.ensemble.train.epochs = 25;
-  spec.ensemble.train_stride = 2;
-  spec.ensemble.optimizer = OptimizerKind::kAdam;
-  spec.ensemble.learning_rate = 1e-3f;
   spec.ensemble.seed = 5;
-  spec.critic_votes = 3;
 
   const int train_end =
       static_cast<int>(DaysBetween(data.start, Date(2021, 2, 1)));

@@ -23,6 +23,19 @@ std::vector<AspectGroup> EffectiveAspects(const FeatureCatalog& catalog,
 
 }  // namespace
 
+DetectorSpec AcobeSpec(int omega, int epochs, int votes) {
+  DetectorSpec spec;
+  spec.deviation.omega = omega;
+  spec.deviation.matrix_days = omega;
+  spec.ensemble.encoder_dims = {64, 32, 16, 8};
+  spec.ensemble.train.epochs = epochs;
+  spec.ensemble.train_stride = 2;
+  spec.ensemble.optimizer = OptimizerKind::kAdam;
+  spec.ensemble.learning_rate = 1e-3f;
+  spec.critic_votes = votes;
+  return spec;
+}
+
 DetectionOutput Detector::Run(const MeasurementCube& cube,
                               const FeatureCatalog& catalog,
                               const std::vector<UserId>& members,

@@ -54,6 +54,12 @@ struct DetectorSpec {
   DriftConfig drift;
 };
 
+/// ACOBE as the tools run it: `omega`-day compound matrices, a
+/// 64-32-16-8 encoder per aspect trained with Adam (lr 1e-3) on every
+/// second day, and `votes` critic votes. Callers set the rest (name,
+/// seed, threads, degradation, checkpoints) themselves.
+DetectorSpec AcobeSpec(int omega, int epochs, int votes);
+
 /// Exposes a user subset of a builder as dense indices [0, n).
 class SubsetBuilder : public SampleBuilder {
  public:

@@ -91,6 +91,7 @@ ShardSpooler::ShardSpooler(std::string dir, int shards,
     shard.path = dir_ + "/shard-" + std::to_string(s) + ".spool";
     shard.out.open(shard.path, std::ios::binary | std::ios::trunc);
     if (!shard.out) {
+      Remove();  // no destructor runs for a half-built spooler
       throw std::runtime_error("ShardSpooler: cannot create " + shard.path);
     }
     shard.buffer.reserve(buffer_events_per_shard_);

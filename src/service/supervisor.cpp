@@ -922,19 +922,12 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
       }
       for (const PackedEvent& e : shard.window) DeliverPacked(e, demux);
 
-      DetectorSpec spec;
+      DetectorSpec spec =
+          AcobeSpec(config_.omega, config_.epochs, config_.votes);
       spec.name = "acobe-serve";
-      spec.deviation.omega = config_.omega;
-      spec.deviation.matrix_days = config_.omega;
-      spec.ensemble.encoder_dims = {64, 32, 16, 8};
-      spec.ensemble.train.epochs = config_.epochs;
-      spec.ensemble.train_stride = 2;
-      spec.ensemble.optimizer = OptimizerKind::kAdam;
-      spec.ensemble.learning_rate = 1e-3f;
       spec.ensemble.seed = config_.seed;
       spec.ensemble.threads = 1;  // per-shard determinism
       spec.ensemble.allow_degraded = true;
-      spec.critic_votes = config_.votes;
 
       for (int d = 0; d < demux.departments(); ++d) {
         ShardRuntime::DeptRuntime& rt = shard.depts[static_cast<std::size_t>(d)];

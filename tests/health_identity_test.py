@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""End-to-end check that the health plane is purely observational.
+"""End-to-end checks of acobe_detect's output identities.
 
-Generates a small dataset, then runs acobe_detect twice on it — once
-with --health-out/--prom-out, once without — and asserts:
+Generates a small four-department dataset, then runs acobe_detect on it
+with the default shard count, with --health-out/--prom-out, with
+--shards=1 and with --shards=3, and asserts:
 
-  - stdout is byte-identical between the two runs,
+  - stdout is byte-identical across all four runs (the health plane is
+    purely observational, and the shard layout cannot move a result),
   - the --explain-out reports are byte-identical,
   - the --ledger-out ledgers are byte-identical after stripping the
     run_complete fields that are wall-clock-dependent by design
-    (peak_rss_bytes, stages) — those differ between ANY two runs, with
-    or without the health plane, so they are normalized, not ignored
-    silently: the script still checks both ledgers carry them,
+    (peak_rss_bytes, stages) — those differ between ANY two runs, so
+    they are normalized, not ignored silently: the script still checks
+    every ledger carries them,
   - the heartbeat file validates under tools/check_health.py
     (--require-final), and acobe_top --once renders it,
   - the Prometheus exposition contains acobe_-prefixed samples and,
     when --check-prom is given, passes the full format 0.0.4 validator
-    (tools/check_prom.py).
+    (tools/check_prom.py),
+  - a spool directory that cannot be created (below a regular file)
+    exits 1 with a message naming it and the --spool-dir hint, instead
+    of aborting.
 
 Usage:
     health_identity_test.py --gen GEN --detect DETECT --top TOP \
@@ -81,7 +86,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="acobe-health-id-") as tmp:
         data = os.path.join(tmp, "data")
         os.makedirs(data)
-        run([args.gen, f"--out={data}", "--users=12", "--departments=2",
+        run([args.gen, f"--out={data}", "--users=6", "--departments=4",
              "--seed=11", "--rate=0.3", "--start=2010-01-02",
              "--end=2010-03-17"])
 
@@ -92,50 +97,54 @@ def main():
                  f"--explain-out={os.path.join(tmp, tag + '.explain.json')}",
                  f"--ledger-out={os.path.join(tmp, tag + '.ledger.jsonl')}"]
                 + extra, stdout_path=out)
-            return out
 
         health = os.path.join(tmp, "health.jsonl")
         prom = os.path.join(tmp, "metrics.prom")
-        plain_out = detect("plain", [])
-        health_out = detect("health", [f"--health-out={health}",
-                                       "--health-interval-ms=50",
-                                       f"--prom-out={prom}"])
+        runs = {
+            "plain": [],
+            "health": [f"--health-out={health}", "--health-interval-ms=50",
+                       f"--prom-out={prom}"],
+            "shards1": ["--shards=1"],
+            "shards3": ["--shards=3"],
+        }
+        for tag, extra in runs.items():
+            detect(tag, extra)
 
-        if read_bytes(plain_out) != read_bytes(health_out):
-            print("FAIL: stdout differs with the health plane on",
-                  file=sys.stderr)
-            return 1
+        def artifacts(tag):
+            ledger, has_fields = normalized_ledger(
+                os.path.join(tmp, tag + ".ledger.jsonl"))
+            if not has_fields:
+                raise RuntimeError(
+                    f"{tag}: run_complete lacks peak_rss_bytes/stages")
+            return {
+                "stdout": read_bytes(os.path.join(tmp, tag + ".out")),
+                "explain report": read_bytes(
+                    os.path.join(tmp, tag + ".explain.json")),
+                "normalized ledger": ledger,
+            }
 
-        # The streaming path exercises the stage-re-entry logic (the
-        # shard loop alternates replay <-> detect); check it too.
-        stream_health = os.path.join(tmp, "stream.health.jsonl")
-        stream_plain = detect("stream_plain", ["--stream", "--shards=3"])
-        stream_on = detect("stream_health",
-                           ["--stream", "--shards=3",
-                            f"--health-out={stream_health}",
-                            "--health-interval-ms=50"])
-        if read_bytes(stream_plain) != read_bytes(stream_on):
-            print("FAIL: streamed stdout differs with the health plane on",
-                  file=sys.stderr)
-            return 1
-        run([sys.executable, args.check_health, stream_health,
-             "--require-final"])
-        if read_bytes(os.path.join(tmp, "plain.explain.json")) != \
-                read_bytes(os.path.join(tmp, "health.explain.json")):
-            print("FAIL: explain report differs with the health plane on",
-                  file=sys.stderr)
-            return 1
-        plain_ledger, plain_has = normalized_ledger(
-            os.path.join(tmp, "plain.ledger.jsonl"))
-        health_ledger, health_has = normalized_ledger(
-            os.path.join(tmp, "health.ledger.jsonl"))
-        if not plain_has or not health_has:
-            print("FAIL: run_complete lacks peak_rss_bytes/stages",
-                  file=sys.stderr)
-            return 1
-        if plain_ledger != health_ledger:
-            print("FAIL: normalized ledger differs with the health plane on",
-                  file=sys.stderr)
+        reference = artifacts("plain")
+        for tag in runs:
+            for what, value in artifacts(tag).items():
+                if value != reference[what]:
+                    print(f"FAIL: {what} of the {tag} run differs from the "
+                          "plain run", file=sys.stderr)
+                    return 1
+
+        # A spool directory that cannot be created is a clean runtime
+        # failure (exit 1, no core dump), and names the fix.
+        blocker = os.path.join(tmp, "not-a-dir")
+        with open(blocker, "w") as f:
+            f.write("x")
+        spool_dir = os.path.join(blocker, "spool")
+        proc = subprocess.run(
+            [args.detect, f"--in={data}", "--train-end=2010-02-16",
+             "--epochs=2", f"--spool-dir={spool_dir}"], capture_output=True)
+        err = proc.stderr.decode(errors="replace")
+        if proc.returncode != 1 or spool_dir not in err or \
+                "--spool-dir=" not in err:
+            print(f"FAIL: unusable spool dir exited {proc.returncode}:\n"
+                  f"{err}", file=sys.stderr)
             return 1
 
         run([sys.executable, args.check_health, health, "--require-final"])
@@ -155,7 +164,8 @@ def main():
                  "--require-prefix=acobe_", "--min-samples=10"])
 
     print("health_identity_test: OK — output byte-identical with the "
-          "health plane on; heartbeats, top render and prom export valid")
+          "health plane on and across shard layouts; heartbeats, top "
+          "render and prom export valid; spool failure exits 1")
     return 0
 
 

@@ -19,19 +19,18 @@
 // Results are identical for any thread count, and identical with
 // telemetry on or off.
 //
-// Out-of-core mode: --stream replaces the in-memory LogStore with the
-// streaming data plane (logs/spool.h). Pass A reads each CSV once and
-// spools packed events into per-shard files (departments hash to
-// shards); pass B replays one shard at a time into per-department
-// measurement cubes, so peak memory is bounded by the largest shard
-// instead of the whole organization. Output — stdout, --explain-out,
-// --ledger-out — is byte-identical to the in-memory path on the same
-// dataset: both paths share the CSV parsers (same interning, same
-// recovery policy), cubes are order-free within a day, and results are
-// emitted in the canonical LDAP department order either way.
-// --shards (default 8) tunes the memory/seek tradeoff; --spool-dir
-// (default DIR/.acobe-spool) places the spool files, which are removed
-// on exit.
+// Data plane: ldap.csv is read first (its departments route users to
+// shards), then each event CSV is read once and its packed events are
+// spooled into per-shard files (logs/spool.h). Each shard is then
+// replayed into per-department measurement cubes and every department
+// is detected on its own cube, so peak memory is bounded by the largest
+// shard instead of the whole organization. Results are emitted in the
+// canonical LDAP department order, so stdout, --explain-out and
+// --ledger-out are byte-identical for any --shards value. --shards
+// (default 8) tunes the memory/seek tradeoff; --spool-dir (default
+// DIR/.acobe-spool) places the spool files, which are removed on exit.
+// --stream is accepted and does nothing, so existing scripts keep
+// working.
 //
 // Fault tolerance: --ingest=permissive skips malformed CSV rows under a
 // bounded error budget (--error-budget, default 5%) instead of aborting
@@ -146,9 +145,9 @@ void Usage() {
       "  --ingest=POLICY     malformed-row policy (default strict)\n"
       "  --error-budget=R    abort past this rejected-row fraction (def 0.05)\n"
       "  --quarantine-dir=D  write rejected raw rows under D\n"
-      "  --stream            out-of-core mode: spool events to disk and\n"
-      "                      process one department shard at a time\n"
-      "  --shards=N          department shards in --stream mode (def 8)\n"
+      "  --stream            accepted for compatibility; does nothing\n"
+      "  --shards=N          department shards spooled and replayed\n"
+      "                      one at a time (def 8)\n"
       "  --spool-dir=D       spool-file directory (def DIR/.acobe-spool)\n"
       "  --checkpoint-dir=D  save per-aspect models under D as they train\n"
       "  --resume            reuse matching checkpoints from a killed run\n"
@@ -165,9 +164,6 @@ void Usage() {
       "artifact\n");
 }
 
-using BufferedReader = IngestStats (*)(std::istream&, LogStore&,
-                                       const IngestOptions&,
-                                       const std::string&);
 using StreamingReader = IngestStats (*)(std::istream&, EntityCatalog&,
                                         LogSink&, const IngestOptions&,
                                         const std::string&);
@@ -274,9 +270,9 @@ BuildInfo DetectBuildInfo() {
 }
 
 /// One department's full output, retained for the emit stage, the
-/// explain report and the ledger. Both detection paths buffer these and
-/// emit in canonical LDAP department order, which is what makes their
-/// stdout and artifacts byte-identical.
+/// explain report and the ledger. Results are buffered and emitted in
+/// canonical LDAP department order, which is what makes stdout and the
+/// artifacts byte-identical for any shard layout.
 struct DeptResult {
   std::string name;
   DetectionOutput out;
@@ -473,8 +469,7 @@ void PrintAttribution(const UserAttribution& ua, const std::string& user_name,
   }
 }
 
-/// Emit stage, shared by both detection paths: the printed list and
-/// attributions for one department.
+/// Emit stage: the printed list and attributions for one department.
 void PrintDeptResult(const DeptResult& result, const EntityCatalog& tables,
                      const FeatureCatalog& catalog,
                      const TimeFramePartition& partition, Date start,
@@ -573,7 +568,7 @@ int main(int argc, char** argv) {
   std::string quarantine_dir, checkpoint_dir, spool_dir;
   int omega = 14, epochs = 25, votes = 2, top = 10, threads = 0;
   int shards = 8, health_interval_ms = 1000;
-  bool resume = false, stream = false;
+  bool resume = false;
   IngestOptions ingest;
   ingest.ts_min = kTsMin;
   ingest.ts_max = kTsMax;
@@ -605,7 +600,7 @@ int main(int argc, char** argv) {
       } else if (std::strncmp(arg, "--quarantine-dir=", 17) == 0) {
         quarantine_dir = arg + 17;
       } else if (std::strcmp(arg, "--stream") == 0) {
-        stream = true;
+        // Accepted and ignored: spooling is the only data plane.
       } else if (std::strncmp(arg, "--shards=", 9) == 0) {
         shards = static_cast<int>(cli::ParseInt(arg, arg + 9, 1, 65536));
       } else if (std::strncmp(arg, "--spool-dir=", 12) == 0) {
@@ -694,18 +689,12 @@ int main(int argc, char** argv) {
   health::SetStage("ingest", 5);  // the five CERT CSVs
 
   // --- ingest (pass A) -----------------------------------------------------
-  // In-memory mode buffers every stream in a LogStore; streaming mode
-  // keeps only the entity catalog resident and spools packed events to
-  // per-shard files. Both leave the same catalog and the same event-day
-  // range behind.
-  LogStore store;                       // in-memory mode (unused otherwise)
-  EntityCatalog streaming_tables;       // streaming mode
-  EntityCatalog& tables =
-      stream ? streaming_tables : static_cast<EntityCatalog&>(store);
+  // Only the entity catalog stays resident; packed events spool to
+  // per-shard files.
+  EntityCatalog tables;
+  std::vector<std::string> departments;  // canonical (LDAP) report order
   std::unique_ptr<ShardSpooler> spooler;
   IngestStats ingest_stats;
-  Timestamp lo = std::numeric_limits<Timestamp>::max();
-  Timestamp hi = std::numeric_limits<Timestamp>::min();
 
   // Cooperative SIGINT/SIGTERM unwind, polled at loop boundaries: drop
   // the spool shard files, land a run_aborted ledger event (with a
@@ -741,96 +730,72 @@ int main(int argc, char** argv) {
     return kExitAborted;
   };
 
+  // Spool I/O failure: the spooler throws filesystem_error or
+  // runtime_error when it cannot create, write or read back a shard
+  // file. Returning unwinds ~ShardSpooler, which deletes whatever spool
+  // files exist.
+  auto spool_failure = [&](const std::runtime_error& e) {
+    std::fprintf(stderr,
+                 "acobe-detect: cannot spool under %s: %s (use "
+                 "--spool-dir=DIR to spool elsewhere)\n",
+                 spool_dir.c_str(), e.what());
+    return kExitFailure;
+  };
+
   try {
-    if (stream) {
-      // The roster first: departments define the shard routing. Always
-      // strict — a dropped ldap row silently deletes a user.
-      IngestOptions roster = ingest;
-      roster.policy = IngestPolicy::kStrict;
-      const bool have_roster = ReadOneCsv(
-          in_dir, "ldap.csv", roster, quarantine_dir, ingest_stats,
-          [&](std::istream& in, const IngestOptions& opts) {
-            return ReadLdapCsv(in, tables, opts, "ldap.csv");
-          });
-      if (!have_roster || tables.ldap().empty()) {
-        std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
-        return kExitBadInput;
-      }
-      const std::vector<std::string> departments = tables.Departments();
-      const int n_shards =
-          std::max(1, std::min(shards, static_cast<int>(departments.size())));
-      spooler = std::make_unique<ShardSpooler>(spool_dir, n_shards,
-                                               kSpoolBufferBytes);
-      std::map<std::string, int> dept_shard;
-      for (std::size_t d = 0; d < departments.size(); ++d) {
-        dept_shard[departments[d]] = static_cast<int>(d) % n_shards;
-      }
-      for (const LdapRecord& r : tables.ldap()) {
-        spooler->AssignUser(r.user, dept_shard[r.department]);
-      }
-      auto read_stream = [&](const char* name, StreamingReader reader) {
-        return ReadOneCsv(in_dir, name, ingest, quarantine_dir, ingest_stats,
-                          [&](std::istream& in, const IngestOptions& opts) {
-                            return reader(in, tables, *spooler, opts, name);
-                          });
-      };
-      bool any = false;
-      any |= read_stream("device.csv", ReadDeviceCsv);
-      any |= read_stream("file.csv", ReadFileCsv);
-      any |= read_stream("http.csv", ReadHttpCsv);
-      any |= read_stream("logon.csv", ReadLogonCsv);
-      if (!any) {
-        std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
-        return kExitBadInput;
-      }
-      if (ShutdownRequested()) return abort_run("ingest");
-      health::SetStage("spool");
-      spooler->Finish();
-      lo = spooler->ts_lo();
-      hi = spooler->ts_hi();
-      std::fprintf(stderr,
-                   "spooled %zu events into %d shards (%zu dropped: users "
-                   "outside the roster), %zu users\n",
-                   spooler->events_spooled(), spooler->shards(),
-                   spooler->events_dropped(), tables.users().size());
-    } else {
-      auto read_buffered = [&](const char* name, BufferedReader reader,
-                               const IngestOptions& opts) {
-        return ReadOneCsv(in_dir, name, opts, quarantine_dir, ingest_stats,
-                          [&](std::istream& in, const IngestOptions& o) {
-                            return reader(in, store, o, name);
-                          });
-      };
-      bool any = false;
-      any |= read_buffered("device.csv", ReadDeviceCsv, ingest);
-      any |= read_buffered("file.csv", ReadFileCsv, ingest);
-      any |= read_buffered("http.csv", ReadHttpCsv, ingest);
-      any |= read_buffered("logon.csv", ReadLogonCsv, ingest);
-      // The population roster must be intact in every policy: a dropped
-      // ldap row silently deletes a user from the study.
-      IngestOptions roster = ingest;
-      roster.policy = IngestPolicy::kStrict;
-      if (!read_buffered("ldap.csv", ReadLdapCsv, roster) || !any) {
-        std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
-        return kExitBadInput;
-      }
-      store.SortChronologically();
-      std::fprintf(stderr, "loaded %zu events, %zu users\n",
-                   store.TotalEvents(), store.users().size());
-      auto scan = [&](auto const& events) {
-        for (const auto& e : events) {
-          lo = std::min(lo, e.ts);
-          hi = std::max(hi, e.ts);
-        }
-      };
-      scan(store.devices());
-      scan(store.file_events());
-      scan(store.http_events());
-      scan(store.logons());
+    // The roster first: departments define the shard routing. Always
+    // strict — a dropped ldap row silently deletes a user.
+    IngestOptions roster = ingest;
+    roster.policy = IngestPolicy::kStrict;
+    const bool have_roster = ReadOneCsv(
+        in_dir, "ldap.csv", roster, quarantine_dir, ingest_stats,
+        [&](std::istream& in, const IngestOptions& opts) {
+          return ReadLdapCsv(in, tables, opts, "ldap.csv");
+        });
+    if (!have_roster || tables.ldap().empty()) {
+      std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
+      return kExitBadInput;
     }
+    departments = tables.Departments();
+    const int n_shards =
+        std::max(1, std::min(shards, static_cast<int>(departments.size())));
+    spooler = std::make_unique<ShardSpooler>(spool_dir, n_shards,
+                                             kSpoolBufferBytes);
+    std::map<std::string, int> dept_shard;
+    for (std::size_t d = 0; d < departments.size(); ++d) {
+      dept_shard[departments[d]] = static_cast<int>(d) % n_shards;
+    }
+    for (const LdapRecord& r : tables.ldap()) {
+      spooler->AssignUser(r.user, dept_shard[r.department]);
+    }
+    auto read_stream = [&](const char* name, StreamingReader reader) {
+      return ReadOneCsv(in_dir, name, ingest, quarantine_dir, ingest_stats,
+                        [&](std::istream& in, const IngestOptions& opts) {
+                          return reader(in, tables, *spooler, opts, name);
+                        });
+    };
+    bool any = false;
+    any |= read_stream("device.csv", ReadDeviceCsv);
+    any |= read_stream("file.csv", ReadFileCsv);
+    any |= read_stream("http.csv", ReadHttpCsv);
+    any |= read_stream("logon.csv", ReadLogonCsv);
+    if (!any) {
+      std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
+      return kExitBadInput;
+    }
+    if (ShutdownRequested()) return abort_run("ingest");
+    health::SetStage("spool");
+    spooler->Finish();
+    std::fprintf(stderr,
+                 "spooled %zu events into %d shards (%zu dropped: users "
+                 "outside the roster), %zu users\n",
+                 spooler->events_spooled(), spooler->shards(),
+                 spooler->events_dropped(), tables.users().size());
   } catch (const IngestError& e) {
     std::fprintf(stderr, "acobe-detect: malformed input: %s\n", e.what());
     return kExitBadInput;
+  } catch (const std::runtime_error& e) {
+    return spool_failure(e);
   }
   if (ShutdownRequested()) return abort_run("ingest");
   if (ingest_stats.rows_rejected > 0 || ingest_stats.rows_deduped > 0) {
@@ -842,12 +807,12 @@ int main(int argc, char** argv) {
   }
 
   // Day range from the data itself.
-  if (lo > hi) {
+  if (!spooler->has_events()) {
     std::fprintf(stderr, "no events\n");
     return kExitBadInput;
   }
-  const Date start = DateOf(lo);
-  const Date last = DateOf(hi);
+  const Date start = DateOf(spooler->ts_lo());
+  const Date last = DateOf(spooler->ts_hi());
   const int days = static_cast<int>(DaysBetween(start, last)) + 1;
   if (days > kMaxDaySpan) {
     std::fprintf(stderr,
@@ -878,15 +843,7 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
 
-  DetectorSpec spec;
-  spec.deviation.omega = omega;
-  spec.deviation.matrix_days = omega;
-  spec.ensemble.encoder_dims = {64, 32, 16, 8};
-  spec.ensemble.train.epochs = epochs;
-  spec.ensemble.train_stride = 2;
-  spec.ensemble.optimizer = OptimizerKind::kAdam;
-  spec.ensemble.learning_rate = 1e-3f;
-  spec.critic_votes = votes;
+  DetectorSpec spec = AcobeSpec(omega, epochs, votes);
   spec.ensemble.threads = threads;  // deviation inherits via Detector::Run
   spec.ensemble.resume = resume;
   if (provenance) {
@@ -926,9 +883,8 @@ int main(int argc, char** argv) {
     ledger.Append(manifest);
   }
 
-  // A catalog-and-partition anchor for the emit stage. The in-memory
-  // path keeps its full extractor; the streaming path frees each
-  // shard's extractors as it goes, so the metadata lives here.
+  // A catalog-and-partition anchor for the emit stage: each shard's
+  // extractors are freed as the loop goes, so the metadata lives here.
   const CertAcobeExtractor meta(start, 1);
 
   auto make_dept_spec = [&](const std::string& department) {
@@ -950,83 +906,46 @@ int main(int argc, char** argv) {
   };
 
   // --- compute (pass B) ----------------------------------------------------
-  // Both paths leave `results` in the canonical department order.
   std::vector<DeptResult> results;
   // One "detect" unit per trained aspect plus one for scoring, per
   // department: ensemble training and Detector::Run advance the stage.
   const std::uint64_t dept_units = meta.catalog().aspects().size() + 1;
+  const int n_shards = spooler->shards();
+  health::SetStage("replay", static_cast<std::uint64_t>(n_shards));
   try {
-    if (stream) {
-      const std::vector<std::string> departments = tables.Departments();
-      const int n_shards = spooler->shards();
-      health::SetStage("replay", static_cast<std::uint64_t>(n_shards));
-      for (int s = 0; s < n_shards; ++s) {
-        if (ShutdownRequested()) return abort_run("replay");
-        health::SetStage("replay");
-        health::SetStageDetail("shard " + std::to_string(s));
-        DepartmentDemux demux(start, days);
-        std::vector<std::pair<std::string, std::vector<UserId>>> shard_depts;
-        for (std::size_t d = 0; d < departments.size(); ++d) {
-          if (static_cast<int>(d) % n_shards != s) continue;
-          auto members = tables.UsersInDepartment(departments[d]);
-          if (members.size() < 3) continue;
-          demux.AddDepartment(departments[d], members);
-          shard_depts.emplace_back(departments[d], std::move(members));
-        }
-        if (shard_depts.empty()) {
-          health::StageAdvance();
-          continue;
-        }
-        {
-          telemetry::TraceSpan extract_span("detect.extract_features");
-          spooler->Replay(s, demux);
-        }
-        health::StageAdvance();
-        health::SetStage("detect", shard_depts.size() * dept_units);
-        for (int d = 0; d < demux.departments(); ++d) {
-          if (ShutdownRequested()) return abort_run("detect");
-          const auto& [department, members] = shard_depts[d];
-          health::SetStageDetail(department);
-          const Detector detector(make_dept_spec(department));
-          DetectionOutput out =
-              detector.Run(demux.extractor(d).cube(), meta.catalog(), members,
-                           0, train_end, train_end, test_end);
-          warn_degraded(department, out);
-          results.push_back(DeptResult{department, std::move(out)});
-        }
-      }
-      // Shard order is not report order: restore the canonical LDAP
-      // department order before emitting anything.
-      std::map<std::string, std::size_t> order;
+    for (int s = 0; s < n_shards; ++s) {
+      if (ShutdownRequested()) return abort_run("replay");
+      health::SetStage("replay");
+      health::SetStageDetail("shard " + std::to_string(s));
+      DepartmentDemux demux(start, days);
+      std::vector<std::pair<std::string, std::vector<UserId>>> shard_depts;
       for (std::size_t d = 0; d < departments.size(); ++d) {
-        order[departments[d]] = d;
-      }
-      std::sort(results.begin(), results.end(),
-                [&](const DeptResult& a, const DeptResult& b) {
-                  return order[a.name] < order[b.name];
-                });
-      spooler->Remove();
-    } else {
-      CertAcobeExtractor extractor(start, days);
-      {
-        health::SetStage("replay", 1);
-        telemetry::TraceSpan extract_span("detect.extract_features");
-        ReplayStore(store, extractor);
-        for (const LdapRecord& r : store.ldap()) {
-          extractor.cube().RegisterUser(r.user);
-        }
-        health::StageAdvance();
-      }
-      for (const std::string& department : store.Departments()) {
-        if (ShutdownRequested()) return abort_run("detect");
-        const auto members = store.UsersInDepartment(department);
+        if (static_cast<int>(d) % n_shards != s) continue;
+        auto members = tables.UsersInDepartment(departments[d]);
         if (members.size() < 3) continue;
-        health::SetStage("detect", dept_units);
+        demux.AddDepartment(departments[d], members);
+        shard_depts.emplace_back(departments[d], std::move(members));
+      }
+      if (shard_depts.empty()) {
+        health::StageAdvance();
+        continue;
+      }
+      try {
+        telemetry::TraceSpan extract_span("detect.extract_features");
+        spooler->Replay(s, demux);
+      } catch (const std::runtime_error& e) {
+        return spool_failure(e);
+      }
+      health::StageAdvance();
+      health::SetStage("detect", shard_depts.size() * dept_units);
+      for (int d = 0; d < demux.departments(); ++d) {
+        if (ShutdownRequested()) return abort_run("detect");
+        const auto& [department, members] = shard_depts[d];
         health::SetStageDetail(department);
         const Detector detector(make_dept_spec(department));
         DetectionOutput out =
-            detector.Run(extractor.cube(), extractor.catalog(), members, 0,
-                         train_end, train_end, test_end);
+            detector.Run(demux.extractor(d).cube(), meta.catalog(), members,
+                         0, train_end, train_end, test_end);
         warn_degraded(department, out);
         results.push_back(DeptResult{department, std::move(out)});
       }
@@ -1035,6 +954,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "acobe-detect: corrupt artifact: %s\n", e.what());
     return kExitCorruptArtifact;
   }
+  spooler->Remove();
+  // Shard order is not report order: restore the canonical LDAP
+  // department order before emitting anything.
+  std::map<std::string, std::size_t> order;
+  for (std::size_t d = 0; d < departments.size(); ++d) {
+    order[departments[d]] = d;
+  }
+  std::sort(results.begin(), results.end(),
+            [&](const DeptResult& a, const DeptResult& b) {
+              return order[a.name] < order[b.name];
+            });
   ACOBE_GAUGE_SET("features.days", days);
   ACOBE_GAUGE_SET("features.features",
                   static_cast<int>(CertAcobeExtractor::kFeatureCount));

@@ -3,8 +3,8 @@
 
 Runs the full pipeline at a configurable scale:
 
-    acobe_gen --stream  ->  acobe_detect --stream
-                        ->  acobe_detect            (in-memory reference)
+    acobe_gen --stream  ->  acobe_detect --shards=N
+                        ->  acobe_detect --shards=1  (single-shard reference)
 
 and writes an acobe.metrics.v1 JSON with throughput (users/sec,
 events/sec, deviation matrices/sec) and peak-RSS gauges for each stage.
@@ -12,21 +12,22 @@ The streaming detect runs with --health-out, and the final heartbeat's
 per-stage wall times land as `<prefix>.detect_stream.stage.<name>_seconds`
 gauges, so the benchmark log shows where the pipeline spent its time
 (ingest vs spool vs replay vs detect vs write).
-Unless --skip-memory is given, the in-memory detector runs on the same
-dataset and the two stdouts are compared byte-for-byte: the benchmark
-FAILS if the streaming path is not bit-identical, so every perf run is
-also a correctness run.
+Unless --skip-reference is given, the detector runs again on the same
+dataset with every department in one shard and the two stdouts are
+compared byte-for-byte: the benchmark FAILS if the sharded run is not
+bit-identical, so every perf run is also a correctness run.
 
 The headline transferable metric is
-`pipeline.detect.stream_vs_memory_rss_ratio` — streaming peak RSS over
-in-memory peak RSS on the same dataset in the same run. Like the GEMM
-blocked/ref speedup, the ratio cancels machine and container effects;
-absolute rates and RSS are recorded for the log but do not transfer.
+`pipeline.detect.sharded_vs_single_rss_ratio` — sharded peak RSS over
+single-shard peak RSS on the same dataset in the same run, i.e. how far
+sharding bounds memory. Like the GEMM blocked/ref speedup, the ratio
+cancels machine and container effects; absolute rates and RSS are
+recorded for the log but do not transfer.
 
 Usage:
     tools/bench_pipeline.py --bin-dir build/tools --out BENCH.json \
         [--users 150 --departments 8 --days 75 --epochs 2 --shards 4] \
-        [--rate 0.3] [--seed 7] [--skip-memory] [--keep-data] \
+        [--rate 0.3] [--seed 7] [--skip-reference] [--keep-data] \
         [--data-dir DIR] [--prefix pipeline]
 
 Exit status 0 on success, 1 on any stage failure or an identity mismatch.
@@ -93,8 +94,8 @@ def main():
     ap.add_argument("--rate", type=float, default=0.3,
                     help="activity rate scale (default 0.3)")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--skip-memory", action="store_true",
-                    help="skip the in-memory reference run (very large "
+    ap.add_argument("--skip-reference", action="store_true",
+                    help="skip the single-shard reference run (very large "
                          "datasets); no identity check, no RSS ratio")
     ap.add_argument("--keep-data", action="store_true")
     ap.add_argument("--data-dir", default=None,
@@ -149,13 +150,13 @@ def main():
         gauges[f"{p}.gen.peak_rss_bytes"] = \
             gdoc["gauges"]["process.peak_rss_bytes"]
 
-        # --- detect (streaming) --------------------------------------
+        # --- detect (sharded) ----------------------------------------
         det_metrics = os.path.join(scratch, "detect_stream.json")
         det_health = os.path.join(scratch, "detect_stream.health.jsonl")
         stream_out = os.path.join(scratch, "detect_stream.out")
         det_secs = run_timed(
             [detect, f"--in={data_dir}", f"--train-end={train_end}",
-             f"--epochs={args.epochs}", "--stream",
+             f"--epochs={args.epochs}",
              f"--shards={args.shards}", f"--metrics-out={det_metrics}",
              f"--health-out={det_health}", "--health-interval-ms=250"],
             stream_out)
@@ -183,26 +184,27 @@ def main():
                 gauges[f"{p}.detect_stream.stage.{name}_seconds"] = \
                     round(float(stage.get("seconds", 0.0)), 3)
 
-        # --- detect (in-memory reference) + identity check -----------
-        if not args.skip_memory:
-            mem_metrics = os.path.join(scratch, "detect_mem.json")
-            mem_out = os.path.join(scratch, "detect_mem.out")
-            mem_secs = run_timed(
+        # --- detect (single-shard reference) + identity check --------
+        if not args.skip_reference:
+            ref_metrics = os.path.join(scratch, "detect_single.json")
+            ref_out = os.path.join(scratch, "detect_single.out")
+            ref_secs = run_timed(
                 [detect, f"--in={data_dir}", f"--train-end={train_end}",
-                 f"--epochs={args.epochs}", f"--metrics-out={mem_metrics}"],
-                mem_out)
-            mdoc = load_metrics(mem_metrics)
-            mem_rss = mdoc["gauges"]["process.peak_rss_bytes"]
-            gauges[f"{p}.detect_memory.seconds"] = round(mem_secs, 3)
-            gauges[f"{p}.detect_memory.peak_rss_bytes"] = mem_rss
-            gauges[f"{p}.detect.stream_vs_memory_rss_ratio"] = \
-                round(stream_rss / mem_rss, 4)
-            with open(stream_out, "rb") as a, open(mem_out, "rb") as b:
+                 f"--epochs={args.epochs}", "--shards=1",
+                 f"--metrics-out={ref_metrics}"],
+                ref_out)
+            rdoc = load_metrics(ref_metrics)
+            ref_rss = rdoc["gauges"]["process.peak_rss_bytes"]
+            gauges[f"{p}.detect_single.seconds"] = round(ref_secs, 3)
+            gauges[f"{p}.detect_single.peak_rss_bytes"] = ref_rss
+            gauges[f"{p}.detect.sharded_vs_single_rss_ratio"] = \
+                round(stream_rss / ref_rss, 4)
+            with open(stream_out, "rb") as a, open(ref_out, "rb") as b:
                 if a.read() != b.read():
-                    print("bench_pipeline: FAIL: streaming stdout differs "
-                          "from in-memory stdout", file=sys.stderr)
+                    print("bench_pipeline: FAIL: sharded stdout differs "
+                          "from single-shard stdout", file=sys.stderr)
                     return 1
-            print("identity: streaming stdout == in-memory stdout")
+            print("identity: sharded stdout == single-shard stdout")
     except (RuntimeError, ValueError, KeyError, OSError) as e:
         print(f"bench_pipeline: {e}", file=sys.stderr)
         return 1

@@ -33,11 +33,12 @@ Usage:
 --pipeline gates a `tools/bench_pipeline.py` run (bench/BENCH_pipeline.json
 is the checked-in baseline) the same way: on the in-run ratio that
 transfers across machines. Here that is
-`pipeline.detect.stream_vs_memory_rss_ratio` — streaming peak RSS over
-in-memory peak RSS on the same dataset. The gate fails if the current
-ratio exceeds the baseline ratio times --rss-tolerance (default 1.25,
-i.e. a >25% relative RSS regression of the out-of-core path), or if any
-required pipeline gauge is missing or non-positive.
+`pipeline.detect.sharded_vs_single_rss_ratio` — sharded acobe_detect
+peak RSS over single-shard (--shards=1) peak RSS on the same dataset.
+The gate fails if the current ratio exceeds the baseline ratio times
+--rss-tolerance (default 1.25, i.e. sharding bounds memory >25% worse
+than it did), or if any required pipeline gauge is missing or
+non-positive.
 
 Exit status 0 on pass, 1 on regression, hw_threads mismatch or
 malformed input. A failure names every gate that failed.
@@ -86,12 +87,12 @@ PIPELINE_REQUIRED = (
     "pipeline.detect_stream.peak_rss_bytes",
 )
 
-PIPELINE_RATIO = "pipeline.detect.stream_vs_memory_rss_ratio"
+PIPELINE_RATIO = "pipeline.detect.sharded_vs_single_rss_ratio"
 
 
 def check_pipeline(base, cur, rss_tolerance):
     """The --pipeline gate: structure of the current run, plus the
-    stream/memory RSS ratio against the baseline's."""
+    sharded/single-shard RSS ratio against the baseline's."""
     failed = False
     for key in PIPELINE_REQUIRED:
         value = cur.get(key)
@@ -110,11 +111,11 @@ def check_pipeline(base, cur, rss_tolerance):
               "structural checks only")
     elif cur_ratio is None:
         print(f"check_bench: current run lacks {PIPELINE_RATIO} "
-              "(--skip-memory?); structural checks only")
+              "(--skip-reference?); structural checks only")
     else:
         ceiling = float(base_ratio) * rss_tolerance
         status = "ok" if float(cur_ratio) <= ceiling else "REGRESSION"
-        print(f"stream/memory peak-RSS ratio {float(cur_ratio):.3f} "
+        print(f"sharded/single-shard peak-RSS ratio {float(cur_ratio):.3f} "
               f"(baseline {float(base_ratio):.3f}, ceiling {ceiling:.3f}) "
               f"{status}")
         if float(cur_ratio) > ceiling:
@@ -167,7 +168,7 @@ def main():
     ap.add_argument("--pipeline", action="store_true",
                     help="gate a bench_pipeline.py run instead of GEMM")
     ap.add_argument("--rss-tolerance", type=float, default=1.25,
-                    help="--pipeline: fail if the stream/memory RSS ratio "
+                    help="--pipeline: fail if the sharded/single RSS ratio "
                          "> baseline ratio * RSS_TOLERANCE (default 1.25)")
     args = ap.parse_args()
 
