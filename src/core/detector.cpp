@@ -6,6 +6,7 @@
 #include "common/parallel.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
+#include "features/shard_extract.h"
 
 namespace acobe {
 namespace {
@@ -193,6 +194,28 @@ DetectionOutput Detector::Run(const MeasurementCube& cube,
   ACOBE_COUNT("detector.runs", 1);
   out.members = std::move(member_ids);
   return out;
+}
+
+std::vector<DetectionOutput> DetectDepartments(
+    const std::vector<DepartmentJob>& jobs, const DetectionDays& days,
+    const std::function<void(LogSink&)>& feed,
+    const std::function<bool(std::size_t)>& proceed) {
+  std::vector<DetectionOutput> outputs;
+  DepartmentDemux demux(days.start, days.days);
+  for (const DepartmentJob& job : jobs) {
+    demux.AddDepartment(job.name, job.members);
+  }
+  feed(demux);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (proceed && !proceed(j)) break;
+    const int d = static_cast<int>(j);
+    outputs.push_back(Detector(jobs[j].spec)
+                          .Run(demux.extractor(d).cube(),
+                               demux.extractor(d).catalog(), jobs[j].members,
+                               /*train_begin=*/0, days.train_end,
+                               days.score_begin, days.score_end));
+  }
+  return outputs;
 }
 
 }  // namespace acobe

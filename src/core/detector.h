@@ -5,6 +5,7 @@
 // every ablation/baseline the paper evaluates (see src/baselines for
 // the ready-made specs).
 
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "core/ensemble.h"
 #include "features/feature_catalog.h"
 #include "features/measurement_cube.h"
+#include "logs/log_sink.h"
 
 namespace acobe {
 
@@ -126,5 +128,35 @@ class Detector {
  private:
   DetectorSpec spec_;
 };
+
+/// One department to detect: ACOBE scores each user against the group
+/// behaviour of their own department.
+struct DepartmentJob {
+  std::string name;
+  std::vector<UserId> members;
+  DetectorSpec spec;
+};
+
+/// Day indices from `start`: the cube spans `days` days, training uses
+/// [0, train_end) and scoring [score_begin, score_end).
+struct DetectionDays {
+  Date start;
+  int days = 0;
+  int train_end = 0;
+  int score_begin = 0;
+  int score_end = 0;
+};
+
+/// The per-department detection unit `acobe_detect` and `acobe_serve`
+/// both run. `feed` delivers one day-ordered event stream into the
+/// sink it is given; every job's members' events land in that job's
+/// own cube, and each job's Detector then runs on its cube. Outputs
+/// come back in job order. `proceed(j)` (optional) is asked before job
+/// j runs; returning false stops there, so the result holds jobs
+/// [0, j) only.
+std::vector<DetectionOutput> DetectDepartments(
+    const std::vector<DepartmentJob>& jobs, const DetectionDays& days,
+    const std::function<void(LogSink&)>& feed,
+    const std::function<bool(std::size_t)>& proceed = {});
 
 }  // namespace acobe

@@ -99,6 +99,25 @@ void MonitorState::AdvanceDay(int day, const std::vector<bool>& fired,
   last_day_ = day;
 }
 
+void MonitorState::AdvanceGrid(const ScoreGrid& grid, int day_offset,
+                               std::vector<Alert>* closed) {
+  for (int d = grid.day_begin(); d < grid.day_end(); ++d) {
+    const auto daily = RankUsersOnDay(grid, config_.n_votes, d);
+    std::vector<bool> fired(grid.users(), false);
+    const int top = std::min<int>(config_.top_positions,
+                                  static_cast<int>(daily.size()));
+    for (int i = 0; i < top; ++i) fired[daily[i].user_idx] = true;
+    std::vector<DayPeak> peaks(grid.users());
+    for (int u = 0; u < grid.users(); ++u) {
+      for (int a = 0; a < grid.aspects(); ++a) {
+        const float s = grid.At(a, u, d);
+        if (s > peaks[u].score) peaks[u] = {s, grid.aspect_name(a)};
+      }
+    }
+    AdvanceDay(d + day_offset, fired, &peaks, closed);
+  }
+}
+
 void MonitorState::Step(int day, const std::vector<bool>& fired,
                         const std::vector<DayPeak>* peaks,
                         std::vector<Alert>* closed) {
@@ -285,14 +304,7 @@ std::vector<Alert> FindPersistentAlerts(const ScoreGrid& grid,
   MonitorState state(config);
   std::vector<Alert> alerts;
 
-  for (int d = grid.day_begin(); d < grid.day_end(); ++d) {
-    const auto daily = RankUsersOnDay(grid, config.n_votes, d);
-    std::vector<bool> fired(grid.users(), false);
-    const int top = std::min<int>(config.top_positions,
-                                  static_cast<int>(daily.size()));
-    for (int i = 0; i < top; ++i) fired[daily[i].user_idx] = true;
-    state.AdvanceDay(d, fired, nullptr, &alerts);
-  }
+  state.AdvanceGrid(grid, 0, &alerts);
   for (const Alert& open : state.OpenAlerts()) alerts.push_back(open);
   std::sort(alerts.begin(), alerts.end(),
             [](const Alert& a, const Alert& b) {

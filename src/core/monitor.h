@@ -43,8 +43,8 @@ struct Alert {
 /// Per-user peak observation for one day, fed alongside the firing set
 /// when the monitor is driven incrementally (the resident service):
 /// the user's best score that day and the aspect it came from. The
-/// batch path ignores these and recomputes peaks from the grid post
-/// hoc instead.
+/// batch path overwrites them by recomputing peaks from the grid post
+/// hoc.
 struct DayPeak {
   float score = -1.0f;
   std::string aspect;
@@ -73,6 +73,13 @@ class MonitorState {
   void AdvanceDay(int day, const std::vector<bool>& fired,
                   const std::vector<DayPeak>* peaks,
                   std::vector<Alert>* closed);
+
+  /// Feeds every day d of `grid` as day `d + day_offset`: the users
+  /// within the top `config().top_positions` of the day's critic list
+  /// (`config().n_votes` votes) fire, and each user's peak is their best
+  /// aspect score that day.
+  void AdvanceGrid(const ScoreGrid& grid, int day_offset,
+                   std::vector<Alert>* closed);
 
   /// Snapshot of the alerts still open (firing or cooling off), in
   /// user-index order — the end-of-range flush of the batch path.

@@ -8,14 +8,13 @@
 namespace acobe::nn {
 
 Dense::Dense(std::size_t in_dim, std::size_t out_dim)
-    : in_dim_(in_dim), out_dim_(out_dim) {
+    : in_dim_(in_dim), out_dim_(out_dim), weight_{"W", {}, {}},
+      bias_{"b", {}, {}} {
   if (in_dim == 0 || out_dim == 0) {
     throw std::invalid_argument("Dense: zero dimension");
   }
-  weight_.name = "W";
   weight_.value.Resize(in_dim, out_dim);
   weight_.grad.Resize(in_dim, out_dim);
-  bias_.name = "b";
   bias_.value.Resize(1, out_dim);
   bias_.grad.Resize(1, out_dim);
 }

@@ -19,10 +19,8 @@
 #include "common/telemetry.h"
 #include "common/timeframe.h"
 #include "common/version.h"
-#include "core/critic.h"
 #include "core/detector.h"
 #include "core/monitor.h"
-#include "features/shard_extract.h"
 #include "logs/entity_catalog.h"
 #include "logs/log_io.h"
 
@@ -98,23 +96,9 @@ struct ServiceSupervisor::CycleTask {
 };
 
 struct ServiceSupervisor::DeptCycleResult {
-  std::size_t order = 0;
-  std::string name;
-  std::size_t members = 0;
-  std::uint32_t score_digest = 0;
-  std::vector<std::string> degraded;
-  // Investigation list (top config.top), "user" / priority.
-  std::vector<std::pair<std::string, double>> top;
-  struct AlertRow {
-    std::string user;
-    std::int64_t first_day = 0;
-    std::int64_t last_day = 0;
-    std::int64_t peak_day = 0;
-    int firing_days = 0;
-    std::string peak_aspect;
-    float peak_score = 0.0f;
-  };
-  std::vector<AlertRow> alerts;  // closed this cycle, close order
+  const ServiceDirectory::Dept* dept = nullptr;
+  DetectionOutput det;
+  std::vector<Alert> alerts;  // closed this cycle, close order
 };
 
 struct ServiceSupervisor::ShardOutcome {
@@ -640,25 +624,29 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
   }
   std::sort(scored.begin(), scored.end(),
             [](const DeptCycleResult* a, const DeptCycleResult* b) {
-              return a->order < b->order;
+              return a->dept->order < b->dept->order;
             });
   rep.departments_scored = scored.size();
 
   // Alerts first: their global sequence numbers are journaled.
+  auto member_name = [&](const DeptCycleResult* d, int member) {
+    return dir_->tables.users().NameOf(
+        d->dept->members[static_cast<std::size_t>(member)]);
+  };
   for (const DeptCycleResult* d : scored) {
-    for (const auto& row : d->alerts) {
+    for (const Alert& a : d->alerts) {
       state_.alerts_count += 1;
       LedgerEvent ev("alert");
       ev.Int("seq", static_cast<std::int64_t>(state_.alerts_count))
           .Int("cycle", static_cast<std::int64_t>(state_.cycle))
-          .Str("department", d->name)
-          .Str("user", row.user)
-          .Str("first_day", DayString(row.first_day))
-          .Str("last_day", DayString(row.last_day))
-          .Int("firing_days", row.firing_days)
-          .Str("peak_day", DayString(row.peak_day))
-          .Str("peak_aspect", row.peak_aspect)
-          .Num("peak_score", row.peak_score);
+          .Str("department", d->dept->name)
+          .Str("user", member_name(d, a.user_idx))
+          .Str("first_day", DayString(a.first_day))
+          .Str("last_day", DayString(a.last_day))
+          .Int("firing_days", a.firing_days)
+          .Str("peak_day", DayString(a.peak_day))
+          .Str("peak_aspect", a.peak_aspect_name)
+          .Num("peak_score", a.peak_score);
       alerts_log_->Append(ev.Finish());
       rep.alerts += 1;
       ACOBE_COUNT("service.alerts_emitted", 1);
@@ -690,19 +678,20 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
   for (const DeptCycleResult* d : scored) {
     LedgerEvent ev("detection");
     ev.Int("cycle", static_cast<std::int64_t>(state_.cycle))
-        .Str("department", d->name)
-        .Int("members", static_cast<std::int64_t>(d->members))
-        .Int("score_digest", d->score_digest);
-    if (!d->degraded.empty()) {
-      ev.StrList("degraded_aspects", d->degraded);
+        .Str("department", d->dept->name)
+        .Int("members", static_cast<std::int64_t>(d->dept->members.size()))
+        .Int("score_digest", d->det.grid.Digest());
+    if (!d->det.degraded_aspects.empty()) {
+      ev.StrList("degraded_aspects", d->det.degraded_aspects);
     }
+    // Investigation list: the top config.top users and their priority.
     std::vector<std::string> users;
     std::vector<double> priorities;
-    users.reserve(d->top.size());
-    priorities.reserve(d->top.size());
-    for (const auto& [user, priority] : d->top) {
-      users.push_back(user);
-      priorities.push_back(priority);
+    const std::size_t top_n = std::min<std::size_t>(
+        d->det.list.size(), static_cast<std::size_t>(config_.top));
+    for (std::size_t i = 0; i < top_n; ++i) {
+      users.push_back(member_name(d, d->det.list[i].user_idx));
+      priorities.push_back(d->det.list[i].priority);
     }
     ev.StrList("list", users).NumList("priority", priorities);
     ledger_log_->Append(ev.Finish());
@@ -897,110 +886,31 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
   // Compute phase, retried under the shard's backoff policy. Monitors
   // are untouched until the whole phase succeeds, so a retry never
   // double-feeds a day.
-  struct DeptCompute {
-    ShardRuntime::DeptRuntime* rt = nullptr;
-    DeptCycleResult res;
-    std::vector<std::vector<bool>> fired;     // [day - scored_from][member]
-    std::vector<std::vector<DayPeak>> peaks;  // same shape
-  };
-  std::vector<DeptCompute> computed;
-
+  DetectorSpec spec = AcobeSpec(config_.omega, config_.epochs, config_.votes);
+  spec.name = "acobe-serve";
+  spec.ensemble.seed = config_.seed;
+  spec.ensemble.threads = 1;  // per-shard determinism
+  spec.ensemble.allow_degraded = true;
+  std::vector<DepartmentJob> jobs;
+  for (const auto& rt : shard.depts) {
+    jobs.push_back({rt.dept->name, rt.dept->members, spec});
+  }
   const int win_len = static_cast<int>(task.win_end - task.win_start + 1);
-  const int score_begin = static_cast<int>(task.scored_from - task.win_start);
-  const int n_scored = static_cast<int>(task.scored_to - task.scored_from + 1);
-
+  const DetectionDays days{
+      .start = Date::FromDayNumber(task.win_start), .days = win_len,
+      .train_end = config_.train_days,
+      .score_begin = static_cast<int>(task.scored_from - task.win_start),
+      .score_end = win_len};  // scored_to is always win_end
+  std::vector<DetectionOutput> computed;
   for (;;) {
     try {
-      computed.clear();
-      std::stable_sort(shard.window.begin(), shard.window.end(),
-                       [](const PackedEvent& a, const PackedEvent& b) {
-                         return DayOfTs(a.ts) < DayOfTs(b.ts);
-                       });
-      DepartmentDemux demux(Date::FromDayNumber(task.win_start), win_len);
-      for (auto& rt : shard.depts) {
-        demux.AddDepartment(rt.dept->name, rt.dept->members);
-      }
-      for (const PackedEvent& e : shard.window) DeliverPacked(e, demux);
-
-      DetectorSpec spec =
-          AcobeSpec(config_.omega, config_.epochs, config_.votes);
-      spec.name = "acobe-serve";
-      spec.ensemble.seed = config_.seed;
-      spec.ensemble.threads = 1;  // per-shard determinism
-      spec.ensemble.allow_degraded = true;
-
-      for (int d = 0; d < demux.departments(); ++d) {
-        ShardRuntime::DeptRuntime& rt = shard.depts[static_cast<std::size_t>(d)];
-        const std::vector<UserId>& members = rt.dept->members;
-        DetectionOutput det = Detector(spec).Run(
-            demux.extractor(d).cube(), demux.extractor(d).catalog(), members,
-            /*train_begin=*/0, /*train_end=*/config_.train_days,
-            /*score_begin=*/score_begin, /*score_end=*/win_len);
-
-        DeptCompute dc;
-        dc.rt = &rt;
-        dc.res.order = rt.dept->order;
-        dc.res.name = rt.dept->name;
-        dc.res.members = members.size();
-        dc.res.degraded = det.degraded_aspects;
-
-        // Score digest over the freshly scored region, in a fixed
-        // (aspect, member, day) order.
-        std::string raw;
-        raw.reserve(static_cast<std::size_t>(det.grid.aspects()) *
-                    members.size() * static_cast<std::size_t>(n_scored) * 4);
-        for (int a = 0; a < det.grid.aspects(); ++a) {
-          for (std::size_t u = 0; u < members.size(); ++u) {
-            for (int rel = score_begin; rel < score_begin + n_scored; ++rel) {
-              const float s = det.grid.At(a, static_cast<int>(u), rel);
-              raw.append(reinterpret_cast<const char*>(&s), sizeof(s));
-            }
-          }
-        }
-        dc.res.score_digest = Crc32(raw);
-
-        const std::size_t top_n =
-            std::min<std::size_t>(det.list.size(),
-                                  static_cast<std::size_t>(config_.top));
-        for (std::size_t i = 0; i < top_n; ++i) {
-          const InvestigationEntry& e = det.list[i];
-          dc.res.top.emplace_back(
-              dir_->tables.users().NameOf(
-                  members[static_cast<std::size_t>(e.user_idx)]),
-              e.priority);
-        }
-
-        dc.fired.resize(static_cast<std::size_t>(n_scored));
-        dc.peaks.resize(static_cast<std::size_t>(n_scored));
-        for (int i = 0; i < n_scored; ++i) {
-          const int rel = score_begin + i;
-          std::vector<InvestigationEntry> daily =
-              RankUsersOnDay(det.grid, config_.votes, rel);
-          auto& fired = dc.fired[static_cast<std::size_t>(i)];
-          fired.assign(members.size(), false);
-          const std::size_t firing =
-              std::min<std::size_t>(daily.size(),
-                                    static_cast<std::size_t>(
-                                        config_.top_positions));
-          for (std::size_t p = 0; p < firing; ++p) {
-            fired[static_cast<std::size_t>(daily[p].user_idx)] = true;
-          }
-          auto& peaks = dc.peaks[static_cast<std::size_t>(i)];
-          peaks.assign(members.size(), DayPeak{});
-          for (std::size_t u = 0; u < members.size(); ++u) {
-            DayPeak best;
-            for (int a = 0; a < det.grid.aspects(); ++a) {
-              const float s = det.grid.At(a, static_cast<int>(u), rel);
-              if (s > best.score) {
-                best.score = s;
-                best.aspect = det.grid.aspect_name(a);
-              }
-            }
-            peaks[u] = best;
-          }
-        }
-        computed.push_back(std::move(dc));
-      }
+      computed = DetectDepartments(jobs, days, [&](LogSink& sink) {
+        std::stable_sort(shard.window.begin(), shard.window.end(),
+                         [](const PackedEvent& a, const PackedEvent& b) {
+                           return DayOfTs(a.ts) < DayOfTs(b.ts);
+                         });
+        for (const PackedEvent& e : shard.window) DeliverPacked(e, sink);
+      });
       shard.backoff.OnSuccess();
       break;
     } catch (const std::exception& e) {
@@ -1021,28 +931,12 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
     }
   }
 
-  // Commit phase: feed the monitors day by day and collect closures.
-  for (DeptCompute& dc : computed) {
-    std::vector<Alert> closed;
-    for (int i = 0; i < n_scored; ++i) {
-      dc.rt->monitor.AdvanceDay(
-          static_cast<int>(task.scored_from + i),
-          dc.fired[static_cast<std::size_t>(i)],
-          &dc.peaks[static_cast<std::size_t>(i)], &closed);
-    }
-    for (const Alert& a : closed) {
-      DeptCycleResult::AlertRow row;
-      row.user = dir_->tables.users().NameOf(
-          dc.rt->dept->members[static_cast<std::size_t>(a.user_idx)]);
-      row.first_day = a.first_day;
-      row.last_day = a.last_day;
-      row.peak_day = a.peak_day;
-      row.firing_days = a.firing_days;
-      row.peak_aspect = a.peak_aspect_name;
-      row.peak_score = a.peak_score;
-      dc.res.alerts.push_back(std::move(row));
-    }
-    out.depts.push_back(std::move(dc.res));
+  // Commit phase: feed the monitors the scored days and collect closures.
+  for (std::size_t j = 0; j < computed.size(); ++j) {
+    DeptCycleResult& res = out.depts.emplace_back(
+        DeptCycleResult{shard.depts[j].dept, std::move(computed[j]), {}});
+    shard.depts[j].monitor.AdvanceGrid(
+        res.det.grid, static_cast<int>(task.win_start), &res.alerts);
   }
   // Serialize every monitor this shard owns (cheap; keeps the journal
   // complete even for departments that closed nothing today).

@@ -9,10 +9,10 @@
 // fixed order and routes packed events through bounded admission
 // queues (service/queue.h) to per-shard workers; each worker maintains
 // a sliding multi-day event window, and when the batch advances the
-// window far enough to expose new scorable days, runs the full
-// ACOBE detection (representation -> ensemble -> critic) per
-// department, feeds the daily top lists into a persistent-alert
-// MonitorState, and reports closed alerts.
+// window far enough to expose new scorable days, runs ACOBE detection
+// per department (DetectDepartments, core/detector.h), feeds each
+// department's score grid into a persistent-alert MonitorState
+// (AdvanceGrid), and reports closed alerts.
 //
 // Robustness properties, in the order they matter:
 //

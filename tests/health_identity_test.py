@@ -3,16 +3,19 @@
 
 Generates a small four-department dataset, then runs acobe_detect on it
 with the default shard count, with --health-out/--prom-out, with
---shards=1 and with --shards=3, and asserts:
+--shards=1, with --shards=3, and at --threads=1 and --threads=4 (every
+other run uses --threads=2), and asserts:
 
-  - stdout is byte-identical across all four runs (the health plane is
-    purely observational, and the shard layout cannot move a result),
+  - stdout is byte-identical across all six runs (the health plane is
+    purely observational, and neither the shard layout nor the thread
+    count can move a result),
   - the --explain-out reports are byte-identical,
   - the --ledger-out ledgers are byte-identical after stripping the
     run_complete fields that are wall-clock-dependent by design
     (peak_rss_bytes, stages) — those differ between ANY two runs, so
     they are normalized, not ignored silently: the script still checks
-    every ledger carries them,
+    every ledger carries them — and the manifest's threads field, which
+    records the run's own setting,
   - the heartbeat file validates under tools/check_health.py
     (--require-final), and acobe_top --once renders it,
   - the Prometheus exposition contains acobe_-prefixed samples and,
@@ -55,7 +58,8 @@ def read_bytes(path):
 
 
 def normalized_ledger(path):
-    """Ledger lines with the run_complete wall-clock fields stripped.
+    """Ledger lines with the run_complete wall-clock fields and the
+    manifest's threads field stripped.
 
     Returns (normalized_text, had_health_fields)."""
     lines = []
@@ -70,6 +74,8 @@ def normalized_ledger(path):
                 had_fields = ("peak_rss_bytes" in event and "stages" in event)
                 event.pop("peak_rss_bytes", None)
                 event.pop("stages", None)
+            elif event.get("event") == "manifest":
+                event.pop("threads", None)
             lines.append(json.dumps(event, sort_keys=True))
     return "\n".join(lines), had_fields
 
@@ -92,8 +98,10 @@ def main():
 
         def detect(tag, extra):
             out = os.path.join(tmp, f"{tag}.out")
+            if not any(a.startswith("--threads=") for a in extra):
+                extra = ["--threads=2"] + extra
             run([args.detect, f"--in={data}", "--train-end=2010-02-16",
-                 "--epochs=2", "--threads=2",
+                 "--epochs=2",
                  f"--explain-out={os.path.join(tmp, tag + '.explain.json')}",
                  f"--ledger-out={os.path.join(tmp, tag + '.ledger.jsonl')}"]
                 + extra, stdout_path=out)
@@ -106,6 +114,8 @@ def main():
                        f"--prom-out={prom}"],
             "shards1": ["--shards=1"],
             "shards3": ["--shards=3"],
+            "threads1": ["--threads=1"],
+            "threads4": ["--threads=4"],
         }
         for tag, extra in runs.items():
             detect(tag, extra)
@@ -164,8 +174,9 @@ def main():
                  "--require-prefix=acobe_", "--min-samples=10"])
 
     print("health_identity_test: OK — output byte-identical with the "
-          "health plane on and across shard layouts; heartbeats, top "
-          "render and prom export valid; spool failure exits 1")
+          "health plane on and across shard layouts and thread counts; "
+          "heartbeats, top render and prom export valid; spool failure "
+          "exits 1")
     return 0
 
 

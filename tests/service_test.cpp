@@ -383,32 +383,46 @@ ScoreGrid DistinctGrid(int users, int days) {
   return grid;
 }
 
-std::vector<bool> FiredOnDay(const ScoreGrid& grid, const MonitorConfig& cfg,
-                             int day) {
-  const auto daily = RankUsersOnDay(grid, cfg.n_votes, day);
-  std::vector<bool> fired(static_cast<std::size_t>(grid.users()), false);
-  const std::size_t top = std::min<std::size_t>(
-      daily.size(), static_cast<std::size_t>(cfg.top_positions));
-  for (std::size_t i = 0; i < top; ++i) {
-    fired[static_cast<std::size_t>(daily[i].user_idx)] = true;
+// Days [from, to) of `grid`, re-based to start at day 0.
+ScoreGrid DaySlice(const ScoreGrid& grid, int from, int to) {
+  std::vector<std::string> names;
+  for (int a = 0; a < grid.aspects(); ++a) {
+    names.push_back(grid.aspect_name(a));
   }
-  return fired;
-}
-
-std::vector<DayPeak> PeaksOnDay(const ScoreGrid& grid, int day) {
-  std::vector<DayPeak> peaks(static_cast<std::size_t>(grid.users()));
-  for (int u = 0; u < grid.users(); ++u) {
-    DayPeak best;
-    for (int a = 0; a < grid.aspects(); ++a) {
-      const float s = grid.At(a, u, day);
-      if (s > best.score) {
-        best.score = s;
-        best.aspect = grid.aspect_name(a);
+  ScoreGrid slice(names, grid.users(), 0, to - from);
+  for (int a = 0; a < grid.aspects(); ++a) {
+    for (int u = 0; u < grid.users(); ++u) {
+      for (int d = from; d < to; ++d) {
+        slice.At(a, u, d - from) = grid.At(a, u, d);
       }
     }
-    peaks[static_cast<std::size_t>(u)] = best;
   }
-  return peaks;
+  return slice;
+}
+
+// Closed alerts plus the still-open ones, in FindPersistentAlerts order.
+std::vector<Alert> WithOpen(std::vector<Alert> alerts,
+                            const MonitorState& state) {
+  for (const Alert& a : state.OpenAlerts()) alerts.push_back(a);
+  std::sort(alerts.begin(), alerts.end(),
+            [](const Alert& a, const Alert& b) {
+              return a.first_day < b.first_day;
+            });
+  return alerts;
+}
+
+void ExpectSameAlerts(const std::vector<Alert>& got,
+                      const std::vector<Alert>& expect) {
+  ASSERT_EQ(got.size(), expect.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].user_idx, expect[i].user_idx);
+    EXPECT_EQ(got[i].first_day, expect[i].first_day);
+    EXPECT_EQ(got[i].last_day, expect[i].last_day);
+    EXPECT_EQ(got[i].firing_days, expect[i].firing_days);
+    EXPECT_EQ(got[i].peak_day, expect[i].peak_day);
+    EXPECT_EQ(got[i].peak_aspect_name, expect[i].peak_aspect_name);
+    EXPECT_FLOAT_EQ(got[i].peak_score, expect[i].peak_score);
+  }
 }
 
 TEST(MonitorStateTest, IncrementalDriveMatchesBatchScan) {
@@ -420,28 +434,13 @@ TEST(MonitorStateTest, IncrementalDriveMatchesBatchScan) {
   const std::vector<Alert> batch = FindPersistentAlerts(grid, cfg);
   ASSERT_FALSE(batch.empty());
 
+  // One day per AdvanceGrid call, as the daemon's one-day cycles do.
   MonitorState state(cfg);
   std::vector<Alert> mine;
   for (int d = 0; d < 16; ++d) {
-    const auto peaks = PeaksOnDay(grid, d);
-    state.AdvanceDay(d, FiredOnDay(grid, cfg, d), &peaks, &mine);
+    state.AdvanceGrid(DaySlice(grid, d, d + 1), d, &mine);
   }
-  for (const Alert& a : state.OpenAlerts()) mine.push_back(a);
-  std::sort(mine.begin(), mine.end(),
-            [](const Alert& a, const Alert& b) {
-              return a.first_day < b.first_day;
-            });
-
-  ASSERT_EQ(mine.size(), batch.size());
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    EXPECT_EQ(mine[i].user_idx, batch[i].user_idx);
-    EXPECT_EQ(mine[i].first_day, batch[i].first_day);
-    EXPECT_EQ(mine[i].last_day, batch[i].last_day);
-    EXPECT_EQ(mine[i].firing_days, batch[i].firing_days);
-    EXPECT_EQ(mine[i].peak_day, batch[i].peak_day);
-    EXPECT_EQ(mine[i].peak_aspect_name, batch[i].peak_aspect_name);
-    EXPECT_FLOAT_EQ(mine[i].peak_score, batch[i].peak_score);
-  }
+  ExpectSameAlerts(WithOpen(mine, state), batch);
 }
 
 TEST(MonitorStateTest, ChunkedFeedWithSaveLoadMatchesOneShot) {
@@ -451,45 +450,30 @@ TEST(MonitorStateTest, ChunkedFeedWithSaveLoadMatchesOneShot) {
   cfg.persistence_days = 2;
   cfg.cooloff_days = 2;
 
-  auto drive = [&](MonitorState& st, int from, int to,
-                   std::vector<Alert>* closed) {
-    for (int d = from; d < to; ++d) {
-      const auto peaks = PeaksOnDay(grid, d);
-      st.AdvanceDay(d, FiredOnDay(grid, cfg, d), &peaks, closed);
-    }
-  };
-
   MonitorState oneshot(cfg);
   std::vector<Alert> expect;
-  drive(oneshot, 0, 16, &expect);
+  oneshot.AdvanceGrid(grid, 0, &expect);
 
   // Same observations in three chunks, serialized between chunks (the
   // daemon's restart path).
   MonitorState st(cfg);
   std::vector<Alert> got;
-  drive(st, 0, 5, &got);
+  st.AdvanceGrid(DaySlice(grid, 0, 5), 0, &got);
   std::stringstream s1;
   st.Save(s1);
   MonitorState st2 = MonitorState::Load(s1);
   EXPECT_EQ(st2.last_day(), 4);
-  drive(st2, 5, 11, &got);
+  st2.AdvanceGrid(DaySlice(grid, 5, 11), 5, &got);
   std::stringstream s2;
   st2.Save(s2);
   MonitorState st3 = MonitorState::Load(s2);
-  drive(st3, 11, 16, &got);
+  st3.AdvanceGrid(DaySlice(grid, 11, 16), 11, &got);
 
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].user_idx, expect[i].user_idx);
-    EXPECT_EQ(got[i].first_day, expect[i].first_day);
-    EXPECT_EQ(got[i].last_day, expect[i].last_day);
-    EXPECT_EQ(got[i].firing_days, expect[i].firing_days);
-    EXPECT_EQ(got[i].peak_day, expect[i].peak_day);
-    EXPECT_FLOAT_EQ(got[i].peak_score, expect[i].peak_score);
-  }
+  ExpectSameAlerts(got, expect);
   const auto open1 = oneshot.OpenAlerts();
   const auto open2 = st3.OpenAlerts();
   ASSERT_EQ(open1.size(), open2.size());
+  ExpectSameAlerts(WithOpen(got, st3), FindPersistentAlerts(grid, cfg));
 }
 
 // --- CycleStatsRing ---------------------------------------------------

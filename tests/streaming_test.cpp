@@ -261,9 +261,6 @@ TEST(StreamingTest, ScoresBitIdenticalToInMemory) {
   for (UserId user : members) spool.AssignUser(user, 0);
   ReplayStore(store, spool);
   spool.Finish();
-  DepartmentDemux demux(kStart, kDays);
-  demux.AddDepartment(dept, members);
-  spool.Replay(0, demux);
 
   DetectorSpec spec;
   spec.deviation.omega = 10;
@@ -276,8 +273,18 @@ TEST(StreamingTest, ScoresBitIdenticalToInMemory) {
   const Detector detector(spec);
   const DetectionOutput in_memory =
       detector.Run(full.cube(), full.catalog(), members, 0, 50, 50, kDays);
-  const DetectionOutput streamed = detector.Run(
-      demux.extractor(0).cube(), full.catalog(), members, 0, 50, 50, kDays);
+  // The per-department unit the tools run, fed by the spool replay and
+  // stopped before its second job.
+  std::vector<std::size_t> asked;
+  const std::vector<DetectionOutput> streamed_all = DetectDepartments(
+      {{dept, members, spec}, {dept, members, spec}},
+      {.start = kStart, .days = kDays, .train_end = 50, .score_begin = 50,
+       .score_end = kDays},
+      [&](LogSink& sink) { spool.Replay(0, sink); },
+      [&](std::size_t j) { asked.push_back(j); return j == 0; });
+  ASSERT_EQ(streamed_all.size(), 1u);
+  EXPECT_EQ(asked, (std::vector<std::size_t>{0, 1}));
+  const DetectionOutput& streamed = streamed_all[0];
 
   EXPECT_EQ(in_memory.grid.Digest(), streamed.grid.Digest());
   ASSERT_EQ(in_memory.members, streamed.members);

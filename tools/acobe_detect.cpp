@@ -22,9 +22,9 @@
 // Data plane: ldap.csv is read first (its departments route users to
 // shards), then each event CSV is read once and its packed events are
 // spooled into per-shard files (logs/spool.h). Each shard is then
-// replayed into per-department measurement cubes and every department
-// is detected on its own cube, so peak memory is bounded by the largest
-// shard instead of the whole organization. Results are emitted in the
+// replayed into per-department cubes, each detected on its own
+// (DetectDepartments, core/detector.h), so peak memory is bounded by
+// the largest shard instead of the whole organization. Results are emitted in the
 // canonical LDAP department order, so stdout, --explain-out and
 // --ledger-out are byte-identical for any --shards value. --shards
 // (default 8) tunes the memory/seek tradeoff; --spool-dir (default
@@ -100,7 +100,6 @@
 #include "core/detector.h"
 #include "eval/report.h"
 #include "features/cert_features.h"
-#include "features/shard_extract.h"
 #include "logs/log_io.h"
 #include "logs/spool.h"
 #include "nn/gemm.h"
@@ -887,72 +886,70 @@ int main(int argc, char** argv) {
   // extractors are freed as the loop goes, so the metadata lives here.
   const CertAcobeExtractor meta(start, 1);
 
-  auto make_dept_spec = [&](const std::string& department) {
-    DetectorSpec dept_spec = spec;
-    if (!checkpoint_dir.empty()) {
-      dept_spec.ensemble.checkpoint_dir =
-          checkpoint_dir + "/" + SanitizePathComponent(department);
-    }
-    return dept_spec;
-  };
-  auto warn_degraded = [](const std::string& department,
-                          const DetectionOutput& out) {
-    for (const std::string& aspect : out.degraded_aspects) {
-      std::fprintf(stderr,
-                   "acobe-detect: WARNING: %s: aspect '%s' diverged on every "
-                   "attempt; ranking without it\n",
-                   department.c_str(), aspect.c_str());
-    }
-  };
-
   // --- compute (pass B) ----------------------------------------------------
   std::vector<DeptResult> results;
   // One "detect" unit per trained aspect plus one for scoring, per
   // department: ensemble training and Detector::Run advance the stage.
   const std::uint64_t dept_units = meta.catalog().aspects().size() + 1;
   const int n_shards = spooler->shards();
+  const DetectionDays window{.start = start, .days = days,
+                             .train_end = train_end,
+                             .score_begin = train_end, .score_end = test_end};
   health::SetStage("replay", static_cast<std::uint64_t>(n_shards));
-  try {
-    for (int s = 0; s < n_shards; ++s) {
-      if (ShutdownRequested()) return abort_run("replay");
-      health::SetStage("replay");
-      health::SetStageDetail("shard " + std::to_string(s));
-      DepartmentDemux demux(start, days);
-      std::vector<std::pair<std::string, std::vector<UserId>>> shard_depts;
-      for (std::size_t d = 0; d < departments.size(); ++d) {
-        if (static_cast<int>(d) % n_shards != s) continue;
-        auto members = tables.UsersInDepartment(departments[d]);
-        if (members.size() < 3) continue;
-        demux.AddDepartment(departments[d], members);
-        shard_depts.emplace_back(departments[d], std::move(members));
-      }
-      if (shard_depts.empty()) {
-        health::StageAdvance();
-        continue;
-      }
-      try {
-        telemetry::TraceSpan extract_span("detect.extract_features");
-        spooler->Replay(s, demux);
-      } catch (const std::runtime_error& e) {
-        return spool_failure(e);
-      }
-      health::StageAdvance();
-      health::SetStage("detect", shard_depts.size() * dept_units);
-      for (int d = 0; d < demux.departments(); ++d) {
-        if (ShutdownRequested()) return abort_run("detect");
-        const auto& [department, members] = shard_depts[d];
-        health::SetStageDetail(department);
-        const Detector detector(make_dept_spec(department));
-        DetectionOutput out =
-            detector.Run(demux.extractor(d).cube(), meta.catalog(), members,
-                         0, train_end, train_end, test_end);
-        warn_degraded(department, out);
-        results.push_back(DeptResult{department, std::move(out)});
+  for (int s = 0; s < n_shards; ++s) {
+    if (ShutdownRequested()) return abort_run("replay");
+    health::SetStage("replay");
+    health::SetStageDetail("shard " + std::to_string(s));
+    std::vector<DepartmentJob> jobs;
+    for (std::size_t d = 0; d < departments.size(); ++d) {
+      if (static_cast<int>(d) % n_shards != s) continue;
+      auto members = tables.UsersInDepartment(departments[d]);
+      if (members.size() < 3) continue;
+      jobs.push_back({departments[d], std::move(members), spec});
+      if (!checkpoint_dir.empty()) {
+        jobs.back().spec.ensemble.checkpoint_dir =
+            checkpoint_dir + "/" + SanitizePathComponent(departments[d]);
       }
     }
-  } catch (const CheckpointMismatch& e) {
-    std::fprintf(stderr, "acobe-detect: corrupt artifact: %s\n", e.what());
-    return kExitCorruptArtifact;
+    if (jobs.empty()) {
+      health::StageAdvance();
+      continue;
+    }
+    bool replayed = false;
+    auto feed = [&](LogSink& sink) {
+      {
+        telemetry::TraceSpan extract_span("detect.extract_features");
+        spooler->Replay(s, sink);
+      }
+      replayed = true;
+      health::StageAdvance();
+      health::SetStage("detect", jobs.size() * dept_units);
+    };
+    auto proceed = [&](std::size_t j) {
+      if (ShutdownRequested()) return false;
+      health::SetStageDetail(jobs[j].name);
+      return true;
+    };
+    std::vector<DetectionOutput> outs;
+    try {
+      outs = DetectDepartments(jobs, window, feed, proceed);
+    } catch (const CheckpointMismatch& e) {
+      std::fprintf(stderr, "acobe-detect: corrupt artifact: %s\n", e.what());
+      return kExitCorruptArtifact;
+    } catch (const std::runtime_error& e) {
+      if (replayed) throw;  // not a spool failure
+      return spool_failure(e);
+    }
+    for (std::size_t j = 0; j < outs.size(); ++j) {
+      for (const std::string& aspect : outs[j].degraded_aspects) {
+        std::fprintf(stderr,
+                     "acobe-detect: WARNING: %s: aspect '%s' diverged on "
+                     "every attempt; ranking without it\n",
+                     jobs[j].name.c_str(), aspect.c_str());
+      }
+      results.push_back(DeptResult{jobs[j].name, std::move(outs[j])});
+    }
+    if (outs.size() < jobs.size()) return abort_run("detect");
   }
   spooler->Remove();
   // Shard order is not report order: restore the canonical LDAP

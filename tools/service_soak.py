@@ -10,7 +10,10 @@ interrupted. This harness proves it the blunt way:
   2. split it into day-range batch directories under a watch dir,
      with the READY marker written last (the daemon's admission rule),
   3. reference run: one uninterrupted `acobe_serve --drain` over all
-     batches,
+     batches, plus a second one at --shards=1 whose alerts.jsonl must be
+     byte-identical and whose ledger must match once run_complete lines
+     and the manifest's shards field are dropped (the shard layout
+     cannot move a result),
   4. soak run: release the same batches one at a time into a second
      watch dir; before letting each batch complete, start the daemon
      and SIGKILL it after a seeded random delay (landing the kill in
@@ -36,6 +39,7 @@ Exit code 0 on success, 1 with a diagnostic on the first failure.
 """
 
 import argparse
+import json
 import os
 import random
 import shutil
@@ -57,7 +61,7 @@ GEN_ARGS = [
 SERVE_ARGS = [
     "--epochs=2", "--window-days=21", "--train-days=12", "--omega=5",
     "--seed=1234", "--alert-top=3", "--persistence-days=2",
-    "--cooloff-days=2", "--shards=2", "--admission=block",
+    "--cooloff-days=2", "--admission=block",
 ]
 DAYS_PER_BATCH = 4
 
@@ -118,16 +122,28 @@ def release(staging, watch_dir, bname):
         pass
 
 
-def serve_argv(serve, watch, out, extra=()):
+def serve_argv(serve, watch, out, extra=(), shards=2):
     return ([serve, f"--watch={watch}", f"--out={out}",
              f"--roster={os.path.join(out, os.pardir, 'data', 'ldap.csv')}"]
-            + SERVE_ARGS + ["--drain"] + list(extra))
+            + SERVE_ARGS + [f"--shards={shards}", "--drain"] + list(extra))
 
 
 def read_ledger_without_run_complete(path):
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")
     return [l for l in lines if l and b'"event": "run_complete"' not in l]
+
+
+def without_manifest_shards(ledger):
+    """Ledger lines with the manifest's shards field dropped."""
+    out = []
+    for line in ledger:
+        event = json.loads(line)
+        if event.get("event") == "manifest":
+            event.pop("shards", None)
+            line = json.dumps(event, sort_keys=True).encode()
+        out.append(line)
+    return out
 
 
 def main():
@@ -153,9 +169,11 @@ def main():
     staging = os.path.join(workdir, "staging")
     ref_watch = os.path.join(workdir, "ref_watch")
     ref_out = os.path.join(workdir, "ref_out")
+    ref1_out = os.path.join(workdir, "ref1_out")
     soak_watch = os.path.join(workdir, "soak_watch")
     soak_out = os.path.join(workdir, "soak_out")
-    for d in (data, staging, ref_watch, ref_out, soak_watch, soak_out):
+    for d in (data, staging, ref_watch, ref_out, ref1_out, soak_watch,
+              soak_out):
         os.makedirs(d)
 
     log("generating dataset")
@@ -176,6 +194,23 @@ def main():
     for name in ("alerts.jsonl", "ledger.jsonl"):
         if not os.path.exists(os.path.join(ref_out, name)):
             fail(f"reference run produced no {name}")
+
+    log("single-shard reference run (uninterrupted drain, --shards=1)")
+    run_checked(serve_argv(args.serve, ref_watch, ref1_out, shards=1),
+                "single-shard acobe_serve")
+    with open(os.path.join(ref_out, "alerts.jsonl"), "rb") as fh:
+        ref_alerts = fh.read()
+    with open(os.path.join(ref1_out, "alerts.jsonl"), "rb") as fh:
+        if fh.read() != ref_alerts:
+            fail("alerts.jsonl differs between --shards=2 and --shards=1")
+    ref_ledger = read_ledger_without_run_complete(
+        os.path.join(ref_out, "ledger.jsonl"))
+    if without_manifest_shards(ref_ledger) != without_manifest_shards(
+            read_ledger_without_run_complete(
+                os.path.join(ref1_out, "ledger.jsonl"))):
+        fail("ledger differs between --shards=2 and --shards=1 beyond the "
+             "manifest's shards field")
+    log(f"--shards=1 matches --shards=2 ({len(ref_alerts)} alert bytes)")
 
     rng = random.Random(args.seed)
     kills = 0
@@ -249,8 +284,6 @@ def main():
         fail(f"only {kills} kills landed, wanted >= {args.min_kills}")
 
     # --- Byte-identity -----------------------------------------------------
-    with open(os.path.join(ref_out, "alerts.jsonl"), "rb") as fh:
-        ref_alerts = fh.read()
     with open(os.path.join(soak_out, "alerts.jsonl"), "rb") as fh:
         soak_alerts = fh.read()
     if ref_alerts != soak_alerts:
@@ -269,8 +302,6 @@ def main():
     log(f"alerts.jsonl byte-identical ({len(ref_alerts)} bytes, "
         f"{n_alerts} alerts)")
 
-    ref_ledger = read_ledger_without_run_complete(
-        os.path.join(ref_out, "ledger.jsonl"))
     soak_ledger = read_ledger_without_run_complete(
         os.path.join(soak_out, "ledger.jsonl"))
     if ref_ledger != soak_ledger:
