@@ -11,7 +11,8 @@
 //     recovery in the CSV readers (src/logs/log_io.h),
 //   - IngestError carries file:line context for the offending row,
 //   - Crc32 / WriteFileAtomic make artifact writes crash-safe and
-//     corruption detectable (src/nn/serialize.h, src/core/ensemble_io.h),
+//     corruption detectable; every binary artifact is framed by the
+//     record codec in src/common/record.h,
 //   - the kExit* codes standardize tool failure paths.
 
 #include <cstddef>

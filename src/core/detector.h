@@ -75,6 +75,7 @@ class SubsetBuilder : public SampleBuilder {
   std::size_t SampleSize(std::size_t n_features) const override {
     return inner_->SampleSize(n_features);
   }
+  int FeatureCount() const override { return inner_->FeatureCount(); }
   int FirstValidDay() const override { return inner_->FirstValidDay(); }
   int EndDay() const override { return inner_->EndDay(); }
   SampleCellRef DescribeCell(std::size_t flat_index,

@@ -7,8 +7,8 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
-#include "common/faults.h"
 #include "common/health.h"
 #include "common/parallel.h"
 #include "common/telemetry.h"
@@ -312,9 +312,7 @@ void AspectEnsemble::Train(
             CheckpointPath(config_.checkpoint_dir, aspects_[a].name);
         telemetry::TraceSpan save_span("ensemble.checkpoint_save",
                                        aspects_[a].name);
-        WriteFileAtomic(ckpt, [&](std::ostream& out) {
-          nn::SaveAutoencoder(specs_[a], models_[a], out);
-        });
+        nn::SaveAutoencoderFile(specs_[a], models_[a], ckpt);
       }
       health::StageAdvance();
     }
@@ -333,6 +331,17 @@ ScoreGrid AspectEnsemble::Score(const SampleBuilder& builder, int n_users,
                                 int day_begin, int day_end) const {
   ACOBE_SPAN("ensemble.score");
   if (!trained_) throw std::logic_error("AspectEnsemble::Score before Train");
+  // BuildSample does not bounds-check feature indices, and a loaded
+  // ensemble may carry any index its file held.
+  for (const AspectGroup& aspect : aspects_) {
+    for (int f : aspect.feature_indices) {
+      if (f < 0 || f >= builder.FeatureCount()) {
+        throw std::invalid_argument("AspectEnsemble::Score: aspect '" +
+                                    aspect.name + "' uses feature " +
+                                    std::to_string(f) + " out of range");
+      }
+    }
+  }
   const int first = std::max(day_begin, builder.FirstValidDay());
   const int last = std::min(day_end, builder.EndDay());
   if (first >= last) {

@@ -1,81 +1,17 @@
 #include "core/monitor.h"
 
 #include <algorithm>
-#include <cstring>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
-#include "common/faults.h"
+#include "common/record.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 
 namespace acobe {
-namespace {
 
-// "acobe.monitor.v1" artifact framing.
-constexpr std::uint32_t kMonitorMagic = 0x41434d53;  // "ACMS"
-constexpr std::uint32_t kMonitorVersion = 1;
-// Sanity cap on the serialized payload: even a million tracked users
-// with long aspect names stays far under this.
-constexpr std::uint32_t kMaxPayload = 1u << 30;
-
-void PutI32(std::string& buf, std::int32_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU32(std::string& buf, std::uint32_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutF32(std::string& buf, float v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutStr(std::string& buf, const std::string& s) {
-  PutU32(buf, static_cast<std::uint32_t>(s.size()));
-  buf.append(s);
-}
-
-class PayloadReader {
- public:
-  /// Reads from `payload`, which must outlive the reader.
-  explicit PayloadReader(std::string_view payload) : payload_(payload) {}
-
-  std::int32_t I32() { return static_cast<std::int32_t>(U32()); }
-  std::uint32_t U32() {
-    std::uint32_t v = 0;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  float F32() {
-    float v = 0;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  std::string Str() {
-    const std::uint32_t n = U32();
-    if (n > payload_.size() - pos_) Fail();
-    std::string s(payload_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-  bool AtEnd() const { return pos_ == payload_.size(); }
-
- private:
-  void Raw(void* dst, std::size_t n) {
-    if (n > payload_.size() - pos_) Fail();
-    std::memcpy(dst, payload_.data() + pos_, n);
-    pos_ += n;
-  }
-  [[noreturn]] static void Fail() {
-    throw std::runtime_error("MonitorState: truncated payload");
-  }
-
-  std::string_view payload_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
+constexpr char kMonitorTag[] = "ACMS";
+constexpr std::uint32_t kMonitorVersion = 2;
 
 MonitorState::MonitorState(MonitorConfig config) : config_(config) {}
 
@@ -195,69 +131,39 @@ std::vector<Alert> MonitorState::OpenAlerts() const {
 }
 
 void MonitorState::Save(std::ostream& out) const {
-  std::string payload;
-  PutI32(payload, config_.n_votes);
-  PutI32(payload, config_.top_positions);
-  PutI32(payload, config_.persistence_days);
-  PutI32(payload, config_.cooloff_days);
-  PutI32(payload, last_day_ == kNoDay ? -1 : 0);
-  PutI32(payload, last_day_ == kNoDay ? 0 : last_day_);
-  PutU32(payload, static_cast<std::uint32_t>(tracking_.size()));
-  auto put_peak = [&](const PeakTrack& p) {
-    PutF32(payload, p.score);
-    PutI32(payload, p.day);
-    PutStr(payload, p.aspect);
-  };
+  RecordWriter w;
+  w.I32(config_.n_votes);
+  w.I32(config_.top_positions);
+  w.I32(config_.persistence_days);
+  w.I32(config_.cooloff_days);
+  w.I32(last_day_ == kNoDay ? -1 : 0);
+  w.I32(last_day_ == kNoDay ? 0 : last_day_);
+  w.Count(tracking_.size());
   for (const Tracking& t : tracking_) {
-    PutI32(payload, t.streak);
-    PutI32(payload, t.quiet);
-    PutU32(payload, t.open ? 1 : 0);
-    PutI32(payload, t.alert.user_idx);
-    PutI32(payload, t.alert.first_day);
-    PutI32(payload, t.alert.last_day);
-    PutI32(payload, t.alert.firing_days);
-    PutI32(payload, t.alert.peak_day);
-    PutI32(payload, t.alert.peak_aspect);
-    PutF32(payload, t.alert.peak_score);
-    PutStr(payload, t.alert.peak_aspect_name);
-    put_peak(t.streak_peak);
-    put_peak(t.pending_peak);
+    w.I32(t.streak);
+    w.I32(t.quiet);
+    w.U32(t.open ? 1 : 0);
+    w.I32(t.alert.user_idx);
+    w.I32(t.alert.first_day);
+    w.I32(t.alert.last_day);
+    w.I32(t.alert.firing_days);
+    w.I32(t.alert.peak_day);
+    w.I32(t.alert.peak_aspect);
+    w.F32(t.alert.peak_score);
+    w.Str(t.alert.peak_aspect_name);
+    for (const PeakTrack* p : {&t.streak_peak, &t.pending_peak}) {
+      w.F32(p->score);
+      w.I32(p->day);
+      w.Str(p->aspect);
+    }
   }
-
-  std::string header;
-  PutU32(header, kMonitorMagic);
-  PutU32(header, kMonitorVersion);
-  PutU32(header, static_cast<std::uint32_t>(payload.size()));
-  const std::uint32_t crc = Crc32(payload);
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  if (!out) throw std::runtime_error("MonitorState: write failed");
+  WriteRecord(out, kMonitorTag, kMonitorVersion, w.payload());
 }
 
 MonitorState MonitorState::Load(std::istream& in) {
-  std::uint32_t header[3] = {};
-  in.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (!in || header[0] != kMonitorMagic) {
-    throw std::runtime_error("MonitorState: bad magic (not a monitor state)");
-  }
-  if (header[1] != kMonitorVersion) {
-    throw std::runtime_error("MonitorState: unsupported version " +
-                             std::to_string(header[1]));
-  }
-  if (header[2] > kMaxPayload) {
-    throw std::runtime_error("MonitorState: implausible payload size");
-  }
-  std::string payload(header[2], '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-  std::uint32_t crc = 0;
-  in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
-  if (!in) throw std::runtime_error("MonitorState: truncated artifact");
-  if (Crc32(payload) != crc) {
-    throw std::runtime_error("MonitorState: CRC mismatch (corrupt artifact)");
-  }
-
-  PayloadReader r(payload);
+  const std::string payload =
+      ReadRecord(in, kMonitorTag, kMonitorVersion, "MonitorState");
+  RecordReader r(payload, "MonitorState");
   MonitorConfig config;
   config.n_votes = r.I32();
   config.top_positions = r.I32();
@@ -267,16 +173,8 @@ MonitorState MonitorState::Load(std::istream& in) {
   const bool no_day = r.I32() == -1;
   const int last_day = r.I32();
   state.last_day_ = no_day ? kNoDay : last_day;
-  const std::uint32_t users = r.U32();
-  if (users > kMaxPayload / 8) {
-    throw std::runtime_error("MonitorState: implausible user count");
-  }
-  state.tracking_.resize(users);
-  auto get_peak = [&](PeakTrack& p) {
-    p.score = r.F32();
-    p.day = r.I32();
-    p.aspect = r.Str();
-  };
+  // A user takes at least 14 fixed-width fields and 3 string lengths.
+  state.tracking_.resize(r.Count(17 * 4, "user"));
   for (Tracking& t : state.tracking_) {
     t.streak = r.I32();
     t.quiet = r.I32();
@@ -289,12 +187,13 @@ MonitorState MonitorState::Load(std::istream& in) {
     t.alert.peak_aspect = r.I32();
     t.alert.peak_score = r.F32();
     t.alert.peak_aspect_name = r.Str();
-    get_peak(t.streak_peak);
-    get_peak(t.pending_peak);
+    for (PeakTrack* p : {&t.streak_peak, &t.pending_peak}) {
+      p->score = r.F32();
+      p->day = r.I32();
+      p->aspect = r.Str();
+    }
   }
-  if (!r.AtEnd()) {
-    throw std::runtime_error("MonitorState: trailing bytes in payload");
-  }
+  r.ExpectEnd();
   return state;
 }
 

@@ -89,8 +89,8 @@ class MonitorState {
   static constexpr int kNoDay = std::numeric_limits<int>::min();
   int last_day() const { return last_day_; }
 
-  /// CRC'd binary artifact ("acobe.monitor.v1"). Save writes the full
-  /// tracker; Load throws std::runtime_error on a short, corrupt or
+  /// One "ACMS" record (common/record.h). Save writes the full
+  /// tracker; Load throws RecordError on a short, corrupt or
   /// version-mismatched stream.
   void Save(std::ostream& out) const;
   static MonitorState Load(std::istream& in);

@@ -21,8 +21,9 @@
 // are byte-identical to an uninterrupted run — the property the
 // service-soak harness enforces with ≥10 seeded kill points.
 //
-// The journal framing matches the PR 4 checkpoint artifacts: magic,
-// version, length-prefixed payload, trailing CRC-32.
+// The journal is one "ACJL" record (common/record.h), the frame every
+// model artifact and monitor snapshot uses too; each monitor blob inside
+// it is itself an "ACMS" record.
 
 #include <cstdint>
 #include <optional>
@@ -33,8 +34,9 @@
 
 namespace acobe {
 
-/// Unusable journal / output-stream state (bad magic, CRC mismatch,
-/// outputs shorter than the journal claims durable).
+/// Unusable journal / output-stream state: any journal decode failure
+/// (bad magic, CRC mismatch, malformed field, undecodable monitor blob)
+/// or outputs shorter than the journal claims durable.
 class JournalError : public std::runtime_error {
  public:
   explicit JournalError(const std::string& what) : std::runtime_error(what) {}

@@ -15,6 +15,7 @@
 #include "common/date.h"
 #include "common/health.h"
 #include "common/ledger.h"
+#include "common/record.h"
 #include "common/shutdown.h"
 #include "common/telemetry.h"
 #include "common/timeframe.h"
@@ -347,7 +348,12 @@ void ServiceSupervisor::RecoverOrInit() {
         for (const auto& [name, blob] : monitor_blobs_) {
           if (name == rt.dept->name) {
             std::istringstream in(blob);
-            rt.monitor = MonitorState::Load(in);
+            try {
+              rt.monitor = MonitorState::Load(in);
+            } catch (const RecordError& e) {
+              throw JournalError("journal " + jpath + ", department " + name +
+                                 ": " + e.what());
+            }
             break;
           }
         }

