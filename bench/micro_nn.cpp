@@ -204,9 +204,10 @@ BENCHMARK(BM_TrainEpoch)->Arg(112)->Arg(392);
 // The ensemble's training pattern: kStreamJobs independent autoencoders
 // over their own data. BM_TrainStreamSolo is the pre-stream shape — N
 // cold TrainReconstruction calls, each with its own workspace.
-// BM_TrainStreamFused is the fused TrainStream path (shared workspace,
-// warm pool; /4 fans the jobs over four workers). The in-run fused/solo
-// ratio is what check_bench.py gates on multi-core machines.
+// BM_TrainStreamFused is the TrainStream path (per-thread reused
+// workspaces, warm pool; /1 is a plain loop over the jobs, /4 fans them
+// over four workers). The in-run /4-over-solo ratio is what
+// check_bench.py gates on multi-core machines.
 
 constexpr int kStreamJobs = 4;
 
@@ -286,16 +287,23 @@ BENCHMARK(BM_OptimizerStep);
 
 // --- Metrics export ---------------------------------------------------------
 
-// Console reporter that additionally records every run's
+// Console reporter that additionally records each benchmark's
 // items_per_second into a telemetry gauge, so --metrics-out can emit
-// the standard acobe.metrics.v1 JSON used by BENCH_* baselines.
+// the standard acobe.metrics.v1 JSON used by BENCH_* baselines. With
+// --benchmark_repetitions above 1 only the median aggregate is
+// recorded, under the unsuffixed benchmark name, so the gauge keys are
+// the same with and without repetitions.
 class GaugeReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
+      const bool recorded =
+          run.repetitions > 1 ? run.run_type == Run::RT_Aggregate &&
+                                    run.aggregate_name == "median"
+                              : run.run_type == Run::RT_Iteration;
       const auto it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) {
-        telemetry::GetGauge("bench." + run.benchmark_name() +
+      if (recorded && it != run.counters.end()) {
+        telemetry::GetGauge("bench." + run.run_name.str() +
                             ".items_per_second")
             .Set(static_cast<double>(it->second));
       }

@@ -94,7 +94,7 @@ struct DetectionOutput {
   std::vector<InvestigationEntry> list;   // critic output, member indices
   std::vector<UserId> members;            // dense member order
   /// Aspects whose training diverged on every retry (see
-  /// EnsembleConfig::allow_degraded). Non-empty means the grid and list
+  /// AspectEnsemble::Train). Non-empty means the grid and list
   /// were produced from the remaining aspects only and the report must
   /// say so. The grid's aspect axis covers healthy aspects only.
   std::vector<std::string> degraded_aspects;

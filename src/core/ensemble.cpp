@@ -33,6 +33,11 @@ std::string CheckpointPath(const std::string& dir,
   return dir + "/aspect_" + stem + ".ae";
 }
 
+// Divergence retry budget per aspect, and the learning-rate factor
+// applied on each retry.
+constexpr int kTrainAttempts = 3;
+constexpr float kRetryLrDecay = 0.5f;
+
 bool SpecsMatch(const nn::AutoencoderSpec& a, const nn::AutoencoderSpec& b) {
   return a.input_dim == b.input_dim && a.encoder_dims == b.encoder_dims &&
          a.batch_norm == b.batch_norm && a.sigmoid_output == b.sigmoid_output;
@@ -141,10 +146,9 @@ void AspectEnsemble::Train(
   }
 
   // Epoch callbacks can arrive from worker threads; serialize them.
-  // Their interleaving across aspects depends on scheduling (and, in
-  // the fused serial stream, on the round-robin), but each model only
-  // consumes its own seed-derived RNG streams, so the trained
-  // parameters are bit-identical however the epochs interleave.
+  // Their interleaving across aspects depends on scheduling, but each
+  // model only consumes its own seed-derived RNG streams, so the
+  // trained parameters are bit-identical however the epochs interleave.
   std::mutex epoch_mutex;
 
   // Phase 1 — per-aspect setup: spec, checkpoint resume, and batch
@@ -164,7 +168,6 @@ void AspectEnsemble::Train(
         nn::AutoencoderSpec spec;
         spec.input_dim = builder.SampleSize(aspect.feature_indices.size());
         spec.encoder_dims = config_.encoder_dims;
-        spec.batch_norm = config_.batch_norm;
         spec.sigmoid_output = true;
         specs_[a] = spec;
 
@@ -205,15 +208,12 @@ void AspectEnsemble::Train(
         needs_train[a] = 1;
       });
 
-  // Phase 2 — the fused training stream: every still-untrained aspect
-  // becomes one TrainJob and the whole batch goes through
-  // nn::TrainStream sharing one context (warm shared pool, per-worker
-  // reused workspaces and pack arenas; with a serial thread
-  // budget, round-robin interleaved per-model epochs on one workspace)
-  // instead of N cold independent trainers. Divergence is handled at
-  // stream granularity: diverged aspects re-enter the next round with
-  // the retry seed/learning-rate derivations until the attempt budget
-  // runs out.
+  // Phase 2 — training: every still-untrained aspect becomes one
+  // TrainJob, and nn::TrainStream fans the jobs out over the shared
+  // pool (a plain loop at one thread), each worker reusing its
+  // workspace and pack arena. Divergence is handled per round:
+  // diverged aspects re-enter the next round with the retry
+  // seed/learning-rate derivations until the attempt budget runs out.
   struct Pending {
     std::size_t a;
     int attempt;
@@ -222,7 +222,6 @@ void AspectEnsemble::Train(
   for (std::size_t a = 0; a < aspects_.size(); ++a) {
     if (needs_train[a]) pending.push_back({a, 0});
   }
-  const int attempts = std::max(1, config_.max_train_attempts);
   while (!pending.empty()) {
     telemetry::TraceSpan stream_span("ensemble.train_stream");
     std::vector<nn::Sequential> nets(pending.size());
@@ -242,7 +241,7 @@ void AspectEnsemble::Train(
       Rng rng(config_.seed + a * 7919 + attempt_key * 0x9E3779B97F4A7C15ULL);
       nets[i].InitParams(rng);
       const float lr = config_.learning_rate *
-                       std::pow(config_.retry_lr_decay,
+                       std::pow(kRetryLrDecay,
                                 static_cast<float>(pending[i].attempt));
       switch (config_.optimizer) {
         case OptimizerKind::kAdadelta:
@@ -250,9 +249,6 @@ void AspectEnsemble::Train(
           break;
         case OptimizerKind::kAdam:
           optimizers[i] = std::make_unique<nn::Adam>(lr);
-          break;
-        case OptimizerKind::kSgd:
-          optimizers[i] = std::make_unique<nn::Sgd>(lr, 0.9f);
           break;
       }
       nn::TrainJob& job = jobs[i];
@@ -288,12 +284,9 @@ void AspectEnsemble::Train(
       AspectTrainSummary& summary = summaries_[a];
       if (jobs[i].diverged) {
         ACOBE_COUNT("ensemble.train_retries", 1);
-        if (pending[i].attempt + 1 < attempts) {
+        if (pending[i].attempt + 1 < kTrainAttempts) {
           retry.push_back({a, pending[i].attempt + 1});
           continue;
-        }
-        if (!config_.allow_degraded) {
-          throw nn::TrainingDiverged(jobs[i].error);
         }
         // Irrecoverable: leave aspect_ok_[a] == 0; Score() ranks from
         // the healthy remainder and reports flag the gap.

@@ -23,14 +23,12 @@ namespace acobe {
 enum class OptimizerKind {
   kAdadelta,  // the paper's choice
   kAdam,      // converges in far fewer epochs; used at reduced scale
-  kSgd,
 };
 
 struct EnsembleConfig {
   /// Encoder widths (paper: 512-256-128-64). Scaled down for
   /// reduced-scale experiments.
   std::vector<std::size_t> encoder_dims = {512, 256, 128, 64};
-  bool batch_norm = true;
   OptimizerKind optimizer = OptimizerKind::kAdadelta;
   float learning_rate = 1.0f;  // Adadelta scale; use ~1e-3 for Adam
   nn::TrainConfig train;
@@ -44,18 +42,6 @@ struct EnsembleConfig {
   /// bit-identical for every thread count: per-aspect RNG streams are
   /// seed-derived and scoring writes disjoint grid cells.
   int threads = 0;
-  /// Total training attempts per aspect. A TrainingDiverged (NaN/Inf
-  /// epoch loss) retries deterministically: attempt k re-derives fresh
-  /// init/shuffle seeds from the base seed and scales the learning rate
-  /// by retry_lr_decay^k. Attempt 0 reproduces the single-attempt seeds
-  /// bit-exactly, so converging runs are unchanged.
-  int max_train_attempts = 3;
-  float retry_lr_decay = 0.5f;
-  /// When an aspect diverges on every attempt: mark it failed and score
-  /// from the remaining aspects (true), or rethrow (false). Failed
-  /// aspects are reported via failed_aspects() and excluded from the
-  /// ScoreGrid.
-  bool allow_degraded = true;
   /// When non-empty, each aspect's trained autoencoder is checkpointed
   /// here (crash-safe: atomic rename + CRC) as soon as it finishes, and
   /// with `resume` set, Train() loads matching checkpoints instead of
@@ -99,7 +85,13 @@ class AspectEnsemble {
 
   /// Trains every aspect model on samples from `builder` for users
   /// [0, n_users) and anchor days [day_begin, day_end) intersected with
-  /// the builder's valid range.
+  /// the builder's valid range. An aspect whose epoch loss goes NaN/Inf
+  /// retries deterministically, up to three attempts: attempt k
+  /// re-derives fresh init/shuffle seeds from the base seed and halves
+  /// the learning rate k times (attempt 0 reproduces the single-attempt
+  /// seeds bit-exactly). An aspect that diverges on every attempt is
+  /// marked failed (failed_aspects()) and Score() ranks from the rest;
+  /// throws std::runtime_error when every aspect failed.
   void Train(const SampleBuilder& builder, int n_users, int day_begin,
              int day_end,
              const std::function<void(const std::string&, const nn::EpochStats&)>&

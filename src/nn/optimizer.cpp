@@ -14,29 +14,6 @@ void RequireAttached(const std::vector<Param*>& params) {
 
 }  // namespace
 
-Sgd::Sgd(float lr, float momentum) : lr_(lr), momentum_(momentum) {}
-
-void Sgd::Attach(std::vector<Param*> params) {
-  params_ = std::move(params);
-  velocity_.clear();
-  for (Param* p : params_) {
-    velocity_.emplace_back(p->value.rows(), p->value.cols());
-  }
-}
-
-void Sgd::Step() {
-  RequireAttached(params_);
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Param& p = *params_[i];
-    Tensor& vel = velocity_[i];
-    for (std::size_t j = 0; j < p.value.size(); ++j) {
-      float v = momentum_ * vel.data()[j] - lr_ * p.grad.data()[j];
-      vel.data()[j] = v;
-      p.value.data()[j] += v;
-    }
-  }
-}
-
 Adam::Adam(float lr, float beta1, float beta2, float epsilon)
     : lr_(lr), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {}
 

@@ -1,7 +1,7 @@
 #pragma once
 
-// First-order optimizers. The paper trains with Adadelta; SGD and Adam
-// are provided for ablations and tests.
+// First-order optimizers. The paper trains with Adadelta; Adam
+// converges in far fewer epochs and is used at reduced scale.
 
 #include <memory>
 #include <string>
@@ -22,20 +22,6 @@ class Optimizer {
   virtual void Step() = 0;
 
   virtual std::string Name() const = 0;
-};
-
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float lr, float momentum = 0.0f);
-  void Attach(std::vector<Param*> params) override;
-  void Step() override;
-  std::string Name() const override { return "sgd"; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Param*> params_;
-  std::vector<Tensor> velocity_;
 };
 
 class Adam : public Optimizer {

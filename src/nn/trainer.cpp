@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 
@@ -16,168 +17,80 @@ TrainWorkspace& ThreadTrainWorkspace() {
   return workspace;
 }
 
-ReconstructionTrainer::ReconstructionTrainer(Sequential& net,
-                                             Optimizer& optimizer,
-                                             const Tensor& data,
-                                             const TrainConfig& config,
-                                             TrainWorkspace* workspace)
-    : net_(net),
-      optimizer_(optimizer),
-      data_(data),
-      config_(config),
-      workspace_(workspace != nullptr ? workspace : &owned_workspace_),
-      rng_(config.seed),
-      order_(data.rows()),
-      batch_(std::max<std::size_t>(1, config.batch_size)),
-      best_loss_(std::numeric_limits<float>::infinity()) {
-  if (data.rows() == 0) {
-    throw std::invalid_argument("TrainReconstruction: empty dataset");
-  }
-  optimizer_.Attach(net_.Params());
-  std::iota(order_.begin(), order_.end(), 0);
-  history_.reserve(static_cast<std::size_t>(config_.epochs));
-}
-
-EpochStats ReconstructionTrainer::RunEpoch() {
-  acobe::telemetry::TraceSpan epoch_span("nn.train_epoch");
-  const std::size_t n = data_.rows();
-  const std::size_t dim = data_.cols();
-  // The batch buffers live in the workspace and are resized in place
-  // (ResizeUninit never shrinks capacity), so after the first full-size
-  // batch the epoch loop performs no heap allocation.
-  Tensor& x = workspace_->x;
-  Tensor& grad = workspace_->grad;
-  rng_.Shuffle(order_);
-  // Per-sample accumulation: each batch mean is weighted by its sample
-  // count, so a partial final batch no longer skews the epoch loss
-  // (and with it the early-stopping comparison) as if it were full.
-  double epoch_loss = 0.0;
-  for (std::size_t start = 0; start < n; start += batch_) {
-    const std::size_t count = std::min(batch_, n - start);
-    x.ResizeUninit(count, dim);
-    for (std::size_t i = 0; i < count; ++i) {
-      const float* src = data_.data() + order_[start + i] * dim;
-      std::copy(src, src + dim, x.data() + i * dim);
-    }
-    net_.ZeroGrad();
-    const Tensor& pred = net_.Forward(x, workspace_->scratch,
-                                      /*training=*/true);
-    epoch_loss += static_cast<double>(MseLoss(pred, x, grad)) * count;
-    net_.Backward(grad, workspace_->scratch, /*need_input_grad=*/false);
-    optimizer_.Step();
-  }
-  EpochStats stats{next_epoch_, static_cast<float>(epoch_loss / n)};
-  ++next_epoch_;
-  if (config_.abort_on_nonfinite && !std::isfinite(stats.loss)) {
-    stopped_ = true;
-    ACOBE_COUNT("nn.train_diverged", 1);
-    throw TrainingDiverged("TrainReconstruction: non-finite loss at epoch " +
-                           std::to_string(stats.epoch));
-  }
-  history_.push_back(stats);
-  ACOBE_COUNT("nn.epochs", 1);
-  ACOBE_COUNT("nn.samples_trained", n);
-  if (config_.patience > 0) {
-    if (stats.loss < best_loss_ - config_.min_delta) {
-      best_loss_ = stats.loss;
-      stall_ = 0;
-    } else if (++stall_ >= config_.patience) {
-      stopped_ = true;
-    }
-  }
-  return stats;
-}
-
 std::vector<EpochStats> TrainReconstruction(
     Sequential& net, Optimizer& optimizer, const Tensor& data,
     const TrainConfig& config,
     const std::function<void(const EpochStats&)>& on_epoch,
     TrainWorkspace* workspace) {
-  ReconstructionTrainer trainer(net, optimizer, data, config, workspace);
-  while (!trainer.done()) {
-    const EpochStats stats = trainer.RunEpoch();
+  const std::size_t n = data.rows();
+  if (n == 0) {
+    throw std::invalid_argument("TrainReconstruction: empty dataset");
+  }
+  const std::size_t dim = data.cols();
+  const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
+  TrainWorkspace owned;
+  TrainWorkspace& ws = workspace != nullptr ? *workspace : owned;
+  // The batch buffers live in the workspace and are resized in place
+  // (ResizeUninit never shrinks capacity), so after the first full-size
+  // batch the epoch loop performs no heap allocation.
+  Tensor& x = ws.x;
+  Tensor& grad = ws.grad;
+  optimizer.Attach(net.Params());
+  Rng rng(config.seed);
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<EpochStats> history;
+  history.reserve(static_cast<std::size_t>(std::max(0, config.epochs)));
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    acobe::telemetry::TraceSpan epoch_span("nn.train_epoch");
+    rng.Shuffle(order);
+    // Per-sample accumulation: each batch mean is weighted by its
+    // sample count, so a partial final batch does not skew the epoch
+    // loss as if it were full.
+    double epoch_loss = 0.0;
+    for (std::size_t start = 0; start < n; start += batch) {
+      const std::size_t count = std::min(batch, n - start);
+      x.ResizeUninit(count, dim);
+      for (std::size_t i = 0; i < count; ++i) {
+        const float* src = data.data() + order[start + i] * dim;
+        std::copy(src, src + dim, x.data() + i * dim);
+      }
+      net.ZeroGrad();
+      const Tensor& pred = net.Forward(x, ws.scratch, /*training=*/true);
+      epoch_loss += static_cast<double>(MseLoss(pred, x, grad)) * count;
+      net.Backward(grad, ws.scratch, /*need_input_grad=*/false);
+      optimizer.Step();
+    }
+    const EpochStats stats{epoch, static_cast<float>(epoch_loss / n)};
+    if (!std::isfinite(stats.loss)) {
+      ACOBE_COUNT("nn.train_diverged", 1);
+      throw TrainingDiverged("TrainReconstruction: non-finite loss at epoch " +
+                             std::to_string(epoch));
+    }
+    history.push_back(stats);
+    ACOBE_COUNT("nn.epochs", 1);
+    ACOBE_COUNT("nn.samples_trained", n);
     if (on_epoch) on_epoch(stats);
   }
-  return trainer.TakeHistory();
+  return history;
 }
-
-namespace {
-
-// Runs `job` start to finish on the calling thread's shared workspace,
-// converting a TrainingDiverged throw into the job's outcome fields.
-void RunJob(TrainJob& job) {
-  try {
-    job.history =
-        TrainReconstruction(*job.net, *job.optimizer, *job.data, job.config,
-                            job.on_epoch, &ThreadTrainWorkspace());
-  } catch (const TrainingDiverged& e) {
-    job.diverged = true;
-    job.error = e.what();
-  }
-}
-
-}  // namespace
 
 void TrainStream(std::vector<TrainJob>& jobs, int threads) {
   if (jobs.empty()) return;
   ACOBE_COUNT("nn.train_stream.jobs", jobs.size());
-  const int n = ResolveThreadCount(threads);
-  if (n > 1 && !OnWorkerThread() && jobs.size() > 1) {
-    // Job-level fan-out: each pool worker claims whole jobs and reuses
-    // its thread-local workspace across every job it runs.
-    PooledParallelFor(0, static_cast<int>(jobs.size()), threads,
-                      [&jobs](int i) { RunJob(jobs[static_cast<std::size_t>(i)]); });
-    return;
-  }
-  // Fused serial stream: round-robin one epoch per live job, every job
-  // sharing this thread's workspace. Interleaving epochs keeps the
-  // stream's working set (batch buffers, pack arena, optimizer state of
-  // the model in flight) warm while still giving each model exactly the
-  // arithmetic it would see training alone.
-  std::vector<ReconstructionTrainer> trainers;
-  std::vector<std::size_t> live;
-  trainers.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    TrainJob& job = jobs[i];
+  // Each job runs start to finish on its worker's thread-local
+  // workspace; a TrainingDiverged throw becomes the job's outcome.
+  PooledParallelFor(0, static_cast<int>(jobs.size()), threads, [&jobs](int i) {
+    TrainJob& job = jobs[static_cast<std::size_t>(i)];
     try {
-      trainers.emplace_back(*job.net, *job.optimizer, *job.data, job.config,
-                            &ThreadTrainWorkspace());
-      live.push_back(i);
+      job.history =
+          TrainReconstruction(*job.net, *job.optimizer, *job.data, job.config,
+                              job.on_epoch, &ThreadTrainWorkspace());
     } catch (const TrainingDiverged& e) {
       job.diverged = true;
       job.error = e.what();
     }
-  }
-  // `live` indexes jobs whose trainer sits at the same position offset:
-  // trainer t belongs to jobs[live[t]] only while constructor order is
-  // preserved, so map explicitly.
-  std::vector<ReconstructionTrainer*> trainer_of(jobs.size(), nullptr);
-  for (std::size_t t = 0; t < live.size(); ++t) {
-    trainer_of[live[t]] = &trainers[t];
-  }
-  bool any_live = !live.empty();
-  while (any_live) {
-    any_live = false;
-    for (std::size_t i : live) {
-      TrainJob& job = jobs[i];
-      ReconstructionTrainer* trainer = trainer_of[i];
-      if (trainer == nullptr || job.diverged || trainer->done()) continue;
-      try {
-        const EpochStats stats = trainer->RunEpoch();
-        if (job.on_epoch) job.on_epoch(stats);
-      } catch (const TrainingDiverged& e) {
-        job.diverged = true;
-        job.error = e.what();
-        continue;
-      }
-      if (!trainer->done()) any_live = true;
-    }
-  }
-  for (std::size_t i : live) {
-    if (!jobs[i].diverged && trainer_of[i] != nullptr) {
-      jobs[i].history = trainer_of[i]->TakeHistory();
-    }
-  }
+  });
 }
 
 std::vector<float> ReconstructionErrors(const Sequential& net,

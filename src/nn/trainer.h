@@ -2,26 +2,21 @@
 
 // Deterministic mini-batch trainer for reconstruction models.
 //
-// Three entry tiers, all producing bit-identical parameters for a given
+// Two entry points, both producing bit-identical parameters for a given
 // (net, data, config) because every model consumes only its own
 // seed-derived RNG streams and its own accumulation order:
-//   TrainReconstruction   — one model, start to finish (the original API).
-//   ReconstructionTrainer — one model as a resumable epoch stepper, so a
-//                           caller can interleave epochs across models.
-//   TrainStream           — a batch of models through one shared training
-//                           context: serial callers get round-robin
-//                           interleaved epochs over a single reused
-//                           workspace (warm caches, zero per-model buffer
-//                           re-allocation); parallel callers get job-level
-//                           fan-out over the shared thread pool with
-//                           per-worker workspaces.
+//   TrainReconstruction — one model, start to finish.
+//   TrainStream         — a batch of models fanned out job-per-worker
+//                         over the shared thread pool (a plain loop at
+//                         one thread), each worker reusing its
+//                         thread-local workspace, with per-job
+//                         divergence capture.
 
 #include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
 
@@ -31,15 +26,6 @@ struct TrainConfig {
   int epochs = 30;
   std::size_t batch_size = 64;
   std::uint64_t seed = 42;
-  /// Stop when epoch loss improves by less than `min_delta` for
-  /// `patience` consecutive epochs (0 disables early stopping).
-  int patience = 0;
-  float min_delta = 1e-5f;
-  /// Throw TrainingDiverged as soon as an epoch loss is NaN/Inf. A
-  /// diverged model would otherwise score every sample NaN and silently
-  /// poison the critic's rankings; callers (AspectEnsemble) catch the
-  /// throw and retry deterministically with a reduced learning rate.
-  bool abort_on_nonfinite = true;
 };
 
 struct EpochStats {
@@ -48,7 +34,10 @@ struct EpochStats {
 };
 
 /// Epoch loss went NaN/Inf (exploding gradients, poisoned input, too
-/// hot a learning rate). The model's parameters are unusable.
+/// hot a learning rate). The model's parameters are unusable: it would
+/// score every sample NaN and silently poison the critic's rankings, so
+/// training always throws this; callers (AspectEnsemble) catch it and
+/// retry deterministically with a reduced learning rate.
 struct TrainingDiverged : std::runtime_error {
   explicit TrainingDiverged(const std::string& what)
       : std::runtime_error(what) {}
@@ -66,48 +55,8 @@ struct TrainWorkspace {
 };
 
 /// The calling thread's lazily-created workspace, reused across every
-/// model this thread trains (TrainStream's workers and AspectEnsemble's
-/// pool workers route through this).
+/// model this thread trains (TrainStream's jobs route through this).
 TrainWorkspace& ThreadTrainWorkspace();
-
-/// One model's training loop as a resumable stepper: construct, then
-/// call RunEpoch() until done(). Exists so TrainStream can interleave
-/// epochs across models; TrainReconstruction is the run-to-completion
-/// wrapper. The trainer borrows net/optimizer/data/workspace — all must
-/// outlive it. Passing a null workspace uses an internal one.
-class ReconstructionTrainer {
- public:
-  ReconstructionTrainer(Sequential& net, Optimizer& optimizer,
-                        const Tensor& data, const TrainConfig& config,
-                        TrainWorkspace* workspace = nullptr);
-
-  /// True once the epoch budget is spent or early stopping tripped.
-  bool done() const { return stopped_ || next_epoch_ >= config_.epochs; }
-
-  /// Runs one epoch (must not be called when done()). Appends to
-  /// history(), updates the early-stopping state, and throws
-  /// TrainingDiverged on a non-finite loss when the config asks for it.
-  EpochStats RunEpoch();
-
-  const std::vector<EpochStats>& history() const { return history_; }
-  std::vector<EpochStats> TakeHistory() { return std::move(history_); }
-
- private:
-  Sequential& net_;
-  Optimizer& optimizer_;
-  const Tensor& data_;
-  TrainConfig config_;
-  TrainWorkspace owned_workspace_;
-  TrainWorkspace* workspace_;
-  Rng rng_;
-  std::vector<std::size_t> order_;
-  std::vector<EpochStats> history_;
-  std::size_t batch_;
-  int next_epoch_ = 0;
-  bool stopped_ = false;
-  float best_loss_;
-  int stall_ = 0;
-};
 
 /// One model's slot in a TrainStream batch. The caller owns net,
 /// optimizer, and data (all borrowed for the duration of the stream);
@@ -127,25 +76,20 @@ struct TrainJob {
   std::string error;        // its message, when diverged
 };
 
-/// Trains every job in `jobs` through one shared context. With a
-/// resolved thread count of 1 (or when called from a pool worker) the
-/// jobs advance in deterministic round-robin: one epoch per live job
-/// per pass, all through the calling thread's shared workspace — the
-/// fused stream that keeps pool, caches, and scratch warm across the
-/// whole ensemble instead of N cold independent trainers. With more
-/// threads, jobs fan out job-per-worker over the shared pool, each
-/// worker reusing its thread-local workspace across the jobs it claims.
-/// Either way each model's parameters are bit-identical to training it
-/// alone: a job only ever consumes its own seed-derived streams.
-/// Divergence is per-job: a TrainingDiverged job is recorded
+/// Trains every job in `jobs`, fanned out job-per-worker over the
+/// shared pool (PooledParallelFor: inline and in order at one thread or
+/// on a pool worker). Each model's parameters are bit-identical to
+/// training it alone: a job only ever consumes its own seed-derived
+/// streams. Divergence is per-job: a TrainingDiverged job is recorded
 /// (diverged/error) and the stream continues; no exception escapes for
 /// it. `threads` follows the ResolveThreadCount rule.
 void TrainStream(std::vector<TrainJob>& jobs, int threads);
 
 /// Trains `net` to reconstruct `data` (each row one sample) with MSE.
-/// Returns per-epoch losses. `on_epoch` (optional) observes progress.
-/// `workspace` (optional) supplies the batch buffers — pass
-/// ThreadTrainWorkspace() to reuse them across models on this thread.
+/// Returns per-epoch losses; throws TrainingDiverged on a non-finite
+/// epoch loss. `on_epoch` (optional) observes progress. `workspace`
+/// (optional) supplies the batch buffers — pass ThreadTrainWorkspace()
+/// to reuse them across models on this thread.
 std::vector<EpochStats> TrainReconstruction(
     Sequential& net, Optimizer& optimizer, const Tensor& data,
     const TrainConfig& config,

@@ -896,7 +896,6 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
   spec.name = "acobe-serve";
   spec.ensemble.seed = config_.seed;
   spec.ensemble.threads = 1;  // per-shard determinism
-  spec.ensemble.allow_degraded = true;
   std::vector<DepartmentJob> jobs;
   for (const auto& rt : shard.depts) {
     jobs.push_back({rt.dept->name, rt.dept->members, spec});

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include "common/csv.h"
 #include "common/date.h"
 #include "common/faults.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/timeframe.h"
@@ -424,6 +426,86 @@ TEST(WriteFileAtomicTest, UnwritableDirectoryThrows) {
       WriteFileAtomic("/nonexistent-dir-xyz/file",
                       [](std::ostream& out) { out << "x"; }),
       std::runtime_error);
+}
+
+// --- JSON fuzzing --------------------------------------------------------------
+
+// One document of each kind the JSON reader is fed: a run-ledger line,
+// a health heartbeat and an explain report (shortened, same shapes).
+const char* const kJsonSeeds[] = {
+    R"({"event": "aspect_trained", "department": "Department-1", "aspect": "device", "attempts": 1, "resumed": false, "ok": true, "epochs": 3, "final_loss": 0.0272342, "epoch_losses": [0.0316856, 0.0291011, 2.72342e-2], "note": null})",
+    R"({"schema":"acobe.health.v1","tool":"acobe-serve","seq":7,"uptime_ms":7012,"interval_ms":1000,"final":false,"stage":{"name":"detect","detail":"Dept \"R&D\" \u00e9\ud83d\ude00\n","done":2,"total":5,"elapsed_s":1.25,"eta_s":-1},"stages":[{"stage":"ingest","seconds":0.5,"done":1,"total":1}],"rss_bytes":104857600,"cpu":{"proc_seconds":3.5,"utilization":0.97},"counters":{"nn.epochs":{"total":120,"delta":12,"rate":12.0}},"gauges":{}})",
+    R"({"schema":"acobe.explain.v1","build":{"version":"0.8.0","simd":"avx2","telemetry":true},"dataset":{"dir":"C:\\data\/ds","digest":3582789404,"start":"2010-01-02"},"departments":[{"name":"Department-1","members":6,"degraded_aspects":[],"list":[{"rank":1,"user":"QUB0000","priority":1}],"attributions":[{"user":"QUB0000","aspects":[{"aspect":"device","peak_score":1.78106,"cells":[{"feature":"connection","frame":"18-06","error":0.260533,"share":7.8542E-2,"input":1,"group_input":-0.0}]}]}]}]})",
+};
+
+// Applies one random mutation: a bit flip, a truncation, an insert of
+// a random byte or a JSON token, or a run of nesting openers.
+void MutateJson(std::string& doc, Rng& rng) {
+  static const char* const kTokens[] = {"[",  "{",   "\"", "\\u", "\\",
+                                        "-",  "1e",  ",",  ":",  "}",
+                                        "]",  "nul", "tru", "0.", "\\ud800"};
+  const auto at = [&] {
+    return static_cast<std::size_t>(rng.NextBounded(doc.size() + 1));
+  };
+  switch (rng.NextInt(0, 4)) {
+    case 0:  // one random bit
+      if (!doc.empty()) {
+        doc[at() % doc.size()] ^= static_cast<char>(1 << rng.NextInt(0, 7));
+      }
+      break;
+    case 1:  // cut short
+      doc.resize(at());
+      break;
+    case 2:  // a random byte inserted
+      doc.insert(at(), 1, static_cast<char>(rng.NextInt(0, 255)));
+      break;
+    case 3:  // a JSON token inserted
+      doc.insert(at(), kTokens[rng.NextBounded(std::size(kTokens))]);
+      break;
+    default: {  // deep nesting, around the parser's depth limit
+      const std::size_t depth = static_cast<std::size_t>(rng.NextInt(1, 200));
+      const std::size_t pos = at();
+      if (rng.NextInt(0, 1) == 0) {
+        doc.insert(pos, depth, '[');
+      } else {
+        std::string opener;
+        for (std::size_t i = 0; i < depth; ++i) opener += "{\"k\":";
+        doc.insert(pos, opener);
+      }
+      break;
+    }
+  }
+}
+
+TEST(JsonFuzzTest, MutatedDocumentsParseOrThrowParseError) {
+  Rng rng(18);
+  for (const char* seed : kJsonSeeds) {
+    ASSERT_NO_THROW(json::Value::Parse(seed)) << seed;
+    int parsed = 0, rejected = 0;
+    for (int i = 0; i < 3000; ++i) {
+      std::string doc = seed;
+      const int mutations = rng.NextInt(1, 3);
+      for (int m = 0; m < mutations; ++m) MutateJson(doc, rng);
+      try {
+        json::Value::Parse(doc);
+        ++parsed;
+      } catch (const json::ParseError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "unexpected " << e.what() << " for: " << doc;
+      }
+    }
+    // Both outcomes occur: the mutations reach past the first byte.
+    EXPECT_GT(parsed, 0) << seed;
+    EXPECT_GT(rejected, 0) << seed;
+  }
+}
+
+TEST(JsonFuzzTest, NestingFarPastTheLimitIsAParseError) {
+  EXPECT_THROW(json::Value::Parse(std::string(100000, '[')), json::ParseError);
+  std::string objects;
+  for (int i = 0; i < 10000; ++i) objects += "{\"k\":";
+  EXPECT_THROW(json::Value::Parse(objects), json::ParseError);
 }
 
 // --- stats -------------------------------------------------------------------

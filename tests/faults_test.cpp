@@ -628,6 +628,13 @@ TEST(DegradationTest, PoisonedAspectIsDroppedAndRestStillScore) {
   EXPECT_FALSE(ensemble.aspect_ok(1));
   EXPECT_EQ(ensemble.healthy_aspect_count(), 1);
   EXPECT_EQ(ensemble.failed_aspects(), std::vector<std::string>{"y"});
+  // The poisoned aspect spent the whole retry budget; the healthy one
+  // converged on its first attempt.
+  ASSERT_EQ(ensemble.train_summaries().size(), 2u);
+  EXPECT_EQ(ensemble.train_summaries()[1].attempts, 3);
+  EXPECT_FALSE(ensemble.train_summaries()[1].ok);
+  EXPECT_EQ(ensemble.train_summaries()[0].attempts, 1);
+  EXPECT_TRUE(ensemble.train_summaries()[0].ok);
 
   const ScoreGrid grid = ensemble.Score(builder, 5, 20, 30);
   ASSERT_EQ(grid.aspects(), 1);
@@ -643,16 +650,20 @@ TEST(DegradationTest, PoisonedAspectIsDroppedAndRestStillScore) {
   EXPECT_THROW(SaveEnsemble(ensemble, ss), std::logic_error);
 }
 
-TEST(DegradationTest, StrictModeRethrowsDivergence) {
+TEST(DegradationTest, EveryAspectDivergedThrows) {
   const MeasurementCube cube = ToyCube(5, 30);
   const NormalizedDayBuilder inner(&cube, 0, 20);
-  const PoisonFeatureBuilder builder(&inner, /*poisoned_feature=*/0);
+  const PoisonFeatureBuilder poison_y(&inner, /*poisoned_feature=*/1);
+  const PoisonFeatureBuilder builder(&poison_y, /*poisoned_feature=*/0);
   const FeatureCatalog catalog({{"f0", "x", 1.0}, {"f1", "y", 1.0}});
 
-  EnsembleConfig cfg = SmallConfig();
-  cfg.allow_degraded = false;
-  AspectEnsemble ensemble(catalog.aspects(), cfg);
-  EXPECT_THROW(ensemble.Train(builder, 5, 0, 20), nn::TrainingDiverged);
+  AspectEnsemble ensemble(catalog.aspects(), SmallConfig());
+  EXPECT_THROW(ensemble.Train(builder, 5, 0, 20), std::runtime_error);
+  EXPECT_FALSE(ensemble.trained());
+  for (const AspectTrainSummary& s : ensemble.train_summaries()) {
+    EXPECT_EQ(s.attempts, 3) << s.name;
+    EXPECT_FALSE(s.ok) << s.name;
+  }
 }
 
 TEST(DegradationTest, DegradedScoringIsThreadCountInvariant) {

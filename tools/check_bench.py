@@ -13,12 +13,18 @@ cancels out clock speed, turbo state, and container noise. The gate fails
 if any size's current speedup drops below `tolerance` times the baseline
 speedup (default 0.8, i.e. a >20% relative regression of BM_Gemm).
 
-Default mode also gates the fused ensemble training stream on its own
-in-run ratio, which equally transfers across machines:
-BM_TrainStreamFused/112/4 over BM_TrainStreamSolo/112 must be
->= --fused-floor (default 1.5). It is applied when the run's
+Default mode also gates the ensemble's 4-thread training fan-out on its
+own in-run ratio, which equally transfers across machines:
+BM_TrainStreamFused/112/4 (TrainStream over four pool workers) over
+BM_TrainStreamSolo/112 (the same jobs trained one after another) must
+be >= --fused-floor (default 1.5). It is applied when the run's
 bench.hw_threads gauge is >= 2 — on one core four workers time-slice
 and the ratio measures the scheduler — and skipped (loudly) otherwise.
+
+Both runs should come from the pinned command line
+`--benchmark_min_time=0.5 --benchmark_repetitions=5
+--benchmark_report_aggregates_only=true`: micro_nn then records each
+benchmark's median under its plain name.
 
 The baseline and the current run must carry the same bench.hw_threads:
 a ratio recorded with one core count says nothing about another, so a
@@ -134,8 +140,8 @@ FUSED_DEN = "bench.BM_TrainStreamSolo/112/real_time.items_per_second"
 
 
 def check_fused(cur, floor):
-    """The fused train-stream floor, hardware-gated by the run's own
-    bench.hw_threads gauge. Returns True on failure."""
+    """The 4-thread training fan-out floor, hardware-gated by the run's
+    own bench.hw_threads gauge. Returns True on failure."""
     num, den = cur.get(FUSED_NUM), cur.get(FUSED_DEN)
     if num is None or den is None:
         print(f"check_bench: missing gauge for {FUSED_LABEL} "
@@ -163,8 +169,9 @@ def main():
                     help="fail if current speedup < baseline speedup * "
                          "TOLERANCE (default 0.8)")
     ap.add_argument("--fused-floor", type=float, default=1.5,
-                    help="minimum fused/solo train-stream speedup on "
-                         "machines with >= 2 hardware threads (default 1.5)")
+                    help="minimum speedup of the 4-thread TrainStream "
+                         "fan-out over solo training on machines with >= 2 "
+                         "hardware threads (default 1.5)")
     ap.add_argument("--pipeline", action="store_true",
                     help="gate a bench_pipeline.py run instead of GEMM")
     ap.add_argument("--rss-tolerance", type=float, default=1.25,
