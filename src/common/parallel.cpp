@@ -145,7 +145,7 @@ void ParallelFor(int begin, int end, int threads,
   if (n > span) n = span;
   ACOBE_COUNT("parallel.for_calls", 1);
   ACOBE_HISTOGRAM("parallel.for_iterations", span);
-  if (n <= 1) {
+  if (n <= 1 || OnWorkerThread()) {
     for (int i = begin; i < end; ++i) fn(i);
     return;
   }
@@ -200,9 +200,12 @@ void PooledParallelFor(int begin, int end, int threads,
                        const std::function<void(int)>& fn) {
   if (begin >= end) return;
   const int span = end - begin;
-  const int n = std::min(ResolveThreadCount(threads), span);
+  // The pool is keyed by the resolved count, not by min(count, span):
+  // one thread count means one pool, however short the range.
+  // ThreadPool::ParallelFor caps its tasks at the span itself.
+  const int n = ResolveThreadCount(threads);
   ACOBE_COUNT("parallel.pooled_for_calls", 1);
-  if (n <= 1 || OnWorkerThread()) {
+  if (n <= 1 || span <= 1 || OnWorkerThread()) {
     for (int i = begin; i < end; ++i) fn(i);
     return;
   }

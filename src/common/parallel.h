@@ -73,8 +73,9 @@ class ThreadPool {
 /// independent: fn must not touch shared mutable state except through
 /// disjoint writes (e.g. element i of an output array). Blocks until
 /// every iteration finished; the first exception thrown by any
-/// iteration is rethrown on the calling thread after the join. With a
-/// resolved count of 1 (or end - begin <= 1) runs inline, in order.
+/// iteration is rethrown on the calling thread after the join. Runs
+/// inline, in order, when the resolved count is 1, end - begin <= 1,
+/// or the caller is already on a worker thread (see OnWorkerThread).
 /// Spawns fresh worker threads per call; phases that run many times
 /// should prefer PooledParallelFor for warm workers.
 void ParallelFor(int begin, int end, int threads,

@@ -1,5 +1,11 @@
 #include "core/detector.h"
 
+#include <condition_variable>
+#include <deque>
+#include <exception>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "common/health.h"
@@ -196,24 +202,194 @@ DetectionOutput Detector::Run(const MeasurementCube& cube,
   return out;
 }
 
-std::vector<DetectionOutput> DetectDepartments(
-    const std::vector<DepartmentJob>& jobs, const DetectionDays& days,
-    const std::function<void(LogSink&)>& feed,
-    const std::function<bool(std::size_t)>& proceed) {
-  std::vector<DetectionOutput> outputs;
-  DepartmentDemux demux(days.start, days.days);
-  for (const DepartmentJob& job : jobs) {
-    demux.AddDepartment(job.name, job.members);
+namespace {
+
+/// Shards whose cubes may be resident at once above one thread: the one
+/// detecting and the next one, which the calling thread feeds
+/// meanwhile. A window of four measured no faster on a 4-thread,
+/// 20-department run.
+constexpr std::size_t kResidentShards = 2;
+
+std::unique_ptr<DepartmentDemux> FeedShard(const DetectionShard& shard,
+                                           const DetectionDays& days) {
+  auto demux = std::make_unique<DepartmentDemux>(days.start, days.days);
+  for (const DepartmentJob& job : shard.jobs) {
+    demux->AddDepartment(job.name, job.members);
   }
-  feed(demux);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (proceed && !proceed(j)) break;
-    const int d = static_cast<int>(j);
-    outputs.push_back(Detector(jobs[j].spec)
-                          .Run(demux.extractor(d).cube(),
-                               demux.extractor(d).catalog(), jobs[j].members,
-                               /*train_begin=*/0, days.train_end,
-                               days.score_begin, days.score_end));
+  shard.feed(*demux);
+  return demux;
+}
+
+DetectionOutput DetectJob(const DetectorSpec& spec, const DepartmentJob& job,
+                          const DepartmentDemux& demux, int dept,
+                          const DetectionDays& days) {
+  return Detector(spec).Run(demux.extractor(dept).cube(),
+                            demux.extractor(dept).catalog(), job.members,
+                            /*train_begin=*/0, days.train_end,
+                            days.score_begin, days.score_end);
+}
+
+/// DetectDepartments above one thread. Pool tasks claim jobs in
+/// (shard, job) order under `mutex_`, so `proceed` sees them in order
+/// and a stop always leaves a prefix. The destructor joins every task,
+/// so none outlives the state it references, whatever throws.
+class DepartmentFanOut {
+ public:
+  DepartmentFanOut(const std::vector<DetectionShard>& shards,
+                   const DetectionDays& days, int threads,
+                   const std::function<bool(std::size_t)>& proceed)
+      : shards_(shards),
+        days_(days),
+        pool_(SharedPool(threads)),
+        proceed_(proceed),
+        cubes_(shards.size()),
+        jobs_done_(shards.size(), 0) {
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      first_job_.push_back(job_shard_.size());
+      job_shard_.insert(job_shard_.end(), shards[s].jobs.size(), s);
+    }
+    outputs_.resize(job_shard_.size());
+    end_ = job_shard_.size();
+  }
+
+  DepartmentFanOut(const DepartmentFanOut&) = delete;
+  DepartmentFanOut& operator=(const DepartmentFanOut&) = delete;
+
+  ~DepartmentFanOut() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    for (std::future<void>& task : tasks_) task.wait();
+  }
+
+  std::vector<DetectionOutput> Run() {
+    std::deque<std::size_t> resident;
+    for (std::size_t s = 0; s < shards_.size() && !Stopped(); ++s) {
+      if (shards_[s].jobs.empty()) continue;
+      std::unique_ptr<DepartmentDemux> demux;
+      try {
+        demux = FeedShard(shards_[s], days_);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        Fail(2 * first_job_[s], std::current_exception());
+        break;
+      }
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        cubes_[s] = std::move(demux);
+      }
+      for (std::size_t j = 0; j < shards_[s].jobs.size(); ++j) {
+        tasks_.push_back(pool_.Submit([this] { RunNextJob(); }));
+      }
+      resident.push_back(s);
+      while (resident.size() >= kResidentShards) {
+        WaitForShard(resident.front());
+        resident.pop_front();
+      }
+    }
+    for (std::future<void>& task : tasks_) task.wait();
+    if (failure_) std::rethrow_exception(failure_);
+    outputs_.resize(end_);
+    return std::move(outputs_);
+  }
+
+ private:
+  bool Stopped() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stop_;
+  }
+
+  /// Records a failure (callers hold `mutex_`). `key` orders failures
+  /// as the serial loop would meet them: 2 * first job for a shard's
+  /// feed, 2 * job + 1 for a job.
+  void Fail(std::size_t key, std::exception_ptr error) {
+    if (!failure_ || key < failure_key_) {
+      failure_ = std::move(error);
+      failure_key_ = key;
+    }
+    stop_ = true;
+    changed_.notify_all();
+  }
+
+  /// Blocks until every job of shard `s` finished, then frees its cubes.
+  /// Returns early (keeping the cubes) once the run stopped.
+  void WaitForShard(std::size_t s) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [&] {
+      return stop_ || jobs_done_[s] == shards_[s].jobs.size();
+    });
+    if (!stop_) cubes_[s].reset();
+  }
+
+  /// One pool task: claims the next job and runs it. `proceed` runs
+  /// under the lock, atomically with the claim, so its calls come in
+  /// job order.
+  void RunNextJob() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (stop_) return;
+    const std::size_t k = next_job_++;
+    const std::size_t s = job_shard_[k];
+    try {
+      if (proceed_ && !proceed_(k)) {
+        end_ = k;
+        stop_ = true;
+        changed_.notify_all();
+        return;
+      }
+      const DepartmentDemux& demux = *cubes_[s];
+      lock.unlock();
+      const std::size_t j = k - first_job_[s];
+      const DepartmentJob& job = shards_[s].jobs[j];
+      DetectorSpec spec = job.spec;
+      spec.ensemble.threads = 1;
+      outputs_[k] = DetectJob(spec, job, demux, static_cast<int>(j), days_);
+      lock.lock();
+    } catch (...) {
+      if (!lock.owns_lock()) lock.lock();
+      Fail(2 * k + 1, std::current_exception());
+    }
+    ++jobs_done_[s];
+    changed_.notify_all();
+  }
+
+  const std::vector<DetectionShard>& shards_;
+  const DetectionDays& days_;
+  ThreadPool& pool_;
+  const std::function<bool(std::size_t)>& proceed_;
+  std::vector<std::size_t> first_job_;  // shard -> index of its first job
+  std::vector<std::size_t> job_shard_;  // job -> shard
+  std::vector<DetectionOutput> outputs_;
+  std::vector<std::future<void>> tasks_;
+
+  std::mutex mutex_;
+  std::condition_variable changed_;  // a job finished or the run stopped
+  std::vector<std::unique_ptr<DepartmentDemux>> cubes_;  // by shard
+  std::vector<std::size_t> jobs_done_;                   // by shard
+  std::size_t next_job_ = 0;
+  std::size_t end_ = 0;  // where `proceed` declined, else the job count
+  bool stop_ = false;
+  std::exception_ptr failure_;
+  std::size_t failure_key_ = 0;
+};
+
+}  // namespace
+
+std::vector<DetectionOutput> DetectDepartments(
+    const std::vector<DetectionShard>& shards, const DetectionDays& days,
+    int threads, const std::function<bool(std::size_t)>& proceed) {
+  if (ResolveThreadCount(threads) > 1 && !OnWorkerThread()) {
+    return DepartmentFanOut(shards, days, threads, proceed).Run();
+  }
+  std::vector<DetectionOutput> outputs;
+  for (const DetectionShard& shard : shards) {
+    if (shard.jobs.empty()) continue;
+    const std::unique_ptr<DepartmentDemux> demux = FeedShard(shard, days);
+    for (std::size_t j = 0; j < shard.jobs.size(); ++j) {
+      if (proceed && !proceed(outputs.size())) return outputs;
+      outputs.push_back(DetectJob(shard.jobs[j].spec, shard.jobs[j], *demux,
+                                  static_cast<int>(j), days));
+    }
   }
   return outputs;
 }

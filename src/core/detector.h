@@ -148,16 +148,35 @@ struct DetectionDays {
   int score_end = 0;
 };
 
+/// One shard of departments: `feed` delivers one day-ordered event
+/// stream into the sink it is given, and every job's members' events
+/// land in that job's own cube.
+struct DetectionShard {
+  std::vector<DepartmentJob> jobs;
+  std::function<void(LogSink&)> feed;
+};
+
 /// The per-department detection unit `acobe_detect` and `acobe_serve`
-/// both run. `feed` delivers one day-ordered event stream into the
-/// sink it is given; every job's members' events land in that job's
-/// own cube, and each job's Detector then runs on its cube. Outputs
-/// come back in job order. `proceed(j)` (optional) is asked before job
-/// j runs; returning false stops there, so the result holds jobs
-/// [0, j) only.
+/// both run. Each shard is fed once (a shard with no jobs is not fed)
+/// and each of its jobs' Detector then runs on the job's own cube.
+/// Outputs come back in (shard, job) order and are bit-identical at
+/// any `threads` (resolved via ResolveThreadCount):
+///   - at 1, or when called from a pool worker, shards run one after
+///     another on the calling thread: the feed, then each job with its
+///     own spec;
+///   - above 1, jobs fan out over SharedPool(threads), one Detector
+///     per task at spec.ensemble.threads = 1, while the calling thread
+///     feeds the next shard. At most two shards' cubes are resident:
+///     the one detecting and the one being fed.
+/// `proceed(k)` (optional) is asked before the k-th job in (shard, job)
+/// order starts, in order and never concurrently (above one thread,
+/// from a pool worker). Returning false starts no further job, so the
+/// result holds jobs [0, k) only. A failing feed or job stops further
+/// jobs from starting, and its exception propagates once every started
+/// job has finished; when several fail, the earliest in (shard, job)
+/// order wins, a shard's feed counting before its jobs.
 std::vector<DetectionOutput> DetectDepartments(
-    const std::vector<DepartmentJob>& jobs, const DetectionDays& days,
-    const std::function<void(LogSink&)>& feed,
-    const std::function<bool(std::size_t)>& proceed = {});
+    const std::vector<DetectionShard>& shards, const DetectionDays& days,
+    int threads, const std::function<bool(std::size_t)>& proceed = {});
 
 }  // namespace acobe

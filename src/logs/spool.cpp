@@ -25,6 +25,11 @@ enum PackedType : std::uint8_t {
 
 std::int64_t DayOf(Timestamp ts) { return ts / kSecondsPerDay; }
 
+/// Most events one replay cursor reads at once (1.5 MiB). Replay runs
+/// beside other shards' detection (DetectDepartments), so its read
+/// buffers add to peak memory; reads this long stay sequential.
+constexpr std::size_t kReplayReadEvents = std::size_t{1} << 16;
+
 /// Read cursor over one day-sorted run, with a bounded refill buffer.
 class RunCursor {
  public:
@@ -150,6 +155,9 @@ void ShardSpooler::Spill(Shard& shard) {
 void ShardSpooler::Finish() {
   for (Shard& shard : files_) {
     Spill(shard);
+    // clear() keeps the capacity; swap frees it, so the write buffers
+    // are not resident through detection.
+    std::vector<PackedEvent>().swap(shard.buffer);
     shard.out.flush();
     shard.out.close();
   }
@@ -189,7 +197,8 @@ void ShardSpooler::Replay(int shard_idx, LogSink& sink) const {
   }
   // Split the shard's buffer budget across its runs so replay memory
   // stays bounded no matter how many runs spilled.
-  const std::size_t per_run = buffer_events_per_shard_ / shard.runs.size();
+  const std::size_t per_run = std::min(
+      buffer_events_per_shard_ / shard.runs.size(), kReplayReadEvents);
   std::vector<RunCursor> cursors;
   cursors.reserve(shard.runs.size());
   for (const SpoolRun& run : shard.runs) {

@@ -80,7 +80,8 @@ class ShardSpooler : public LogSink {
   void Consume(const EnterpriseEvent& e) override;
   void Consume(const ProxyEvent& e) override;
 
-  /// Flushes every shard's remaining buffer. Call once, before Replay.
+  /// Flushes every shard's remaining buffer and frees it. Call once,
+  /// before Replay.
   void Finish();
 
   /// Decodes one shard back into typed events, delivered to `sink` in

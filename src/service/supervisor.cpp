@@ -896,10 +896,18 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
   spec.name = "acobe-serve";
   spec.ensemble.seed = config_.seed;
   spec.ensemble.threads = 1;  // per-shard determinism
-  std::vector<DepartmentJob> jobs;
+  // One detection shard, run serially on this worker (threads = 1).
+  std::vector<DetectionShard> one_shard(1);
   for (const auto& rt : shard.depts) {
-    jobs.push_back({rt.dept->name, rt.dept->members, spec});
+    one_shard[0].jobs.push_back({rt.dept->name, rt.dept->members, spec});
   }
+  one_shard[0].feed = [&](LogSink& sink) {
+    std::stable_sort(shard.window.begin(), shard.window.end(),
+                     [](const PackedEvent& a, const PackedEvent& b) {
+                       return DayOfTs(a.ts) < DayOfTs(b.ts);
+                     });
+    for (const PackedEvent& e : shard.window) DeliverPacked(e, sink);
+  };
   const int win_len = static_cast<int>(task.win_end - task.win_start + 1);
   const DetectionDays days{
       .start = Date::FromDayNumber(task.win_start), .days = win_len,
@@ -909,13 +917,7 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
   std::vector<DetectionOutput> computed;
   for (;;) {
     try {
-      computed = DetectDepartments(jobs, days, [&](LogSink& sink) {
-        std::stable_sort(shard.window.begin(), shard.window.end(),
-                         [](const PackedEvent& a, const PackedEvent& b) {
-                           return DayOfTs(a.ts) < DayOfTs(b.ts);
-                         });
-        for (const PackedEvent& e : shard.window) DeliverPacked(e, sink);
-      });
+      computed = DetectDepartments(one_shard, days, /*threads=*/1);
       shard.backoff.OnSuccess();
       break;
     } catch (const std::exception& e) {

@@ -23,7 +23,11 @@ other run uses --threads=2), and asserts:
     (tools/check_prom.py),
   - a spool directory that cannot be created (below a regular file)
     exits 1 with a message naming it and the --spool-dir hint, instead
-    of aborting.
+    of aborting,
+  - SIGTERM while departments detect (a long --epochs run, signalled
+    once the heartbeat reports the detect stage) exits 5 with a
+    run_aborted ledger whose stage is detect, prints no department and
+    leaves no spool file behind.
 
 Usage:
     health_identity_test.py --gen GEN --detect DETECT --top TOP \
@@ -34,10 +38,12 @@ Exit status 0 on pass, 1 on any mismatch or tool failure.
 
 import argparse
 import json
+import os
+import signal
 import subprocess
 import sys
 import tempfile
-import os
+import time
 
 
 def run(cmd, stdout_path=None):
@@ -78,6 +84,58 @@ def normalized_ledger(path):
                 event.pop("threads", None)
             lines.append(json.dumps(event, sort_keys=True))
     return "\n".join(lines), had_fields
+
+
+def last_stage(health_path):
+    """Stage name of the last complete heartbeat line, or None."""
+    try:
+        with open(health_path, encoding="utf-8") as f:
+            lines = f.read().split("\n")[:-1]  # drop a partial tail
+    except FileNotFoundError:
+        return None
+    for line in reversed(lines):
+        if line.strip():
+            return json.loads(line)["stage"]["name"]
+    return None
+
+
+def sigterm_during_detect(detect, data, tmp):
+    """Signals a long run once it detects; returns a failure or None."""
+    health = os.path.join(tmp, "abort.health.jsonl")
+    ledger = os.path.join(tmp, "abort.ledger.jsonl")
+    with open(os.path.join(tmp, "abort.out"), "wb") as out, \
+            open(os.path.join(tmp, "abort.err"), "wb") as err:
+        proc = subprocess.Popen(
+            [detect, f"--in={data}", "--train-end=2010-02-16",
+             "--epochs=500", "--threads=2", f"--health-out={health}",
+             "--health-interval-ms=20", f"--ledger-out={ledger}"],
+            stdout=out, stderr=err)
+        deadline = time.monotonic() + 120
+        while last_stage(health) != "detect":
+            if proc.poll() is not None:
+                return f"exited {proc.returncode} before the detect stage"
+            if time.monotonic() > deadline:
+                proc.kill()
+                proc.wait()
+                return "never reached the detect stage"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=300)
+    if proc.returncode != 5:
+        stderr = read_bytes(os.path.join(tmp, "abort.err"))
+        return (f"exited {proc.returncode}, not 5:\n"
+                f"{stderr.decode(errors='replace')}")
+    with open(ledger, encoding="utf-8") as f:
+        events = [json.loads(line) for line in f if line.strip()]
+    aborted = [e for e in events if e.get("event") == "run_aborted"]
+    if len(aborted) != 1 or aborted[0].get("stage") != "detect":
+        return f"ledger has no run_aborted event at stage detect: {aborted}"
+    if read_bytes(os.path.join(tmp, "abort.out")):
+        return "department lines on stdout"
+    spool = os.path.join(data, ".acobe-spool")
+    if os.path.exists(spool) and os.listdir(spool):
+        return f"spool files left in {spool}: {os.listdir(spool)}"
+    return None
 
 
 def main():
@@ -155,6 +213,11 @@ def main():
                 "--spool-dir=" not in err:
             print(f"FAIL: unusable spool dir exited {proc.returncode}:\n"
                   f"{err}", file=sys.stderr)
+            return 1
+
+        failure = sigterm_during_detect(args.detect, data, tmp)
+        if failure:
+            print(f"FAIL: SIGTERM during detect: {failure}", file=sys.stderr)
             return 1
 
         run([sys.executable, args.check_health, health, "--require-final"])

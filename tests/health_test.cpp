@@ -103,8 +103,8 @@ TEST_F(HealthTest, IndeterminateStageHasNoEta) {
 }
 
 TEST_F(HealthTest, ReenteringAStageResumesItsProgressAndGrowsTotal) {
-  // The streaming shard loop alternates replay/detect; each re-entry
-  // must accumulate, not reset.
+  // A loop alternating two stages re-enters each; every re-entry must
+  // accumulate, not reset.
   health::SetStage("replay", 2);
   health::StageAdvance();
   health::SetStage("detect", 3);

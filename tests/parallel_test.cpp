@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "behavior/normalized_day.h"
@@ -95,6 +99,82 @@ TEST(ParallelForTest, RethrowsIterationException) {
                     if (i == 13) throw std::runtime_error("boom");
                   }),
       std::runtime_error);
+}
+
+// Thread ids seen by the iterations of one parallel call.
+class ThreadIdSet {
+ public:
+  void Add() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ids_.insert(std::this_thread::get_id());
+  }
+  // Add() from an iteration long enough for spawned threads to start.
+  void AddSlowly() {
+    Add();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::set<std::thread::id> ids() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ids_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::set<std::thread::id> ids_;
+};
+
+TEST(ParallelForTest, NestedCallRunsInlineOnWorkerThread) {
+  // From a pool task: the nested section must stay on the task's thread
+  // instead of spawning threads - 1 fresh ones.
+  ThreadIdSet from_pool;
+  std::thread::id task_thread;
+  SharedPool(4)
+      .Submit([&] {
+        task_thread = std::this_thread::get_id();
+        ParallelFor(0, 32, 4, [&](int) { from_pool.AddSlowly(); });
+      })
+      .get();
+  EXPECT_EQ(from_pool.ids(), std::set<std::thread::id>{task_thread});
+
+  // From a ParallelFor worker: each inner call uses one thread only.
+  std::vector<std::set<std::thread::id>> inner(2);
+  ParallelFor(0, 2, 2, [&](int outer) {
+    ThreadIdSet ids;
+    ParallelFor(0, 32, 4, [&](int) { ids.AddSlowly(); });
+    inner[outer] = ids.ids();
+  });
+  for (const auto& ids : inner) EXPECT_EQ(ids.size(), 1u);
+}
+
+TEST(PooledParallelForTest, ShortRangeReusesThePoolOfItsThreadCount) {
+  // Pin every worker of SharedPool(4) at once to learn their ids.
+  ThreadIdSet pool_workers;
+  std::atomic<int> arrived(0);
+  std::vector<std::future<void>> pinned;
+  for (int t = 0; t < 4; ++t) {
+    pinned.push_back(SharedPool(4).Submit([&] {
+      pool_workers.Add();
+      ++arrived;
+      while (arrived.load() < 4) std::this_thread::yield();
+    }));
+  }
+  for (auto& f : pinned) f.get();
+  ASSERT_EQ(pool_workers.ids().size(), 4u);
+
+  // A 3-iteration range at threads=4 runs on that pool, not on a
+  // second, 3-worker one.
+  ThreadIdSet used;
+  std::atomic<int> started(0);
+  PooledParallelFor(0, 3, 4, [&](int) {
+    used.Add();
+    ++started;
+    while (started.load() < 3) std::this_thread::yield();
+  });
+  const std::set<std::thread::id> workers = pool_workers.ids();
+  EXPECT_EQ(used.ids().size(), 3u);
+  for (const std::thread::id& id : used.ids()) {
+    EXPECT_TRUE(workers.count(id)) << "ran outside SharedPool(4)";
+  }
 }
 
 // --- Determinism of the parallel pipeline ---------------------------------

@@ -5,11 +5,15 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/telemetry.h"
 #include "core/detector.h"
 #include "features/cert_features.h"
 #include "features/shard_extract.h"
@@ -277,10 +281,11 @@ TEST(StreamingTest, ScoresBitIdenticalToInMemory) {
   // stopped before its second job.
   std::vector<std::size_t> asked;
   const std::vector<DetectionOutput> streamed_all = DetectDepartments(
-      {{dept, members, spec}, {dept, members, spec}},
+      {{{{dept, members, spec}, {dept, members, spec}},
+        [&](LogSink& sink) { spool.Replay(0, sink); }}},
       {.start = kStart, .days = kDays, .train_end = 50, .score_begin = 50,
        .score_end = kDays},
-      [&](LogSink& sink) { spool.Replay(0, sink); },
+      /*threads=*/1,
       [&](std::size_t j) { asked.push_back(j); return j == 0; });
   ASSERT_EQ(streamed_all.size(), 1u);
   EXPECT_EQ(asked, (std::vector<std::size_t>{0, 1}));
@@ -316,6 +321,165 @@ TEST(DepartmentDemuxTest, RoutesMultiDepartmentUsersToEveryMembership) {
   }
   EXPECT_EQ(in_a, 1.0f);
   EXPECT_EQ(in_b, 1.0f);
+}
+
+// --- Department fan-out ----------------------------------------------------
+
+/// The shared two-department org spooled into one file, which every
+/// detection shard's feed replays whole (each shard's demux keeps only
+/// its own jobs' members). Job completions are read off the
+/// "detector.runs" counter, which Detector::Run bumps as it returns.
+class FanOutTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    telemetry::EnableMetrics(true);
+    if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
+    LogStore& store = *SharedCertStore();
+    spool_ = std::make_unique<ShardSpooler>(SpoolDir("spool_fanout"), 1,
+                                            1 << 14);
+    for (const LdapRecord& r : store.ldap()) spool_->AssignUser(r.user, 0);
+    ReplayStore(store, *spool_);
+    spool_->Finish();
+    spec_.deviation.omega = 10;
+    spec_.deviation.matrix_days = 10;
+    spec_.ensemble.encoder_dims = {16, 8};
+    spec_.ensemble.train.epochs = 2;
+    spec_.ensemble.train_stride = 4;
+    spec_.critic_votes = 1;
+  }
+  void TearDown() override { telemetry::EnableMetrics(false); }
+
+  /// A job over department `d % 2`.
+  DepartmentJob Job(std::size_t d) const {
+    LogStore& store = *SharedCertStore();
+    const std::string dept = store.Departments()[d % 2];
+    return {dept, store.UsersInDepartment(dept), spec_};
+  }
+
+  /// Shard s holds jobs_per_shard[s] jobs, alternating departments;
+  /// `on_feed(s)` runs as shard s's feed starts.
+  std::vector<DetectionShard> Shards(
+      const std::vector<int>& jobs_per_shard,
+      std::function<void(std::size_t)> on_feed = {}) const {
+    std::vector<DetectionShard> shards(jobs_per_shard.size());
+    std::size_t d = 0;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      for (int j = 0; j < jobs_per_shard[s]; ++j) {
+        shards[s].jobs.push_back(Job(d++));
+      }
+      shards[s].feed = [this, s, on_feed](LogSink& sink) {
+        if (on_feed) on_feed(s);
+        spool_->Replay(0, sink);
+      };
+    }
+    return shards;
+  }
+
+  static std::uint64_t Runs() {
+    return telemetry::GetCounter("detector.runs").value();
+  }
+
+  static constexpr DetectionDays kWindow{.start = kStart, .days = kDays,
+                                         .train_end = 50, .score_begin = 50,
+                                         .score_end = kDays};
+  std::unique_ptr<ShardSpooler> spool_;
+  DetectorSpec spec_;
+};
+
+TEST_F(FanOutTest, OutputsIdenticalAtOneAndFourThreads) {
+  // Three shards with jobs and an empty one between them.
+  const std::vector<DetectionShard> shards = Shards({2, 0, 1, 2});
+  const std::vector<DetectionOutput> serial =
+      DetectDepartments(shards, kWindow, /*threads=*/1);
+  const std::vector<DetectionOutput> parallel =
+      DetectDepartments(shards, kWindow, /*threads=*/4);
+  ASSERT_EQ(serial.size(), 5u);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t k = 0; k < serial.size(); ++k) {
+    EXPECT_EQ(serial[k].grid.Digest(), parallel[k].grid.Digest()) << k;
+    EXPECT_EQ(serial[k].members, parallel[k].members) << k;
+    ASSERT_EQ(serial[k].list.size(), parallel[k].list.size()) << k;
+    for (std::size_t i = 0; i < serial[k].list.size(); ++i) {
+      EXPECT_EQ(serial[k].list[i].user_idx, parallel[k].list[i].user_idx);
+      EXPECT_EQ(serial[k].list[i].priority, parallel[k].list[i].priority);
+    }
+  }
+  // (shard, job) order: shard 0 alternates departments 0, 1.
+  EXPECT_EQ(parallel[0].members, Job(0).members);
+  EXPECT_EQ(parallel[1].members, Job(1).members);
+}
+
+struct SpoolGone : std::runtime_error {
+  SpoolGone() : std::runtime_error("spool gone") {}
+};
+
+TEST_F(FanOutTest, FeedFailurePropagatesAfterStartedJobsFinish) {
+  std::vector<DetectionShard> shards = Shards({2, 2, 2, 2});
+  shards[2].feed = [](LogSink&) { throw SpoolGone(); };
+  std::vector<std::size_t> asked;
+  const std::uint64_t runs_before = Runs();
+  EXPECT_THROW(DetectDepartments(shards, kWindow, /*threads=*/4,
+                                 [&](std::size_t k) {
+                                   asked.push_back(k);
+                                   return true;
+                                 }),
+               SpoolGone);
+  // Every job that started has finished by the time the error arrives;
+  // shard 0 detected before shard 2 was fed, and no job of shard 2 or
+  // later started.
+  EXPECT_EQ(Runs() - runs_before, asked.size());
+  EXPECT_GE(asked.size(), 2u);
+  EXPECT_LE(asked.size(), 4u);
+}
+
+TEST_F(FanOutTest, CheckpointMismatchInAWorkerKeepsItsType) {
+  const std::string dir = SpoolDir("fanout_checkpoints");
+  DepartmentJob trained = Job(0);
+  trained.spec.ensemble.checkpoint_dir = dir;
+  DetectDepartments({{{trained}, Shards({0})[0].feed}}, kWindow, 1);
+
+  DepartmentJob mismatched = trained;
+  mismatched.spec.ensemble.encoder_dims = {12, 6};
+  mismatched.spec.ensemble.resume = true;
+  std::vector<DetectionShard> shards = Shards({1});
+  shards[0].jobs.push_back(mismatched);
+  EXPECT_THROW(DetectDepartments(shards, kWindow, /*threads=*/4),
+               CheckpointMismatch);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(FanOutTest, DecliningProceedStartsNoFurtherDepartment) {
+  const std::vector<DetectionShard> shards = Shards({2, 2});
+  std::vector<std::size_t> asked;
+  const std::uint64_t runs_before = Runs();
+  const std::vector<DetectionOutput> outputs = DetectDepartments(
+      shards, kWindow, /*threads=*/4, [&](std::size_t k) {
+        asked.push_back(k);
+        return k != 2;
+      });
+  EXPECT_EQ(outputs.size(), 2u);
+  EXPECT_EQ(asked, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(Runs() - runs_before, 2u);
+}
+
+TEST_F(FanOutTest, AtMostTwoShardsResident) {
+  // One job per shard: a shard's cubes are alive from its feed until its
+  // job completes, so at shard s's feed, s + 1 shards were fed and
+  // Runs() - runs_before completed. Jobs far slower than feeds make a
+  // wider window show.
+  spec_.ensemble.train.epochs = 20;
+  std::uint64_t runs_before = 0;
+  std::vector<std::uint64_t> alive_at_feed;
+  const std::vector<DetectionShard> shards =
+      Shards({1, 1, 1, 1, 1}, [&](std::size_t s) {
+        alive_at_feed.push_back(s + 1 - (Runs() - runs_before));
+      });
+  runs_before = Runs();
+  EXPECT_EQ(DetectDepartments(shards, kWindow, /*threads=*/4).size(), 5u);
+  ASSERT_EQ(alive_at_feed.size(), 5u);
+  for (std::size_t s = 0; s < alive_at_feed.size(); ++s) {
+    EXPECT_LE(alive_at_feed[s], 2u) << "at the feed of shard " << s;
+  }
 }
 
 }  // namespace

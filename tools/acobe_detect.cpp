@@ -13,9 +13,10 @@
 //                [--health-out=FILE] [--health-interval-ms=N]
 //                [--prom-out=FILE] [--version]
 //
-// --threads: worker threads for CSV parsing and training/scoring/
-// deviation (0 = the ACOBE_THREADS environment variable, else hardware
-// concurrency).
+// --threads: worker threads for CSV parsing and detection (0 = the
+// ACOBE_THREADS environment variable, else hardware concurrency). Above
+// one thread, departments detect in parallel, one per worker, each
+// single-threaded, while this thread replays the next shard.
 // Results are identical for any thread count, and identical with
 // telemetry on or off.
 //
@@ -23,12 +24,14 @@
 // shards), then each event CSV is read once and its packed events are
 // spooled into per-shard files (logs/spool.h). Each shard is then
 // replayed into per-department cubes, each detected on its own
-// (DetectDepartments, core/detector.h), so peak memory is bounded by
-// the largest shard instead of the whole organization. Results are emitted in the
-// canonical LDAP department order, so stdout, --explain-out and
-// --ledger-out are byte-identical for any --shards value. --shards
-// (default 8) tunes the memory/seek tradeoff; --spool-dir (default
-// DIR/.acobe-spool) places the spool files, which are removed on exit.
+// (DetectDepartments, core/detector.h). At most two shards are resident
+// at once — the one detecting and the one replaying — so peak memory is
+// bounded by the largest two shards instead of the whole organization.
+// Results are emitted in the canonical LDAP department order, so
+// stdout, --explain-out and --ledger-out are byte-identical for any
+// --shards value. --shards (default 8) tunes the memory/seek tradeoff;
+// --spool-dir (default DIR/.acobe-spool) places the spool files, which
+// are removed on exit.
 // --stream is accepted and does nothing, so existing scripts keep
 // working.
 //
@@ -145,8 +148,8 @@ void Usage() {
       "  --error-budget=R    abort past this rejected-row fraction (def 0.05)\n"
       "  --quarantine-dir=D  write rejected raw rows under D\n"
       "  --stream            accepted for compatibility; does nothing\n"
-      "  --shards=N          department shards spooled and replayed\n"
-      "                      one at a time (def 8)\n"
+      "  --shards=N          department shards spooled; at most two\n"
+      "                      are replayed into memory at once (def 8)\n"
       "  --spool-dir=D       spool-file directory (def DIR/.acobe-spool)\n"
       "  --checkpoint-dir=D  save per-aspect models under D as they train\n"
       "  --resume            reuse matching checkpoints from a killed run\n"
@@ -887,69 +890,73 @@ int main(int argc, char** argv) {
   const CertAcobeExtractor meta(start, 1);
 
   // --- compute (pass B) ----------------------------------------------------
-  std::vector<DeptResult> results;
-  // One "detect" unit per trained aspect plus one for scoring, per
-  // department: ensemble training and Detector::Run advance the stage.
+  // Every shard's departments go to one DetectDepartments call: above
+  // one thread they fan out over the pool while the next shard replays.
+  // Replay thus runs inside the "detect" stage, which counts one unit
+  // per trained aspect plus one for scoring, per department (ensemble
+  // training and Detector::Run advance it).
   const std::uint64_t dept_units = meta.catalog().aspects().size() + 1;
   const int n_shards = spooler->shards();
   const DetectionDays window{.start = start, .days = days,
                              .train_end = train_end,
                              .score_begin = train_end, .score_end = test_end};
-  health::SetStage("replay", static_cast<std::uint64_t>(n_shards));
+  std::vector<DetectionShard> detect_shards(n_shards);
+  bool spool_failed = false;  // feeds run on this thread
   for (int s = 0; s < n_shards; ++s) {
-    if (ShutdownRequested()) return abort_run("replay");
-    health::SetStage("replay");
-    health::SetStageDetail("shard " + std::to_string(s));
-    std::vector<DepartmentJob> jobs;
-    for (std::size_t d = 0; d < departments.size(); ++d) {
-      if (static_cast<int>(d) % n_shards != s) continue;
-      auto members = tables.UsersInDepartment(departments[d]);
-      if (members.size() < 3) continue;
-      jobs.push_back({departments[d], std::move(members), spec});
-      if (!checkpoint_dir.empty()) {
-        jobs.back().spec.ensemble.checkpoint_dir =
-            checkpoint_dir + "/" + SanitizePathComponent(departments[d]);
-      }
-    }
-    if (jobs.empty()) {
-      health::StageAdvance();
-      continue;
-    }
-    bool replayed = false;
-    auto feed = [&](LogSink& sink) {
-      {
-        telemetry::TraceSpan extract_span("detect.extract_features");
+    detect_shards[s].feed = [&, s](LogSink& sink) {
+      telemetry::TraceSpan extract_span("detect.extract_features");
+      try {
         spooler->Replay(s, sink);
+      } catch (const std::runtime_error&) {
+        spool_failed = true;
+        throw;
       }
-      replayed = true;
-      health::StageAdvance();
-      health::SetStage("detect", jobs.size() * dept_units);
     };
-    auto proceed = [&](std::size_t j) {
-      if (ShutdownRequested()) return false;
-      health::SetStageDetail(jobs[j].name);
-      return true;
-    };
-    std::vector<DetectionOutput> outs;
-    try {
-      outs = DetectDepartments(jobs, window, feed, proceed);
-    } catch (const CheckpointMismatch& e) {
-      std::fprintf(stderr, "acobe-detect: corrupt artifact: %s\n", e.what());
-      return kExitCorruptArtifact;
-    } catch (const std::runtime_error& e) {
-      if (replayed) throw;  // not a spool failure
-      return spool_failure(e);
+  }
+  for (std::size_t d = 0; d < departments.size(); ++d) {
+    auto members = tables.UsersInDepartment(departments[d]);
+    if (members.size() < 3) continue;
+    std::vector<DepartmentJob>& jobs = detect_shards[d % n_shards].jobs;
+    jobs.push_back({departments[d], std::move(members), spec});
+    if (!checkpoint_dir.empty()) {
+      jobs.back().spec.ensemble.checkpoint_dir =
+          checkpoint_dir + "/" + SanitizePathComponent(departments[d]);
     }
-    for (std::size_t j = 0; j < outs.size(); ++j) {
-      for (const std::string& aspect : outs[j].degraded_aspects) {
-        std::fprintf(stderr,
-                     "acobe-detect: WARNING: %s: aspect '%s' diverged on "
-                     "every attempt; ranking without it\n",
-                     jobs[j].name.c_str(), aspect.c_str());
-      }
-      results.push_back(DeptResult{jobs[j].name, std::move(outs[j])});
+  }
+  std::vector<const std::string*> job_names;  // (shard, job) order
+  for (const DetectionShard& shard : detect_shards) {
+    for (const DepartmentJob& job : shard.jobs) job_names.push_back(&job.name);
+  }
+  auto proceed = [&](std::size_t k) {
+    if (ShutdownRequested()) return false;
+    health::SetStageDetail(*job_names[k]);
+    return true;
+  };
+  health::SetStage("detect", job_names.size() * dept_units);
+  std::vector<DetectionOutput> outs;
+  try {
+    outs = DetectDepartments(detect_shards, window, threads, proceed);
+  } catch (const CheckpointMismatch& e) {
+    std::fprintf(stderr, "acobe-detect: corrupt artifact: %s\n", e.what());
+    return kExitCorruptArtifact;
+  } catch (const std::runtime_error& e) {
+    if (!spool_failed) throw;
+    return spool_failure(e);
+  }
+  std::vector<DeptResult> results;
+  for (std::size_t k = 0; k < outs.size(); ++k) {
+    for (const std::string& aspect : outs[k].degraded_aspects) {
+      std::fprintf(stderr,
+                   "acobe-detect: WARNING: %s: aspect '%s' diverged on "
+                   "every attempt; ranking without it\n",
+                   job_names[k]->c_str(), aspect.c_str());
     }
-    if (outs.size() < jobs.size()) return abort_run("detect");
+    results.push_back(DeptResult{*job_names[k], std::move(outs[k])});
+  }
+  // A shutdown request during detect aborts even when the departments
+  // in flight were the last ones.
+  if (outs.size() < job_names.size() || ShutdownRequested()) {
+    return abort_run("detect");
   }
   spooler->Remove();
   // Shard order is not report order: restore the canonical LDAP

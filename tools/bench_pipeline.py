@@ -11,7 +11,8 @@ events/sec, deviation matrices/sec) and peak-RSS gauges for each stage.
 The streaming detect runs with --health-out, and the final heartbeat's
 per-stage wall times land as `<prefix>.detect_stream.stage.<name>_seconds`
 gauges, so the benchmark log shows where the pipeline spent its time
-(ingest vs spool vs replay vs detect vs write).
+(ingest vs spool vs detect vs write; shard replay overlaps detection,
+so it is part of the detect stage).
 Unless --skip-reference is given, the detector runs again on the same
 dataset with every department in one shard and the two stdouts are
 compared byte-for-byte: the benchmark FAILS if the sharded run is not
