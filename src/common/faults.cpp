@@ -72,6 +72,17 @@ std::uint32_t LoadLe32(const unsigned char* p) {
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
+/// a(x) * b(x) modulo the CRC polynomial, both in the reflected bit
+/// order Crc32 uses (bit 31 is x^0).
+std::uint32_t MultModP(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if (a & m) product ^= b;
+    b = (b & 1) ? (b >> 1) ^ 0xEDB88320u : b >> 1;
+  }
+  return product;
+}
+
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
@@ -93,6 +104,26 @@ std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
 
 std::uint32_t Crc32(const std::string& data, std::uint32_t seed) {
   return Crc32(data.data(), data.size(), seed);
+}
+
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b) {
+  // x^(2^k) mod p, for every k a 64-bit byte count can reach.
+  static const std::array<std::uint32_t, 3 + 64> kPow2 = [] {
+    std::array<std::uint32_t, 3 + 64> t{};
+    t[0] = 1u << 30;  // x^1
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      t[k] = MultModP(t[k - 1], t[k - 1]);
+    }
+    return t;
+  }();
+  // Appending len_b bytes multiplies crc_a's polynomial by x^(8 len_b);
+  // the init/final XOR terms cancel between the three CRCs.
+  std::uint32_t shift = 1u << 31;  // x^0
+  for (std::size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if (len_b & 1) shift = MultModP(kPow2[k], shift);
+  }
+  return MultModP(shift, crc_a) ^ crc_b;
 }
 
 namespace {

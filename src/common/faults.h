@@ -82,6 +82,11 @@ struct IngestStats {
   std::size_t rows_deduped = 0;      // consecutive duplicates dropped
   /// First rejection, as "file:line: reason" (empty when clean).
   std::string first_error;
+  /// Every byte the reader consumed, header line included, and their
+  /// CRC-32: a digest of the input without a second read. Merge() leaves
+  /// both alone, since combining CRCs (Crc32Combine) depends on order.
+  std::uint64_t bytes_read = 0;
+  std::uint32_t bytes_crc = 0;
 
   void Merge(const IngestStats& other);
 };
@@ -112,6 +117,11 @@ class IngestError : public std::invalid_argument {
 std::uint32_t Crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
 std::uint32_t Crc32(const std::string& data, std::uint32_t seed = 0);
+
+/// The CRC-32 of concat(a, b) from Crc32(a), Crc32(b) and b's length,
+/// in O(log len_b): lets pieces of one stream be checksummed apart.
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b);
 
 /// Crash-safe file replacement: `writer` streams the payload into a
 /// temporary file next to `path`, which is flushed, fsync'd and

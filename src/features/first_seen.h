@@ -26,7 +26,9 @@ class FirstSeenTracker {
   /// day. Multiple occurrences on the first day all count as new
   /// ("never had conducted *before* day d").
   bool SeenNewOnDay(std::uint64_t key, std::int32_t day) {
-    auto [it, inserted] = first_day_.emplace(key, day);
+    // try_emplace looks up before it allocates a node (emplace builds one
+    // first), so the common repeat key costs no malloc.
+    auto [it, inserted] = first_day_.try_emplace(key, day);
     return inserted || it->second == day;
   }
 
@@ -34,7 +36,7 @@ class FirstSeenTracker {
   /// occurrence of `key` (repeats — even same-day — return false). Used
   /// for per-day uniqueness counting with the day baked into the key.
   bool FirstOccurrence(std::uint64_t key, std::int32_t day) {
-    return first_day_.emplace(key, day).second;
+    return first_day_.try_emplace(key, day).second;
   }
 
   /// True if `key` was seen on a day strictly before `day`.

@@ -17,7 +17,7 @@ MeasurementCube::MeasurementCube(Date start, int days, int features,
 
 int MeasurementCube::RegisterUser(UserId user) {
   auto [it, inserted] =
-      user_index_.emplace(user, static_cast<int>(user_ids_.size()));
+      user_index_.try_emplace(user, static_cast<int>(user_ids_.size()));
   if (inserted) {
     user_ids_.push_back(user);
     EnsureCapacity(static_cast<int>(user_ids_.size()));

@@ -126,11 +126,12 @@ class IdMap {
   std::vector<std::uint32_t> ids_;
 };
 
-/// Rewrites one chunk's local ids into the caller's catalog and forwards
-/// the event to the caller's sink.
-class RemapSink : public LogSink {
+/// Rewrites one chunk's packed events from its local ids to the
+/// caller's catalog (interning names as they come due) and hands them
+/// to the caller's sink still packed.
+class PackedRemap {
  public:
-  RemapSink(const EntityCatalog& local, EntityCatalog& global, LogSink& out)
+  PackedRemap(const EntityCatalog& local, EntityCatalog& global, LogSink& out)
       : users_(local.users(), global.users()),
         pcs_(local.pcs(), global.pcs()),
         files_(local.files(), global.files()),
@@ -140,25 +141,36 @@ class RemapSink : public LogSink {
 
   UserId User(UserId id) { return users_(id); }
 
-  void Consume(const LogonEvent& e) override { Forward(e); }
-  void Consume(const DeviceEvent& e) override { Forward(e); }
-  void Consume(const FileEvent& e) override { Forward(e); }
-  void Consume(const HttpEvent& e) override { Forward(e); }
-  void Consume(const EmailEvent& e) override { Forward(e); }
-  void Consume(const EnterpriseEvent& e) override { Forward(e); }
-  void Consume(const ProxyEvent& e) override { Forward(e); }
-
- private:
-  template <typename Event>
-  void Forward(Event e) {
-    e.user = users_(e.user);
-    if constexpr (requires { e.pc; }) e.pc = pcs_(e.pc);
-    if constexpr (requires { e.file; }) e.file = files_(e.file);
-    if constexpr (requires { e.domain; }) e.domain = domains_(e.domain);
-    if constexpr (requires { e.object; }) e.object = objects_(e.object);
-    out_.Consume(e);
+  /// Remaps the id fields of each record type, as PackEvent lays them
+  /// out.
+  void Forward(PackedEvent p) {
+    p.user = users_(p.user);
+    switch (p.type) {
+      case kPackedLogon:
+      case kPackedDevice:
+        p.e1 = pcs_(p.e1);
+        break;
+      case kPackedFile:
+        p.e1 = pcs_(p.e1);
+        p.e2 = files_(p.e2);
+        break;
+      case kPackedHttp:
+        p.e1 = pcs_(p.e1);
+        p.e2 = domains_(p.e2);
+        break;
+      case kPackedEnterprise:
+        p.e1 = objects_(p.e1);
+        break;
+      case kPackedProxy:
+        p.e1 = domains_(p.e1);
+        break;
+      default:  // email carries no entity ids
+        break;
+    }
+    out_.ConsumePacked(p);
   }
 
+ private:
   IdMap users_, pcs_, files_, domains_, objects_;
   LogSink& out_;
 };
@@ -267,6 +279,8 @@ struct ParsedChunk {
     std::string raw, reason;
   };
   std::string text;  // whole lines; released once parsed
+  std::size_t bytes = 0;   // text.size() before the release
+  std::uint32_t crc = 0;   // Crc32(text)
   EntityCatalog tables;  // chunk-local ids; LDAP rows land in its directory
   std::vector<PackedEvent> events;  // one per accepted row (not LDAP)
   std::vector<Reject> rejects;
@@ -290,8 +304,8 @@ struct InFlight {
 
 /// The policy-driven reader loop shared by every Read*Csv: header,
 /// chunking, per-row parse with recovery, duplicate dropping,
-/// quarantine and the bounded error budget. `parse(row, tables, sink)`
-/// consumes one well-formed row.
+/// quarantine and the bounded error budget, plus the CRC of every byte
+/// read. `parse(row, tables, sink)` consumes one well-formed row.
 template <typename ParseRow>
 IngestStats IngestCsv(std::istream& in, const std::string& source,
                       std::size_t n_fields, const IngestOptions& opts,
@@ -337,8 +351,14 @@ IngestStats IngestCsv(std::istream& in, const std::string& source,
     }
   };
 
+  auto checksum = [&stats](std::string_view bytes) {
+    stats.bytes_crc = Crc32(bytes.data(), bytes.size(), stats.bytes_crc);
+    stats.bytes_read += bytes.size();
+  };
   std::string header;  // the first physical line, whatever it holds
   if (!std::getline(in, header)) return stats;
+  checksum(header);
+  if (!in.eof()) checksum("\n");  // getline consumed it
   ChunkReader chunks(in, g_chunk_bytes.load(std::memory_order_relaxed));
   std::string text;
   if (!chunks.Next(text)) return stats;
@@ -349,6 +369,7 @@ IngestStats IngestCsv(std::istream& in, const std::string& source,
     // Serial: the caller parses each chunk straight into the catalog
     // and sink, applying the policy row by row.
     do {
+      checksum(text);
       const std::size_t lines = ScanRows(
           text, n_fields, dedup, stats, prev_raw,
           [&](const std::vector<std::string>& row) {
@@ -369,6 +390,7 @@ IngestStats IngestCsv(std::istream& in, const std::string& source,
   // record the outcome; the caller merges finished chunks strictly in
   // file order while later chunks parse.
   auto parse_chunk = [&parse, n_fields, dedup](ParsedChunk& c) {
+    c.crc = Crc32(c.text);
     PackingSink packer(c.events);
     c.lines = ScanRows(
         c.text, n_fields, dedup, c.counts, c.last_accepted,
@@ -386,7 +408,7 @@ IngestStats IngestCsv(std::istream& in, const std::string& source,
     std::string().swap(c.text);
   };
   auto merge = [&](ParsedChunk& c) {
-    RemapSink remap(c.tables, tables, sink);
+    PackedRemap remap(c.tables, tables, sink);
     // The worker could not see the row accepted before its chunk; the
     // serial pass would have dropped a first accepted row equal to it.
     // Earlier rows of the chunk cannot equal it (a row identical to an
@@ -402,10 +424,12 @@ IngestStats IngestCsv(std::istream& in, const std::string& source,
           r.user = remap.User(r.user);
           tables.AddLdap(std::move(r));
         } else {
-          DeliverPacked(c.events[emitted], remap);
+          remap.Forward(c.events[emitted]);
         }
       }
     };
+    stats.bytes_crc = Crc32Combine(stats.bytes_crc, c.crc, c.bytes);
+    stats.bytes_read += c.bytes;
     const std::size_t read_before = stats.rows_read;
     for (const ParsedChunk::Reject& r : c.rejects) {
       emit_until(r.accepted);
@@ -434,6 +458,7 @@ IngestStats IngestCsv(std::istream& in, const std::string& source,
   do {
     auto c = std::make_unique<ParsedChunk>();
     c->text = std::move(text);
+    c->bytes = c->text.size();
     // Sized by the caller so the event buffer comes from the caller's
     // heap: memory a pool thread allocates stays in that thread's malloc
     // arena after ingest and would add to the run's later peak.

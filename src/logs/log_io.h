@@ -13,8 +13,12 @@
 // into ~1 MiB newline-aligned chunks, IngestOptions::threads pool
 // workers parse them against chunk-local entity tables, and the caller
 // merges finished chunks in file order — interning names, delivering
-// events and applying the policy exactly as one serial pass would.
-// Input shorter than one chunk (or threads == 1) parses on the caller.
+// events (still packed: LogSink::ConsumePacked) and applying the policy
+// exactly as one serial pass would. Input shorter than one chunk (or
+// threads == 1) parses on the caller. Each worker also CRCs its chunk,
+// and the caller folds the CRCs in file order into
+// IngestStats::bytes_crc, so a caller can digest its input without
+// reading it twice.
 
 #include <cstddef>
 #include <iosfwd>

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <limits>
-#include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "common/telemetry.h"
 #include "common/trace.h"
@@ -12,22 +12,12 @@
 namespace acobe {
 namespace {
 
-// Packed-record type tags.
-enum PackedType : std::uint8_t {
-  kPackedLogon = 0,
-  kPackedDevice = 1,
-  kPackedFile = 2,
-  kPackedHttp = 3,
-  kPackedEmail = 4,
-  kPackedEnterprise = 5,
-  kPackedProxy = 6,
-};
-
 std::int64_t DayOf(Timestamp ts) { return ts / kSecondsPerDay; }
 
-/// Most events one replay cursor reads at once (1.5 MiB). Replay runs
-/// beside other shards' detection (DetectDepartments), so its read
-/// buffers add to peak memory; reads this long stay sequential.
+/// Most events one shard's replay cursors read at once, together
+/// (1.5 MiB). Replay runs beside other shards' detection
+/// (DetectDepartments), so its read buffers add to peak memory, and a
+/// shard spilled under a small budget has many runs.
 constexpr std::size_t kReplayReadEvents = std::size_t{1} << 16;
 
 /// Read cursor over one day-sorted run, with a bounded refill buffer.
@@ -76,6 +66,62 @@ class RunCursor {
   std::size_t pos_ = 0;
 };
 
+/// Stable sort by day, with scratch reused across calls. A buffer
+/// usually covers a few days, so a counting sort builds the day-order
+/// permutation in one pass and applies it in place, with 4 bytes of
+/// index per event instead of a second event buffer; a buffer whose day
+/// span exceeds its event count takes std::stable_sort.
+class DaySorter {
+ public:
+  void Sort(std::vector<PackedEvent>& events) {
+    const std::size_t n = events.size();
+    if (n < 2) return;
+    auto by_day = [](const PackedEvent& a, const PackedEvent& b) {
+      return DayOf(a.ts) < DayOf(b.ts);
+    };
+    const auto [lo, hi] =
+        std::minmax_element(events.begin(), events.end(), by_day);
+    const std::int64_t first = DayOf(lo->ts);
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(DayOf(hi->ts) - first) + 1;
+    if (span > n || n > std::numeric_limits<std::uint32_t>::max()) {
+      ACOBE_COUNT("spool.sort_fallbacks", 1);
+      std::stable_sort(events.begin(), events.end(), by_day);
+      return;
+    }
+    // next[d]: where the next event of day `first + d` goes.
+    next_.assign(static_cast<std::size_t>(span), 0);
+    for (const PackedEvent& e : events) ++next_[DayOf(e.ts) - first];
+    std::uint32_t at = 0;
+    for (std::uint32_t& slot : next_) at += std::exchange(slot, at);
+    // order_[k]: the arrival index of the k-th event in day order.
+    order_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      order_[next_[DayOf(events[i].ts) - first]++] =
+          static_cast<std::uint32_t>(i);
+    }
+    // Apply the permutation cycle by cycle; a placed slot points at
+    // itself.
+    for (std::size_t k = 0; k < n; ++k) {
+      if (order_[k] == k) continue;
+      const PackedEvent held = events[k];
+      std::size_t dst = k;
+      for (;;) {
+        const std::size_t src = order_[dst];
+        order_[dst] = static_cast<std::uint32_t>(dst);
+        if (src == k) break;
+        events[dst] = events[src];
+        dst = src;
+      }
+      events[dst] = held;
+    }
+  }
+
+ private:
+  std::vector<std::uint32_t> next_;
+  std::vector<std::uint32_t> order_;
+};
+
 }  // namespace
 
 ShardSpooler::ShardSpooler(std::string dir, int shards,
@@ -100,6 +146,15 @@ ShardSpooler::ShardSpooler(std::string dir, int shards,
       throw std::runtime_error("ShardSpooler: cannot create " + shard.path);
     }
     shard.buffer.reserve(buffer_events_per_shard_);
+  }
+  // reserve() only maps address space: a buffer's pages become
+  // resident as it fills, so the budget bounds RSS, not the reservation.
+  run_.reserve(buffer_events_per_shard_);
+  try {
+    writer_ = std::thread(&ShardSpooler::WriterLoop, this);
+  } catch (...) {
+    Remove();
+    throw;
   }
 }
 
@@ -127,46 +182,105 @@ void ShardSpooler::Offer(const PackedEvent& p) {
   Shard& dst = files_[static_cast<std::size_t>(shard)];
   dst.buffer.push_back(p);
   ++events_spooled_;
-  if (dst.buffer.size() >= buffer_events_per_shard_) Spill(dst);
+  if (dst.buffer.size() >= buffer_events_per_shard_) {
+    HandOff(static_cast<std::size_t>(shard));
+  }
 }
 
-void ShardSpooler::Spill(Shard& shard) {
-  if (shard.buffer.empty()) return;
-  ACOBE_SPAN("spool.spill");
-  // Stable by day: within a run, same-day events keep arrival order.
-  std::stable_sort(shard.buffer.begin(), shard.buffer.end(),
-                   [](const PackedEvent& a, const PackedEvent& b) {
-                     return DayOf(a.ts) < DayOf(b.ts);
-                   });
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(shard.buffer.size()) * sizeof(PackedEvent);
-  shard.out.write(reinterpret_cast<const char*>(shard.buffer.data()),
-                  static_cast<std::streamsize>(bytes));
-  if (!shard.out) {
-    throw std::runtime_error("ShardSpooler: write failed on " + shard.path);
+void ShardSpooler::HandOff(std::size_t shard) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!writer_.joinable()) {
+    throw std::logic_error("ShardSpooler: spool already finished or removed");
   }
-  shard.runs.push_back(SpoolRun{shard.bytes_written,
-                                static_cast<std::uint64_t>(shard.buffer.size())});
-  shard.bytes_written += bytes;
-  shard.buffer.clear();
-  ACOBE_COUNT("spool.runs", 1);
+  if (queued_) {
+    ACOBE_SPAN("spool.wait");
+    cv_.wait(lock, [this] { return !queued_; });
+  }
+  if (!error_.empty()) throw std::runtime_error(error_);
+  run_.swap(files_[shard].buffer);
+  run_shard_ = shard;
+  queued_ = true;
+  lock.unlock();
+  cv_.notify_all();
+}
+
+void ShardSpooler::WriterLoop() {
+  telemetry::SetCurrentThreadName("spool-writer");
+  DaySorter sorter;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    cv_.wait(lock, [this] { return queued_ || stop_; });
+    if (!queued_) return;
+    Shard& shard = files_[run_shard_];
+    // After a failure the caller throws at its next hand-off; a run
+    // queued meanwhile is dropped.
+    const bool failed = !error_.empty();
+    lock.unlock();
+    std::string error;
+    if (!failed) {
+      try {
+        ACOBE_SPAN("spool.spill");
+        // Stable by day: within a run, same-day events keep arrival
+        // order.
+        sorter.Sort(run_);
+        const std::uint64_t bytes =
+            static_cast<std::uint64_t>(run_.size()) * sizeof(PackedEvent);
+        shard.out.write(reinterpret_cast<const char*>(run_.data()),
+                        static_cast<std::streamsize>(bytes));
+        if (!shard.out) {
+          throw std::runtime_error("ShardSpooler: write failed on " +
+                                   shard.path);
+        }
+        shard.runs.push_back(SpoolRun{
+            shard.bytes_written, static_cast<std::uint64_t>(run_.size())});
+        shard.bytes_written += bytes;
+        ACOBE_COUNT("spool.runs", 1);
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+    }
+    run_.clear();  // keeps the capacity: this is the caller's next spare
+    lock.lock();
+    if (error_.empty()) error_ = std::move(error);
+    queued_ = false;
+    cv_.notify_all();
+  }
+}
+
+void ShardSpooler::StopWriter() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  if (writer_.joinable()) writer_.join();
 }
 
 void ShardSpooler::Finish() {
+  if (finished_) return;
+  for (std::size_t s = 0; s < files_.size(); ++s) {
+    if (!files_[s].buffer.empty()) HandOff(s);
+  }
+  StopWriter();
+  // The writer is gone: its state is this thread's now.
+  if (!error_.empty()) throw std::runtime_error(error_);
   for (Shard& shard : files_) {
-    Spill(shard);
     // clear() keeps the capacity; swap frees it, so the write buffers
     // are not resident through detection.
     std::vector<PackedEvent>().swap(shard.buffer);
-    shard.out.flush();
     shard.out.close();
+    if (shard.out.fail()) {
+      throw std::runtime_error("ShardSpooler: write failed on " + shard.path);
+    }
   }
+  std::vector<PackedEvent>().swap(run_);
   finished_ = true;
   ACOBE_GAUGE_SET("spool.events", events_spooled_);
   ACOBE_GAUGE_SET("spool.bytes", bytes_spooled());
 }
 
 void ShardSpooler::Remove() {
+  StopWriter();
   for (Shard& shard : files_) {
     if (shard.out.is_open()) shard.out.close();
     std::error_code ec;
@@ -195,10 +309,11 @@ void ShardSpooler::Replay(int shard_idx, LogSink& sink) const {
     throw std::runtime_error("ShardSpooler::Replay: cannot open " +
                              shard.path);
   }
-  // Split the shard's buffer budget across its runs so replay memory
-  // stays bounded no matter how many runs spilled.
-  const std::size_t per_run = std::min(
-      buffer_events_per_shard_ / shard.runs.size(), kReplayReadEvents);
+  // Split one read budget across the runs so replay memory stays
+  // bounded no matter how many runs spilled.
+  const std::size_t per_run =
+      std::min(buffer_events_per_shard_, kReplayReadEvents) /
+      shard.runs.size();
   std::vector<RunCursor> cursors;
   cursors.reserve(shard.runs.size());
   for (const SpoolRun& run : shard.runs) {
@@ -206,21 +321,24 @@ void ShardSpooler::Replay(int shard_idx, LogSink& sink) const {
   }
 
   // K-way merge keyed (day, run index): day order is what correctness
-  // needs; the run-index tiebreak makes replay deterministic.
-  using Key = std::pair<std::int64_t, std::size_t>;
-  std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heap;
-  for (std::size_t i = 0; i < cursors.size(); ++i) {
-    if (!cursors[i].empty()) heap.push({cursors[i].head_day(), i});
-  }
+  // needs; the run-index tiebreak makes replay deterministic. Runs are
+  // day-sorted, so each day is emitted run by run: no per-event heap.
   std::size_t replayed = 0;
-  while (!heap.empty()) {
-    const auto [day, i] = heap.top();
-    heap.pop();
-    RunCursor& cur = cursors[i];
-    DeliverPacked(cur.head(), sink);
-    ++replayed;
-    cur.Advance();
-    if (!cur.empty()) heap.push({cur.head_day(), i});
+  for (;;) {
+    bool more = false;
+    std::int64_t day = std::numeric_limits<std::int64_t>::max();
+    for (const RunCursor& cur : cursors) {
+      if (cur.empty()) continue;
+      more = true;
+      day = std::min(day, cur.head_day());
+    }
+    if (!more) break;
+    for (RunCursor& cur : cursors) {
+      for (; !cur.empty() && cur.head_day() == day; cur.Advance()) {
+        sink.ConsumePacked(cur.head());
+        ++replayed;
+      }
+    }
   }
   ACOBE_COUNT("spool.events_replayed", replayed);
 }
@@ -232,6 +350,9 @@ void ShardSpooler::Consume(const HttpEvent& e) { Offer(PackEvent(e)); }
 void ShardSpooler::Consume(const EmailEvent& e) { Offer(PackEvent(e)); }
 void ShardSpooler::Consume(const EnterpriseEvent& e) { Offer(PackEvent(e)); }
 void ShardSpooler::Consume(const ProxyEvent& e) { Offer(PackEvent(e)); }
+void ShardSpooler::ConsumePacked(const PackedEvent& p) { Offer(p); }
+
+void LogSink::ConsumePacked(const PackedEvent& p) { DeliverPacked(p, *this); }
 
 PackedEvent PackEvent(const LogonEvent& e) {
   PackedEvent p;

@@ -7,13 +7,18 @@
 // by user (users map to departments, departments map to shards), so a
 // later pass can process one shard's departments at a time with bounded
 // memory. Events are packed into fixed 24-byte records and written as
-// day-sorted runs: whenever a shard's in-memory buffer fills, it is
-// stable-sorted by day and appended to the shard file as one run.
-// Replay() k-way-merges a shard's runs back into nondecreasing day
-// order — the only ordering the feature extractors require (first-seen
-// "new-op" semantics are defined per day, and measurements are exact
-// per-event float adds, so within-day order cannot change a cube bit;
-// see features/cert_features.h).
+// day-sorted runs. Each shard fills its own buffer (the budget split
+// evenly across shards); a full buffer is handed to one writer thread,
+// which orders it by day and appends it to the shard file as one run
+// while the caller keeps ingesting. The caller continues into a spare
+// buffer that the writer returns once the run is written, so resident
+// packed events never exceed the budget plus that one spare, and no
+// spill allocates after the first few. Replay() k-way-merges a shard's
+// runs back into nondecreasing day order — the only ordering the
+// feature extractors require (first-seen "new-op" semantics are
+// defined per day, and measurements are exact per-event float adds, so
+// within-day order cannot change a cube bit; see
+// features/cert_features.h).
 //
 // The spooler also tracks the min/max timestamp over every event it is
 // offered — including events it then drops for lack of a shard
@@ -21,9 +26,12 @@
 // range from all parsed events, and the streaming pipeline must land on
 // the identical range.
 
+#include <condition_variable>
 #include <cstdint>
 #include <fstream>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/timeframe.h"
@@ -32,18 +40,16 @@
 
 namespace acobe {
 
-/// One fixed-size spooled event. 24 bytes; field meaning depends on
-/// `type` (see spool.cpp pack/unpack).
-struct PackedEvent {
-  std::int64_t ts = 0;
-  std::uint32_t user = 0;
-  std::uint32_t e1 = 0;
-  std::uint32_t e2 = 0;
-  std::uint8_t type = 0;
-  std::uint8_t f1 = 0;
-  std::uint16_t f2 = 0;
+/// PackedEvent::type tags.
+enum PackedType : std::uint8_t {
+  kPackedLogon = 0,
+  kPackedDevice = 1,
+  kPackedFile = 2,
+  kPackedHttp = 3,
+  kPackedEmail = 4,
+  kPackedEnterprise = 5,
+  kPackedProxy = 6,
 };
-static_assert(sizeof(PackedEvent) == 24, "spool record layout");
 
 /// Packs one typed event into the spool wire format. The service
 /// admission queues (src/service/queue.h) carry the same records the
@@ -56,17 +62,21 @@ PackedEvent PackEvent(const EmailEvent& e);
 PackedEvent PackEvent(const EnterpriseEvent& e);
 PackedEvent PackEvent(const ProxyEvent& e);
 
-/// Decodes `p` and delivers the typed event to `sink`. Throws
-/// std::runtime_error on an unknown record type (corrupt spool).
+/// Decodes `p` and delivers the typed event to `sink` (the default
+/// LogSink::ConsumePacked). Throws std::runtime_error on an unknown
+/// record type (corrupt spool).
 void DeliverPacked(const PackedEvent& p, LogSink& sink);
 
 class ShardSpooler : public LogSink {
  public:
   /// Spools under `dir` (created if missing) into `shards` files,
-  /// buffering at most `buffer_bytes` of packed events in total before
-  /// spilling a sorted run.
+  /// buffering at most `buffer_bytes` of packed events in total (at
+  /// least 1024 events per shard), plus the writer's one spare buffer.
   ShardSpooler(std::string dir, int shards, std::size_t buffer_bytes);
   ~ShardSpooler() override;
+  // The writer thread holds `this`.
+  ShardSpooler(const ShardSpooler&) = delete;
+  ShardSpooler& operator=(const ShardSpooler&) = delete;
 
   /// Routes `user`'s events to `shard`. Events from unassigned users
   /// are dropped (after widening the timestamp range).
@@ -79,16 +89,20 @@ class ShardSpooler : public LogSink {
   void Consume(const EmailEvent& e) override;
   void Consume(const EnterpriseEvent& e) override;
   void Consume(const ProxyEvent& e) override;
+  void ConsumePacked(const PackedEvent& p) override;
 
-  /// Flushes every shard's remaining buffer and frees it. Call once,
-  /// before Replay.
+  /// Writes every shard's remaining buffer, stops the writer and frees
+  /// the buffers. Call once, before Replay. Throws std::runtime_error
+  /// when a run could not be written; a failed spill also throws from
+  /// the Consume call that hands over the next full buffer.
   void Finish();
 
   /// Decodes one shard back into typed events, delivered to `sink` in
   /// nondecreasing day order. Requires Finish().
   void Replay(int shard, LogSink& sink) const;
 
-  /// Deletes the spool files (best-effort). Called by the destructor.
+  /// Stops the writer (letting a run in flight finish), then deletes
+  /// the spool files (best-effort). Called by the destructor.
   void Remove();
 
   int shards() const { return static_cast<int>(files_.size()); }
@@ -107,16 +121,25 @@ class ShardSpooler : public LogSink {
   };
   struct Shard {
     std::string path;
+    std::vector<PackedEvent> buffer;  // the caller's
+    // The writer's from construction until Finish() stops it.
     std::ofstream out;
-    std::vector<PackedEvent> buffer;
-    std::vector<SpoolRun> runs;
+    std::vector<SpoolRun> runs;  // in submission order
     std::uint64_t bytes_written = 0;
   };
 
   /// Records the timestamp, then buffers the packed event (or drops it
   /// when its user has no shard).
   void Offer(const PackedEvent& p);
-  void Spill(Shard& shard);
+  /// Waits for the writer to return the spare, then swaps it for
+  /// `shard`'s full buffer and queues that as the next run. Throws the
+  /// writer's first error.
+  void HandOff(std::size_t shard);
+  /// The writer thread: one queued run at a time, until StopWriter().
+  void WriterLoop();
+  /// Sets the stop flag and joins the writer once it has written the
+  /// run it holds. Idempotent.
+  void StopWriter();
 
   std::string dir_;
   std::vector<Shard> files_;
@@ -127,6 +150,18 @@ class ShardSpooler : public LogSink {
   Timestamp ts_hi_;
   std::size_t events_spooled_ = 0;
   std::size_t events_dropped_ = 0;
+
+  // Caller <-> writer hand-off, guarded by mu_. While `queued_` is
+  // false, `run_` is the empty spare; while true, it is the run the
+  // writer owns (and touches outside the lock) until it clears the flag.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<PackedEvent> run_;
+  std::size_t run_shard_ = 0;
+  bool queued_ = false;
+  bool stop_ = false;
+  std::string error_;  // the first failed write, empty while none
+  std::thread writer_;
 };
 
 }  // namespace acobe

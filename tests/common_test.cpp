@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/date.h"
@@ -381,6 +383,35 @@ TEST(Crc32Test, ChainedSeedsMatchOneShot) {
                       reinterpret_cast<const unsigned char*>(a.data()),
                       a.size())));
   }
+}
+
+TEST(Crc32Test, CombineMatchesTheConcatenationOverRandomSplits) {
+  const std::string data = RandomBytes(5000, 11);
+  Rng rng(3);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Up to five parts; bounds drawn with repeats, so parts may be empty.
+    std::vector<std::size_t> cuts = {0, data.size()};
+    const std::size_t inner = rng.NextBounded(5);
+    for (std::size_t i = 0; i < inner; ++i) {
+      cuts.push_back(rng.NextBounded(data.size() + 1));
+    }
+    if (trial % 4 == 0) cuts.push_back(cuts.back());  // an empty part
+    std::sort(cuts.begin(), cuts.end());
+    std::uint32_t crc = 0;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      const std::string part = data.substr(cuts[i], cuts[i + 1] - cuts[i]);
+      crc = Crc32Combine(crc, Crc32(part), part.size());
+    }
+    ASSERT_EQ(crc, Crc32(data)) << "trial " << trial;
+  }
+  // Empty on either side, and a long run of zero bytes.
+  EXPECT_EQ(Crc32Combine(Crc32(data), 0, 0), Crc32(data));
+  EXPECT_EQ(Crc32Combine(0, Crc32(data), data.size()), Crc32(data));
+  const std::string zeros(70000, '\0');
+  std::uint32_t big = 0;
+  for (int i = 0; i < 3; ++i) big = Crc32(zeros, big);
+  EXPECT_EQ(Crc32Combine(Crc32(data), big, 3 * zeros.size()),
+            Crc32(zeros + zeros + zeros, Crc32(data)));
 }
 
 TEST(Crc32Test, DetectsSingleBitFlip) {

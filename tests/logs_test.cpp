@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -409,6 +412,66 @@ TEST(ChunkedIngestTest, StreamingIdsAndOrderMatchFirstSeen) {
     EXPECT_EQ(e.user, static_cast<UserId>(i % 37));
     EXPECT_EQ(e.pc, static_cast<PcId>(i % 11));
   }
+}
+
+// --- Dataset digest folded into the read ---------------------------------
+
+TEST(ChunkedIngestTest, FoldedDigestEqualsARereadOfTheFiles) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "ingest_digest";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto write = [&](const char* name, const std::string& bytes) {
+    std::ofstream(dir / name, std::ios::binary) << bytes;
+  };
+  std::string crlf = "ts,user,pc,activity\r\n";
+  for (int i = 0; i < 40; ++i) {
+    crlf += std::to_string(i) + ",u" + std::to_string(i % 5) + ",pc" +
+            std::to_string(i % 3) + ",connect\r\n";
+  }
+  write("device.csv", crlf);
+  write("file.csv",  // no trailing newline
+        "ts,user,pc,activity,file,from,to\n"
+        "1,u1,pc1,write,a.doc,local,remote\n"
+        "2,u2,pc1,open,b.doc,remote,local");
+  write("http.csv", "ts,user,pc,activity,domain,filetype\n");  // header only
+  write("logon.csv", "");                                      // empty
+  // ldap.csv is absent.
+  const char* kOrder[] = {"device.csv", "file.csv", "http.csv", "logon.csv",
+                          "ldap.csv"};
+  std::uint32_t reread = 0;
+  for (const char* name : kOrder) {
+    std::ifstream in(dir / name, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+    reread = Crc32(bytes, reread);
+  }
+  using Reader = IngestStats (*)(std::istream&, EntityCatalog&, LogSink&,
+                                 const IngestOptions&, const std::string&);
+  const Reader readers[] = {ReadDeviceCsv, ReadFileCsv, ReadHttpCsv,
+                            ReadLogonCsv};
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                  detail::kIngestChunkBytes}) {
+    for (const int threads : {1, 4}) {
+      const detail::ScopedIngestChunkBytes chunking(chunk);
+      IngestOptions opts = ChunkedOptions(IngestPolicy::kStrict);
+      opts.threads = threads;
+      EntityCatalog tables;
+      LogStore sink;
+      std::uint32_t folded = 0;
+      for (std::size_t f = 0; f < std::size(readers); ++f) {
+        std::ifstream in(dir / kOrder[f]);
+        const IngestStats stats =
+            readers[f](in, tables, sink, opts, kOrder[f]);
+        EXPECT_EQ(stats.bytes_read, std::filesystem::file_size(dir / kOrder[f]))
+            << kOrder[f];
+        folded = Crc32Combine(folded, stats.bytes_crc, stats.bytes_read);
+      }
+      EXPECT_EQ(folded, reread) << "chunk " << chunk << " threads " << threads;
+      EXPECT_EQ(sink.devices().size(), 40u);
+      EXPECT_EQ(sink.file_events().size(), 2u);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TeeSinkTest, FansOutToAllSinks) {

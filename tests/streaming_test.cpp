@@ -179,6 +179,136 @@ TEST(SpoolTest, RemoveCleansUpShardFilesAndDirectory) {
   EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
+// --- Bounded spool: background writer, recycled buffers ------------------
+
+/// Metric counter value, or 0 when telemetry is compiled out.
+std::uint64_t CounterValue(const char* name) {
+  return telemetry::MetricsEnabled() ? telemetry::GetCounter(name).value()
+                                     : 0;
+}
+
+/// Logons of users 0..3 on random days in [0, max_day); the pc field
+/// numbers them in arrival order.
+std::vector<LogonEvent> NumberedLogons(std::size_t n, std::int64_t max_day) {
+  std::vector<LogonEvent> events(n);
+  std::uint64_t state = 777;
+  for (std::size_t i = 0; i < n; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    events[i].ts = static_cast<Timestamp>((state >> 20) %
+                                          static_cast<std::uint64_t>(
+                                              max_day * kDay));
+    events[i].user = static_cast<UserId>((state >> 8) % 4);
+    events[i].pc = static_cast<PcId>(i);
+  }
+  return events;
+}
+
+/// The pc numbers of `events` routed to `shard` (users 0,1 -> 0; 2,3 ->
+/// 1), stably sorted by day: the order a correct replay delivers.
+std::vector<PcId> StableDayOrder(std::vector<LogonEvent> events, int shard) {
+  std::erase_if(events, [shard](const LogonEvent& e) {
+    return static_cast<int>(e.user / 2) != shard;
+  });
+  std::stable_sort(events.begin(), events.end(),
+                   [](const LogonEvent& a, const LogonEvent& b) {
+                     return a.ts / kDay < b.ts / kDay;
+                   });
+  std::vector<PcId> order;
+  for (const LogonEvent& e : events) order.push_back(e.pc);
+  return order;
+}
+
+std::vector<PcId> ReplayedPcs(const ShardSpooler& spool, int shard) {
+  RecordingSink sink;
+  spool.Replay(shard, sink);
+  std::vector<PcId> order;
+  for (const LogonEvent& e : sink.logons) order.push_back(e.pc);
+  return order;
+}
+
+TEST(SpoolTest, TinyBudgetReplaysAsStableDaySort) {
+  telemetry::EnableMetrics(true);
+  // 1 KiB clamps to 1024 events per shard: ~15 runs in each of two
+  // shards, each spanning 90 days (the counting sort's range).
+  const std::vector<LogonEvent> events = NumberedLogons(30000, 90);
+  const std::uint64_t runs_before = CounterValue("spool.runs");
+  const std::uint64_t fallbacks_before = CounterValue("spool.sort_fallbacks");
+  ShardSpooler spool(SpoolDir("spool_tiny"), 2, 1 << 10);
+  for (UserId u = 0; u < 4; ++u) spool.AssignUser(u, static_cast<int>(u / 2));
+  for (const LogonEvent& e : events) spool.Consume(e);
+  spool.Finish();
+  if (telemetry::MetricsEnabled()) {
+    EXPECT_GE(CounterValue("spool.runs") - runs_before, 28u);
+    EXPECT_EQ(CounterValue("spool.sort_fallbacks"), fallbacks_before);
+  }
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_EQ(ReplayedPcs(spool, s), StableDayOrder(events, s)) << s;
+  }
+  telemetry::EnableMetrics(false);
+}
+
+TEST(SpoolTest, DecadeSpanningBufferTakesTheStableSortFallback) {
+  telemetry::EnableMetrics(true);
+  // 40 years of days in 1024-event buffers: the span exceeds the count.
+  const std::vector<LogonEvent> events = NumberedLogons(5000, 40 * 365);
+  const std::uint64_t fallbacks_before = CounterValue("spool.sort_fallbacks");
+  ShardSpooler spool(SpoolDir("spool_decades"), 2, 1 << 10);
+  for (UserId u = 0; u < 4; ++u) spool.AssignUser(u, static_cast<int>(u / 2));
+  for (const LogonEvent& e : events) spool.Consume(e);
+  spool.Finish();
+  if (telemetry::MetricsEnabled()) {
+    EXPECT_GE(CounterValue("spool.sort_fallbacks") - fallbacks_before, 2u);
+  }
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_EQ(ReplayedPcs(spool, s), StableDayOrder(events, s)) << s;
+  }
+  telemetry::EnableMetrics(false);
+}
+
+TEST(SpoolTest, WriteFailureThrowsAndDestructorRemovesFiles) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // Ten events sit in the file buffer until Finish() closes the file.
+  // 20000 fill 1024-event runs: the first spill fails on the writer, and
+  // the Consume that hands over the next full buffer throws.
+  for (const std::size_t n : {10u, 20000u}) {
+    const std::string dir = SpoolDir("spool_full");
+    std::filesystem::create_directories(dir);
+    std::filesystem::create_symlink("/dev/full", dir + "/shard-0.spool");
+    {
+      ShardSpooler spool(dir, 2, 1 << 10);
+      spool.AssignUser(0, 0);
+      auto consume_all = [&] {
+        for (LogonEvent e : NumberedLogons(n, 30)) {
+          e.user = 0;
+          spool.Consume(e);
+        }
+      };
+      if (n == 10) {
+        consume_all();
+        EXPECT_THROW(spool.Finish(), std::runtime_error);
+      } else {
+        EXPECT_THROW(consume_all(), std::runtime_error);
+      }
+    }  // the destructor joins the writer and removes the files
+    EXPECT_FALSE(std::filesystem::exists(dir)) << n;
+    EXPECT_TRUE(std::filesystem::exists("/dev/full"));
+  }
+}
+
+TEST(SpoolTest, RemoveWhileASpillIsInFlight) {
+  const std::string dir = SpoolDir("spool_remove_inflight");
+  ShardSpooler spool(dir, 1, 1 << 10);
+  spool.AssignUser(0, 0);
+  // The last Consume fills the third buffer and hands it to the writer.
+  for (LogonEvent e : NumberedLogons(3 * 1024, 30)) {
+    e.user = 0;
+    spool.Consume(e);
+  }
+  spool.Remove();
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  spool.Remove();  // idempotent, as the destructor's call will be
+}
+
 /// Simulates a small two-department org and returns the sorted store.
 LogStore* SharedCertStore() {
   static LogStore* store = [] {
@@ -298,6 +428,36 @@ TEST(StreamingTest, ScoresBitIdenticalToInMemory) {
     EXPECT_EQ(in_memory.list[i].user_idx, streamed.list[i].user_idx);
     EXPECT_EQ(in_memory.list[i].priority, streamed.list[i].priority);
   }
+}
+
+TEST(StreamingTest, ManyRunSpoolScoresLikeAOneRunSpool) {
+  LogStore& store = *SharedCertStore();
+  const std::string dept = store.Departments()[0];
+  const std::vector<UserId> members = store.UsersInDepartment(dept);
+  DetectorSpec spec;
+  spec.deviation.omega = 10;
+  spec.deviation.matrix_days = 10;
+  spec.ensemble.encoder_dims = {16, 8};
+  spec.ensemble.train.epochs = 2;
+  spec.ensemble.train_stride = 4;
+  spec.critic_votes = 1;
+  auto digest = [&](const char* name, std::size_t budget) {
+    ShardSpooler spool(SpoolDir(name), 1, budget);
+    for (UserId user : members) spool.AssignUser(user, 0);
+    ReplayStore(store, spool);
+    spool.Finish();
+    EXPECT_GT(spool.events_spooled(), 4u * 1024);  // several 1024-event runs
+    const std::vector<DetectionOutput> out = DetectDepartments(
+        {{{{dept, members, spec}},
+          [&](LogSink& sink) { spool.Replay(0, sink); }}},
+        {.start = kStart, .days = kDays, .train_end = 50, .score_begin = 50,
+         .score_end = kDays},
+        /*threads=*/1);
+    return out.at(0).grid.Digest();
+  };
+  // 1 KiB clamps to 1024-event runs; 64 MiB holds the whole store.
+  EXPECT_EQ(digest("spool_many_runs", 1 << 10),
+            digest("spool_one_run", 64u << 20));
 }
 
 TEST(DepartmentDemuxTest, RoutesMultiDepartmentUsersToEveryMembership) {

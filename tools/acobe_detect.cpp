@@ -22,11 +22,14 @@
 //
 // Data plane: ldap.csv is read first (its departments route users to
 // shards), then each event CSV is read once and its packed events are
-// spooled into per-shard files (logs/spool.h). Each shard is then
-// replayed into per-department cubes, each detected on its own
-// (DetectDepartments, core/detector.h). At most two shards are resident
-// at once — the one detecting and the one replaying — so peak memory is
-// bounded by the largest two shards instead of the whole organization.
+// spooled into per-shard files (logs/spool.h). Ingest holds at most a
+// fixed 16 MiB of packed events plus one spare buffer: a full shard
+// buffer is day-sorted and written by the spooler's writer thread while
+// parsing goes on. Each shard is then replayed into per-department
+// cubes, each detected on its own (DetectDepartments, core/detector.h).
+// At most two shards are resident at once — the one detecting and the
+// one replaying — so peak memory is bounded by the largest two shards'
+// cubes and models (plus the fixed spool buffers), not by the input.
 // Results are emitted in the canonical LDAP department order, so
 // stdout, --explain-out and --ledger-out are byte-identical for any
 // --shards value. --shards (default 8) tunes the memory/seek tradeoff;
@@ -122,8 +125,10 @@ constexpr std::int64_t kTsMax = 4102444800;
 constexpr int kMaxDaySpan = 44000;
 
 // Packed-event buffer budget for the spooler (pass A) and its replay
-// cursors (pass B).
-constexpr std::size_t kSpoolBufferBytes = 256u << 20;
+// cursors (pass B). Fixed: full buffers spill on the spooler's writer
+// thread while parsing goes on, so a larger budget buys no speed, only
+// resident memory (pages become resident as the buffers fill).
+constexpr std::size_t kSpoolBufferBytes = 16u << 20;
 
 void Usage() {
   std::printf(
@@ -170,12 +175,16 @@ using StreamingReader = IngestStats (*)(std::istream&, EntityCatalog&,
                                         LogSink&, const IngestOptions&,
                                         const std::string&);
 
+/// Each input CSV's read stats (for its byte count and CRC), by name.
+using FileDigests = std::map<std::string, IngestStats>;
+
 /// Wires the per-file quarantine sink into one read. Returns false when
-/// the file is absent; runs `read` with the final options otherwise.
+/// the file is absent; runs `read` with the final options otherwise,
+/// and records the file's byte count and CRC in `digests`.
 template <typename ReadFn>
 bool ReadOneCsv(const std::string& dir, const std::string& name,
                 IngestOptions options, const std::string& quarantine_dir,
-                IngestStats& total, ReadFn&& read) {
+                IngestStats& total, FileDigests& digests, ReadFn&& read) {
   health::SetStageDetail(name);
   std::ifstream in(dir + "/" + name);
   if (!in) {
@@ -195,6 +204,7 @@ bool ReadOneCsv(const std::string& dir, const std::string& name,
                  stats.first_error.c_str());
   }
   total.Merge(stats);
+  digests[name] = stats;
   health::StageAdvance();
   return true;
 }
@@ -211,19 +221,16 @@ std::string SanitizePathComponent(const std::string& name) {
   return out.empty() ? "_" : out;
 }
 
-/// Rolls the raw bytes of the input CSVs (fixed order) into one CRC-32:
-/// the ledger's dataset digest. Absent files contribute nothing.
-std::uint32_t DigestDataset(const std::string& dir) {
-  static const char* kFiles[] = {"device.csv", "file.csv", "http.csv",
-                                 "logon.csv", "ldap.csv"};
+/// The ledger's dataset digest: the CRC-32 of the input CSVs' raw
+/// bytes concatenated in a fixed order, folded from the CRCs the
+/// readers took while parsing. Absent files contribute nothing.
+std::uint32_t DigestDataset(const FileDigests& digests) {
   std::uint32_t crc = 0;
-  char buf[1 << 16];
-  for (const char* name : kFiles) {
-    std::ifstream in(dir + "/" + std::string(name), std::ios::binary);
-    while (in) {
-      in.read(buf, sizeof(buf));
-      crc = Crc32(buf, static_cast<std::size_t>(in.gcount()), crc);
-    }
+  for (const char* name :
+       {"device.csv", "file.csv", "http.csv", "logon.csv", "ldap.csv"}) {
+    const auto it = digests.find(name);
+    if (it == digests.end()) continue;
+    crc = Crc32Combine(crc, it->second.bytes_crc, it->second.bytes_read);
   }
   return crc;
 }
@@ -697,6 +704,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> departments;  // canonical (LDAP) report order
   std::unique_ptr<ShardSpooler> spooler;
   IngestStats ingest_stats;
+  FileDigests file_digests;
 
   // Cooperative SIGINT/SIGTERM unwind, polled at loop boundaries: drop
   // the spool shard files, land a run_aborted ledger event (with a
@@ -751,7 +759,7 @@ int main(int argc, char** argv) {
     roster.policy = IngestPolicy::kStrict;
     const bool have_roster = ReadOneCsv(
         in_dir, "ldap.csv", roster, quarantine_dir, ingest_stats,
-        [&](std::istream& in, const IngestOptions& opts) {
+        file_digests, [&](std::istream& in, const IngestOptions& opts) {
           return ReadLdapCsv(in, tables, opts, "ldap.csv");
         });
     if (!have_roster || tables.ldap().empty()) {
@@ -771,10 +779,11 @@ int main(int argc, char** argv) {
       spooler->AssignUser(r.user, dept_shard[r.department]);
     }
     auto read_stream = [&](const char* name, StreamingReader reader) {
-      return ReadOneCsv(in_dir, name, ingest, quarantine_dir, ingest_stats,
-                        [&](std::istream& in, const IngestOptions& opts) {
-                          return reader(in, tables, *spooler, opts, name);
-                        });
+      return ReadOneCsv(
+          in_dir, name, ingest, quarantine_dir, ingest_stats, file_digests,
+          [&](std::istream& in, const IngestOptions& opts) {
+            return reader(in, tables, *spooler, opts, name);
+          });
     };
     bool any = false;
     any |= read_stream("device.csv", ReadDeviceCsv);
@@ -854,17 +863,11 @@ int main(int argc, char** argv) {
     spec.drift.enabled = true;
   }
 
-  // Ledger groundwork: answer key + dataset digest (both provenance-only
-  // work, skipped entirely without --explain-out/--ledger-out). A stage
-  // and span of their own keep the re-read out of ingest and spool time.
+  // Ledger groundwork: the answer key (provenance-only, skipped without
+  // --explain-out/--ledger-out) and the dataset digest.
   std::map<std::string, std::pair<Date, Date>> truth;
-  std::uint32_t dataset_digest = 0;
-  if (provenance) {
-    health::SetStage("digest");
-    ACOBE_SPAN("logs.digest");
-    truth = LoadTruth(in_dir);
-    dataset_digest = DigestDataset(in_dir);
-  }
+  if (provenance) truth = LoadTruth(in_dir);
+  const std::uint32_t dataset_digest = DigestDataset(file_digests);
 
   RunLedger ledger;
   if (!ledger_out.empty()) {
