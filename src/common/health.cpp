@@ -311,7 +311,6 @@ std::string RenderHeartbeat(Monitor& m, bool final_beat) {
   out << ",\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : snap.counters) {
-    if (value == 0) continue;  // keep lines lean: untouched counters skip
     const auto it = m.prev_counters.find(name);
     const std::uint64_t prev = it == m.prev_counters.end() ? 0 : it->second;
     const std::uint64_t delta = value >= prev ? value - prev : 0;

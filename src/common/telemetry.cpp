@@ -9,6 +9,7 @@
 #include <set>
 #include <memory>
 #include <ostream>
+#include <utility>
 
 #include "common/faults.h"
 #include "common/resource.h"
@@ -66,12 +67,29 @@ T& GetOrCreate(std::map<std::string, std::unique_ptr<T>, std::less<>>& map,
   return *it->second;
 }
 
-double NearestRank(const std::vector<double>& sorted, double percentile) {
+// Nearest-rank over (value, weight) pairs sorted by value: the first
+// value whose cumulative weight reaches ceil(p% of the total). With
+// unit weights this is the textbook nearest-rank.
+double NearestRank(const std::vector<std::pair<double, double>>& sorted,
+                   double total_weight, double percentile) {
   if (sorted.empty()) return 0.0;
-  const double n = static_cast<double>(sorted.size());
-  const std::size_t rank = static_cast<std::size_t>(
-      std::max(1.0, std::ceil(percentile / 100.0 * n)));
-  return sorted[std::min(rank, sorted.size()) - 1];
+  const double rank =
+      std::max(1.0, std::ceil(percentile / 100.0 * total_weight));
+  double cumulative = 0.0;
+  for (const auto& [value, weight] : sorted) {
+    cumulative += weight;
+    if (cumulative >= rank) return value;
+  }
+  return sorted.back().first;
+}
+
+// SplitMix64 finalizer: the reservoir's replacement draw, seeded by the
+// stripe's count so a run's retained samples are reproducible.
+std::uint64_t Mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -132,34 +150,59 @@ void Gauge::SetMax(double v) {
 void Histogram::Record(double v) {
   Stripe& stripe = stripes_[CurrentThreadTid() % kStripes];
   std::lock_guard<std::mutex> lock(stripe.mutex);
-  stripe.samples.push_back(v);
+  if (stripe.count == 0 || v < stripe.min) stripe.min = v;
+  if (stripe.count == 0 || v > stripe.max) stripe.max = v;
+  stripe.sum += v;
+  ++stripe.count;
+  // The load keeps the full-cap path off the shared cache line.
+  if (retained_.load() < kMaxSamples && retained_.fetch_add(1) < kMaxSamples) {
+    stripe.samples.push_back(v);
+    return;
+  }
+  // Past the cap (Algorithm R): the stripe kept every sample until the
+  // cap filled, so replacing slot j < size with j uniform over the
+  // stripe's count keeps its samples a uniform draw of its stream.
+  const std::uint64_t j = Mix64(stripe.count) % stripe.count;
+  if (j < stripe.samples.size()) stripe.samples[j] = v;
 }
 
 Histogram::Stats Histogram::Snapshot() const {
-  std::vector<double> all;
+  Stats s;
+  std::vector<std::pair<double, double>> weighted;  // (value, weight)
+  double total_weight = 0.0;
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);
-    all.insert(all.end(), stripe.samples.begin(), stripe.samples.end());
+    if (stripe.count == 0) continue;
+    s.min = s.count == 0 ? stripe.min : std::min(s.min, stripe.min);
+    s.max = s.count == 0 ? stripe.max : std::max(s.max, stripe.max);
+    s.count += stripe.count;
+    s.sum += stripe.sum;
+    if (stripe.samples.empty()) continue;
+    // Each retained sample stands for count / retained recorded ones
+    // (exactly 1 below the cap).
+    const double weight = static_cast<double>(stripe.count) /
+                          static_cast<double>(stripe.samples.size());
+    for (double v : stripe.samples) weighted.emplace_back(v, weight);
+    total_weight += static_cast<double>(stripe.count);
   }
-  Stats s;
-  s.count = all.size();
-  if (all.empty()) return s;
-  std::sort(all.begin(), all.end());
-  for (double v : all) s.sum += v;
-  s.min = all.front();
-  s.max = all.back();
-  s.mean = s.sum / static_cast<double>(all.size());
-  s.p50 = NearestRank(all, 50.0);
-  s.p95 = NearestRank(all, 95.0);
-  s.p99 = NearestRank(all, 99.0);
+  if (s.count == 0) return s;
+  s.mean = s.sum / static_cast<double>(s.count);
+  s.retained = weighted.size();
+  std::sort(weighted.begin(), weighted.end());
+  s.p50 = NearestRank(weighted, total_weight, 50.0);
+  s.p95 = NearestRank(weighted, total_weight, 95.0);
+  s.p99 = NearestRank(weighted, total_weight, 99.0);
   return s;
 }
 
 void Histogram::Reset() {
   for (Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);
+    stripe.count = 0;
+    stripe.sum = stripe.min = stripe.max = 0.0;
     stripe.samples.clear();
   }
+  retained_.store(0);
 }
 
 void Series::Append(double v) {

@@ -30,6 +30,7 @@
 // function-local statics. ResetTelemetry() zeroes values in place.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
@@ -81,18 +82,25 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Sample distribution; full samples are kept (runs are bounded) and
-/// order statistics are computed at snapshot time via nearest-rank.
+/// Sample distribution. Count, sum, min and max are exact at any count.
+/// Order statistics are computed at snapshot time via nearest-rank over
+/// at most kMaxSamples retained samples, so a resident process (which
+/// records forever) holds bounded memory: up to the cap every sample is
+/// kept and the quantiles are exact; past it each stripe keeps a
+/// uniform reservoir of what it recorded, weighted by its count.
 class Histogram {
  public:
+  static constexpr std::size_t kMaxSamples = 8192;
+
   struct Stats {
     std::uint64_t count = 0;
     double sum = 0.0, min = 0.0, max = 0.0, mean = 0.0;
     double p50 = 0.0, p95 = 0.0, p99 = 0.0;
+    std::size_t retained = 0;  // samples behind the quantiles
   };
 
   void Record(double v);
-  /// Merges every stripe's buffer (a copy; recording continues).
+  /// Merges every stripe (a copy; recording continues).
   Stats Snapshot() const;
   void Reset();
 
@@ -100,9 +108,12 @@ class Histogram {
   static constexpr int kStripes = 16;
   struct Stripe {
     mutable std::mutex mutex;
+    std::uint64_t count = 0;
+    double sum = 0.0, min = 0.0, max = 0.0;
     std::vector<double> samples;
   };
   Stripe stripes_[kStripes];
+  std::atomic<std::size_t> retained_{0};  // admissions, all stripes
 };
 
 /// Append-only value sequence (e.g. per-epoch training loss); appends

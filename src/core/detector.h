@@ -5,6 +5,7 @@
 // every ablation/baseline the paper evaluates (see src/baselines for
 // the ready-made specs).
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -147,6 +148,11 @@ struct DetectionDays {
   int score_begin = 0;
   int score_end = 0;
 };
+
+/// Departments with fewer members are not detected: a group this small
+/// gives the group-behaviour aspect nothing to compare against. Both
+/// acobe_detect and acobe_serve apply the cut.
+inline constexpr std::size_t kMinDepartmentUsers = 3;
 
 /// One shard of departments: `feed` delivers one day-ordered event
 /// stream into the sink it is given, and every job's members' events

@@ -12,7 +12,7 @@
 namespace acobe {
 
 /// One event in the packed wire format of the spool files and the
-/// service admission queues: 24 bytes, field meaning depends on `type`
+/// service's shard windows: 24 bytes, field meaning depends on `type`
 /// (PackEvent/DeliverPacked in logs/spool.h).
 struct PackedEvent {
   std::int64_t ts = 0;

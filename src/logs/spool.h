@@ -51,8 +51,8 @@ enum PackedType : std::uint8_t {
   kPackedProxy = 6,
 };
 
-/// Packs one typed event into the spool wire format. The service
-/// admission queues (src/service/queue.h) carry the same records the
+/// Packs one typed event into the spool wire format. The service's
+/// shard windows (src/service/supervisor.cpp) hold the same records the
 /// spool files do, so both planes share one encoder.
 PackedEvent PackEvent(const LogonEvent& e);
 PackedEvent PackEvent(const DeviceEvent& e);

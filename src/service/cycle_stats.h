@@ -24,18 +24,21 @@ struct CycleStat {
   std::int64_t window_end = 0;
   std::int64_t scored_from = 0;   // scored day range this cycle
   std::int64_t scored_to = 0;
-  std::uint64_t events_admitted = 0;  // rows pushed to shard queues
-  std::uint64_t events_shed = 0;      // rows dropped by backpressure
+  std::uint64_t events_admitted = 0;  // rows routed to shard windows
   std::size_t departments_scored = 0;
   std::size_t alerts = 0;             // alerts appended this cycle
-  std::size_t queue_peak_rows = 0;    // process-lifetime high-water
-  // Wall-time breakdown (seconds). train/score come from span-profile
-  // deltas, so they are 0 when metrics are disabled.
+  // Wall-clock buckets (seconds), timed on the supervisor's thread from
+  // consecutive clock reads: ingest_s + detect_s + commit_s == total_s
+  // up to rounding.
   double ingest_s = 0.0;
-  double train_s = 0.0;
-  double score_s = 0.0;
+  double detect_s = 0.0;  // pooled shard compute, first task to last join
   double commit_s = 0.0;
   double total_s = 0.0;
+  // Thread-seconds inside detect_s, summed over shards that run at
+  // once (span-profile deltas; 0 when metrics are disabled). They can
+  // exceed detect_s and are not part of the wall-clock sum.
+  double train_s = 0.0;
+  double score_s = 0.0;
   // Age of the batch READY marker when ingestion started; -1 when no
   // batch was consumed this cycle.
   double batch_age_s = -1.0;

@@ -2,12 +2,11 @@
 
 // Deterministic retry/backoff policy for the resident service.
 //
-// Shard workers, ingestion reads and artifact writes all retry through
-// one policy: capped exponential backoff with seeded jitter. The jitter
-// stream is an Rng (common/rng.h), so two policies built from the same
-// config produce the identical delay sequence — which is what lets the
-// crash-injection soak harness and the unit tests pin scheduling
-// behavior instead of sleeping and hoping.
+// A shard whose detection cycle throws retries under this policy before
+// it is quarantined: capped exponential backoff with seeded jitter. The
+// jitter stream is an Rng (common/rng.h), so two policies built from the
+// same config produce the identical delay sequence — which is what lets
+// the unit tests pin scheduling behavior instead of sleeping and hoping.
 
 #include <cstdint>
 #include <optional>

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +13,7 @@
 #include "common/date.h"
 #include "common/health.h"
 #include "common/ledger.h"
+#include "common/parallel.h"
 #include "common/record.h"
 #include "common/shutdown.h"
 #include "common/telemetry.h"
@@ -24,6 +23,8 @@
 #include "core/monitor.h"
 #include "logs/entity_catalog.h"
 #include "logs/log_io.h"
+#include "logs/spool.h"
+#include "service/retry.h"
 
 namespace acobe {
 namespace fs = std::filesystem;
@@ -44,12 +45,10 @@ std::int64_t DayOfTs(std::int64_t ts) {
   return d;
 }
 
-std::string ReadWholeFile(const std::string& path) {
+std::ifstream OpenOrThrow(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
+  return in;
 }
 
 std::string DayString(std::int64_t day) {
@@ -74,8 +73,8 @@ double SecondsBetween(std::chrono::steady_clock::time_point a,
 
 // Roster-derived immutable directory: the interning tables, the kept
 // departments in canonical (first-seen) order, and the user -> shard
-// route map. Read-only once Start() has built it; workers read entity
-// names from it during cycles.
+// route map. Read-only once Start() has built it; shard tasks read
+// entity names from it during cycles.
 class ServiceDirectory {
  public:
   EntityCatalog tables;
@@ -116,14 +115,11 @@ struct ServiceSupervisor::ShardOutcome {
   std::vector<std::pair<std::string, std::string>> monitors;
 };
 
+// One shard's state. The caller appends to `window` while parsing; the
+// shard's pool task owns all of it during RunShards.
 struct ServiceSupervisor::ShardRuntime {
-  ShardRuntime(std::size_t rows, std::size_t bytes, AdmissionPolicy policy,
-               BackoffConfig backoff_cfg)
-      : queue(rows, bytes, policy), backoff(backoff_cfg) {}
-
-  BoundedEventQueue queue;
-
-  // Worker-owned between Dispatch() and the result handoff.
+  // Retry before quarantine under BackoffConfig's defaults: three
+  // retries from 100 ms, doubling, capped at 30 s, seeded jitter.
   BackoffPolicy backoff;
   struct DeptRuntime {
     const ServiceDirectory::Dept* dept = nullptr;
@@ -133,28 +129,17 @@ struct ServiceSupervisor::ShardRuntime {
   std::vector<PackedEvent> window;  // sliding event window, day-sorted lazily
   bool quarantined = false;
   std::uint32_t failures = 0;
-
-  // Main <-> worker handoff. Main writes `task` then calls
-  // queue.CloseBatch(); the worker reads `task` after it sees the
-  // batch boundary, and posts `result` when the cycle is done.
-  std::mutex m;
-  std::condition_variable cv;
-  CycleTask task;
-  ShardOutcome result;
-  bool result_ready = false;
-
-  std::thread thread;
 };
 
 namespace {
 
-// LogSink that packs each event and routes it to its user's shard
-// queue; tracks the batch's day range and admission counts.
+// LogSink that packs each event and appends it to its user's shard
+// window; tracks the batch's day range and admission counts.
 class ShardRouter : public LogSink {
  public:
   ShardRouter(const std::vector<int>& user_shard,
-              std::vector<BoundedEventQueue*> queues)
-      : user_shard_(user_shard), queues_(std::move(queues)) {}
+              std::vector<std::vector<PackedEvent>*> windows)
+      : user_shard_(user_shard), windows_(std::move(windows)) {}
 
   void Consume(const LogonEvent& e) override { Route(e); }
   void Consume(const DeviceEvent& e) override { Route(e); }
@@ -182,13 +167,12 @@ class ShardRouter : public LogSink {
     const std::int64_t day = DayOfTs(p.ts);
     day_lo_ = std::min(day_lo_, day);
     day_hi_ = std::max(day_hi_, day);
-    if (queues_[static_cast<std::size_t>(shard)]->Push(p)) {
-      ++admitted_;
-    }
+    windows_[static_cast<std::size_t>(shard)]->push_back(p);
+    ++admitted_;
   }
 
   const std::vector<int>& user_shard_;
-  std::vector<BoundedEventQueue*> queues_;
+  std::vector<std::vector<PackedEvent>*> windows_;
   std::size_t admitted_ = 0;
   std::size_t dropped_ = 0;
   std::int64_t day_lo_ = std::numeric_limits<std::int64_t>::max();
@@ -207,7 +191,15 @@ ServiceSupervisor::ServiceSupervisor(ServiceConfig config)
   if (config_.shards < 1) config_.shards = 1;
 }
 
-ServiceSupervisor::~ServiceSupervisor() { StopWorkers(); }
+ServiceSupervisor::~ServiceSupervisor() = default;
+
+const char* ToString(AdmissionPolicy) { return "block"; }
+
+AdmissionPolicy AdmissionPolicyFromString(const std::string& s) {
+  if (s == "block") return AdmissionPolicy::kBlock;
+  throw std::invalid_argument("unknown admission policy '" + s +
+                              "' (only block is supported)");
+}
 
 std::string ServiceSupervisor::JournalPath() const {
   return (fs::path(config_.out_dir) / "service.journal").string();
@@ -225,18 +217,17 @@ std::size_t ServiceSupervisor::departments() const {
 
 void ServiceSupervisor::LoadRoster() {
   auto d = std::make_unique<ServiceDirectory>();
-  const std::string bytes = ReadWholeFile(config_.roster_path);
-  d->roster_crc = Crc32(bytes);
   {
-    std::istringstream in(bytes);
+    std::ifstream in = OpenOrThrow(config_.roster_path);
     IngestOptions strict = config_.ingest;
     strict.policy = IngestPolicy::kStrict;  // a bad roster is fatal
-    ReadLdapCsv(in, d->tables, strict, config_.roster_path);
+    d->roster_crc =
+        ReadLdapCsv(in, d->tables, strict, config_.roster_path).bytes_crc;
   }
 
   for (const std::string& name : d->tables.Departments()) {
     std::vector<UserId> members = d->tables.UsersInDepartment(name);
-    if (members.size() < config_.min_dept_users) continue;
+    if (members.size() < kMinDepartmentUsers) continue;
     ServiceDirectory::Dept dept;
     dept.name = name;
     dept.order = d->depts.size();
@@ -246,7 +237,7 @@ void ServiceSupervisor::LoadRoster() {
   if (d->depts.empty()) {
     throw std::runtime_error("roster " + config_.roster_path +
                              " yields no department with >= " +
-                             std::to_string(config_.min_dept_users) +
+                             std::to_string(kMinDepartmentUsers) +
                              " members");
   }
   config_.shards = std::min<int>(config_.shards,
@@ -275,9 +266,7 @@ void ServiceSupervisor::LoadRoster() {
   // Shard runtimes + department assignment.
   shards_.clear();
   for (int i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<ShardRuntime>(
-        config_.queue_rows, config_.queue_bytes, config_.admission,
-        config_.backoff));
+    shards_.push_back(std::make_unique<ShardRuntime>());
   }
   MonitorConfig mc;
   mc.n_votes = config_.votes;
@@ -300,7 +289,7 @@ void ServiceSupervisor::LoadRoster() {
      << ";top=" << config_.top << ";pos=" << config_.top_positions
      << ";persist=" << config_.persistence_days
      << ";cooloff=" << config_.cooloff_days
-     << ";min=" << config_.min_dept_users << ";seed=" << config_.seed
+     << ";min=" << kMinDepartmentUsers << ";seed=" << config_.seed
      << ";shards=" << config_.shards
      << ";admission=" << ToString(config_.admission)
      << ";roster=" << dir_->roster_crc;
@@ -406,19 +395,17 @@ void ServiceSupervisor::Start() {
   }
   LoadRoster();
   RecoverOrInit();
+  // Registered at 0 so every heartbeat carries them, even from a
+  // process that finds nothing pending and runs no cycle.
+  ACOBE_COUNT("service.cycles", 0);
+  ACOBE_COUNT("service.batches", 0);
 
-  // Seed the open-alert counts from the (possibly restored) monitors
-  // while the main thread still owns them — workers spawn next.
+  // Seed the open-alert counts from the (possibly restored) monitors.
   dept_open_alerts_.assign(dir_->depts.size(), 0);
   for (const auto& shard : shards_) {
     for (const auto& rt : shard->depts) {
       dept_open_alerts_[rt.dept->order] = rt.monitor.OpenAlerts().size();
     }
-  }
-
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->thread =
-        std::thread(&ServiceSupervisor::WorkerMain, this, i);
   }
   started_ = true;
 
@@ -426,11 +413,8 @@ void ServiceSupervisor::Start() {
     ReplayWindow(state_.batches);
   }
 
-  // Readiness flips only now: journal recovered, window replayed,
-  // workers running. /readyz turns 200 at this instant.
-  shed_seen_ = 0;
-  for (const auto& shard : shards_) shed_seen_ += shard->queue.shed();
-  ExportQueueGauges();
+  // Readiness flips only now: journal recovered, window replayed.
+  // /readyz turns 200 at this instant.
   PublishStatus();
   ready_.store(true, std::memory_order_release);
 }
@@ -461,8 +445,7 @@ void ServiceSupervisor::ReplayWindow(const std::vector<BatchRecord>& batches) {
     }
     ACOBE_COUNT("service.replayed_batches", 1);
   }
-  Dispatch(task);  // ingest-only: scored_to < scored_from
-  Collect();
+  RunShards(task);  // ingest-only: scored_to < scored_from
 }
 
 std::vector<std::string> ServiceSupervisor::PendingBatches() const {
@@ -492,27 +475,30 @@ BatchRecord ServiceSupervisor::ParseBatch(const std::string& batch_name,
                                           std::size_t* admitted,
                                           std::size_t* dropped) {
   const fs::path dir = fs::path(config_.watch_dir) / batch_name;
-  std::vector<BoundedEventQueue*> queues;
-  queues.reserve(shards_.size());
-  for (auto& s : shards_) queues.push_back(&s->queue);
-  ShardRouter router(dir_->user_shard, std::move(queues));
+  std::vector<std::vector<PackedEvent>*> windows;
+  windows.reserve(shards_.size());
+  for (auto& s : shards_) windows.push_back(&s->window);
+  ShardRouter router(dir_->user_shard, std::move(windows));
+  // The batch digest is the CRC-32 of the files concatenated in
+  // kBatchCsvs order, folded from the CRCs the readers take as they
+  // parse.
   std::uint32_t crc = 0;
   for (const char* csv : kBatchCsvs) {
     const fs::path p = dir / csv;
     if (!fs::exists(p)) continue;
-    const std::string bytes = ReadWholeFile(p.string());
-    crc = Crc32(bytes.data(), bytes.size(), crc);
-    std::istringstream in(bytes);
+    std::ifstream in = OpenOrThrow(p.string());
     const std::string source = batch_name + "/" + csv;
+    IngestStats stats;
     if (csv == kBatchCsvs[0]) {
-      ReadDeviceCsv(in, dir_->tables, router, config_.ingest, source);
+      stats = ReadDeviceCsv(in, dir_->tables, router, config_.ingest, source);
     } else if (csv == kBatchCsvs[1]) {
-      ReadFileCsv(in, dir_->tables, router, config_.ingest, source);
+      stats = ReadFileCsv(in, dir_->tables, router, config_.ingest, source);
     } else if (csv == kBatchCsvs[2]) {
-      ReadHttpCsv(in, dir_->tables, router, config_.ingest, source);
+      stats = ReadHttpCsv(in, dir_->tables, router, config_.ingest, source);
     } else {
-      ReadLogonCsv(in, dir_->tables, router, config_.ingest, source);
+      stats = ReadLogonCsv(in, dir_->tables, router, config_.ingest, source);
     }
+    crc = Crc32Combine(crc, stats.bytes_crc, stats.bytes_read);
   }
   BatchRecord rec;
   rec.name = batch_name;
@@ -526,29 +512,33 @@ BatchRecord ServiceSupervisor::ParseBatch(const std::string& batch_name,
   }
   *admitted = router.admitted();
   *dropped = router.dropped();
-  ExportQueueGauges();  // heartbeat sees occupancy as ingested
   return rec;
 }
 
-void ServiceSupervisor::Dispatch(const CycleTask& task) {
-  for (auto& shard : shards_) {
-    {
-      std::lock_guard<std::mutex> lk(shard->m);
-      shard->task = task;
+std::vector<ServiceSupervisor::ShardOutcome> ServiceSupervisor::RunShards(
+    const CycleTask& task) {
+  // One pool task per shard (inline at one shard). Each task owns its
+  // shard and its slot of `outs`; the join orders both before the
+  // caller reads them.
+  std::vector<ShardOutcome> outs(shards_.size());
+  const int n = static_cast<int>(shards_.size());
+  PooledParallelFor(0, n, n, [&](int i) {
+    ShardRuntime& shard = *shards_[static_cast<std::size_t>(i)];
+    ShardOutcome& out = outs[static_cast<std::size_t>(i)];
+    try {
+      out = RunShardCycle(shard, task);
+    } catch (const std::exception& e) {
+      // A failure outside the retried compute phase (window upkeep,
+      // monitor bookkeeping) is not survivable for this shard:
+      // quarantine it rather than killing the process.
+      shard.quarantined = true;
+      out = ShardOutcome{};
+      out.quarantined = true;
+      out.quarantined_now = true;
+      out.failures = ++shard.failures;
+      out.error = e.what();
     }
-    shard->queue.CloseBatch();
-  }
-}
-
-std::vector<ServiceSupervisor::ShardOutcome> ServiceSupervisor::Collect() {
-  std::vector<ShardOutcome> outs;
-  outs.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    std::unique_lock<std::mutex> lk(shard->m);
-    shard->cv.wait(lk, [&] { return shard->result_ready; });
-    outs.push_back(std::move(shard->result));
-    shard->result_ready = false;
-  }
+  });
   return outs;
 }
 
@@ -608,13 +598,13 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
   rep.scored_to = task.scored_to;
 
   const auto t_ingest_done = std::chrono::steady_clock::now();
-  // train/score wall comes from span-profile deltas around the detect
-  // phase (zero when metrics are off — spans don't record then).
+  // train_s/score_s are span-profile deltas around the detect phase:
+  // thread-seconds summed over the shards running at once, not wall
+  // time (zero when metrics are off — spans don't record then).
   const std::vector<health::SpanEdge> spans_before = health::SpanProfile();
 
-  Dispatch(task);
   health::SetStage("detect");
-  std::vector<ShardOutcome> outs = Collect();
+  std::vector<ShardOutcome> outs = RunShards(task);
 
   const auto t_detect_done = std::chrono::steady_clock::now();
   const std::vector<health::SpanEdge> spans_after = health::SpanProfile();
@@ -764,15 +754,8 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
   cs.events_admitted = rep.events_admitted;
   cs.departments_scored = rep.departments_scored;
   cs.alerts = rep.alerts;
-  std::uint64_t shed_total = 0;
-  for (const auto& shard : shards_) {
-    shed_total += shard->queue.shed();
-    cs.queue_peak_rows = std::max(cs.queue_peak_rows,
-                                  shard->queue.peak_rows());
-  }
-  cs.events_shed = shed_total - std::min(shed_seen_, shed_total);
-  shed_seen_ = shed_total;
   cs.ingest_s = SecondsBetween(cycle_t0, t_ingest_done);
+  cs.detect_s = SecondsBetween(t_ingest_done, t_detect_done);
   cs.train_s = (SpanTotalMs(spans_after, "detector.train") -
                 SpanTotalMs(spans_before, "detector.train")) /
                1000.0;
@@ -789,7 +772,6 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
   }
   stats_.Record(cs);
   stats_.ExportSloGauges();
-  ExportQueueGauges();
   PublishStatus();
   return rep;
 }
@@ -808,54 +790,11 @@ void ServiceSupervisor::Finish(const std::string& reason) {
   // line away, so the stream ends with exactly one completion event.
 }
 
-void ServiceSupervisor::WorkerMain(std::size_t shard_idx) {
-  ShardRuntime& shard = *shards_[shard_idx];
-  for (;;) {
-    bool closed = false;
-    for (;;) {
-      const auto r = shard.queue.Pop(shard.window, 8192);
-      if (r == BoundedEventQueue::PopResult::kBatchEnd) break;
-      if (r == BoundedEventQueue::PopResult::kClosed) {
-        closed = true;
-        break;
-      }
-    }
-    if (closed) return;
-    CycleTask task;
-    {
-      std::lock_guard<std::mutex> lk(shard.m);
-      task = shard.task;
-    }
-    ShardOutcome out;
-    try {
-      out = RunShardCycle(shard, task);
-    } catch (const std::exception& e) {
-      // A failure outside the retried compute phase (ingest/commit
-      // bookkeeping) is not survivable for this shard: quarantine it
-      // rather than killing the process.
-      shard.quarantined = true;
-      out = ShardOutcome{};
-      out.quarantined = true;
-      out.quarantined_now = true;
-      out.failures = ++shard.failures;
-      out.error = e.what();
-    }
-    {
-      std::lock_guard<std::mutex> lk(shard.m);
-      shard.result = std::move(out);
-      shard.result_ready = true;
-    }
-    shard.cv.notify_all();
-  }
-}
-
 ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
     ShardRuntime& shard, const CycleTask& task) {
   ShardOutcome out;
   out.quarantined = shard.quarantined;
   out.failures = shard.failures;
-  // The worker owns its monitors between Dispatch and the result
-  // handoff, so reporting open-alert counts here is race-free.
   const auto report_open_alerts = [&] {
     out.open_alerts.clear();
     for (const auto& rt : shard.depts) {
@@ -865,15 +804,14 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
   };
 
   if (shard.quarantined) {
-    // Keep draining (the producer must never block on a dead shard)
-    // but compute nothing.
+    // The router still appends this shard's events; drop them and
+    // compute nothing.
     shard.window.clear();
     report_open_alerts();
     return out;
   }
 
-  // Ingest: the queue already drained into the window; drop what slid
-  // out of it.
+  // The batch is already in the window; drop what slid out of it.
   if (task.win_end >= task.win_start) {
     shard.window.erase(
         std::remove_if(shard.window.begin(), shard.window.end(),
@@ -896,7 +834,7 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
   spec.name = "acobe-serve";
   spec.ensemble.seed = config_.seed;
   spec.ensemble.threads = 1;  // per-shard determinism
-  // One detection shard, run serially on this worker (threads = 1).
+  // One detection shard, run serially inside this shard's task.
   std::vector<DetectionShard> one_shard(1);
   for (const auto& rt : shard.depts) {
     one_shard[0].jobs.push_back({rt.dept->name, rt.dept->members, spec});
@@ -979,12 +917,6 @@ void ServiceSupervisor::PublishStatus() {
   st.shards.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     ShardStatus s;
-    // bytes derives from the same rows read so the pair always agrees
-    // (the queue moves between two separate accessor calls).
-    s.queue_rows = shards_[i]->queue.rows();
-    s.queue_bytes = s.queue_rows * sizeof(PackedEvent);
-    s.queue_peak_rows = shards_[i]->queue.peak_rows();
-    s.queue_shed = shards_[i]->queue.shed();
     s.quarantined = state_.shards[i].quarantined;
     s.failures = state_.shards[i].failures;
     st.shards.push_back(s);
@@ -1001,36 +933,6 @@ void ServiceSupervisor::PublishStatus() {
   }
   std::lock_guard<std::mutex> lock(status_mutex_);
   status_ = std::move(st);
-}
-
-void ServiceSupervisor::ExportQueueGauges() const {
-  if (!telemetry::MetricsEnabled()) return;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::string suffix = ".shard" + std::to_string(i);
-    // bytes is derived from one rows read (not the queue's own bytes()
-    // accessor) so the two gauges can never disagree about emptiness.
-    const std::size_t rows = shards_[i]->queue.rows();
-    telemetry::GetGauge("service.queue.rows" + suffix)
-        .Set(static_cast<double>(rows));
-    telemetry::GetGauge("service.queue.bytes" + suffix)
-        .Set(static_cast<double>(rows * sizeof(PackedEvent)));
-    telemetry::GetGauge("service.queue.shed_total" + suffix)
-        .Set(static_cast<double>(shards_[i]->queue.shed()));
-  }
-}
-
-void ServiceSupervisor::RefreshQueueGauges() const {
-  if (!Ready()) return;
-  ExportQueueGauges();
-}
-
-void ServiceSupervisor::StopWorkers() {
-  for (auto& shard : shards_) {
-    if (shard->thread.joinable()) shard->queue.CloseAll();
-  }
-  for (auto& shard : shards_) {
-    if (shard->thread.joinable()) shard->thread.join();
-  }
 }
 
 }  // namespace acobe

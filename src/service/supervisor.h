@@ -5,14 +5,15 @@
 // ServiceSupervisor turns the batch ACOBE pipeline into a 24/7 daemon:
 // feeders drop batch directories (CERT-layout CSVs plus a READY
 // marker, written last) into a watch directory; each READY batch
-// becomes one *cycle*. The watcher thread parses the batch's CSVs in a
-// fixed order and routes packed events through bounded admission
-// queues (service/queue.h) to per-shard workers; each worker maintains
-// a sliding multi-day event window, and when the batch advances the
-// window far enough to expose new scorable days, runs ACOBE detection
-// per department (DetectDepartments, core/detector.h), feeds each
-// department's score grid into a persistent-alert MonitorState
-// (AdvanceGrid), and reports closed alerts.
+// becomes one *cycle*. The caller's thread parses the batch's CSVs in
+// a fixed order and appends each packed event to its shard's sliding
+// multi-day event window. When the batch advances the window far
+// enough to expose new scorable days, every shard runs ACOBE detection
+// per department (DetectDepartments, core/detector.h) as one task on
+// the shared pool (PooledParallelFor, common/parallel.h; inline at one
+// shard), feeds each department's score grid into a persistent-alert
+// MonitorState (AdvanceGrid), and hands the results back to the caller,
+// which commits them.
 //
 // Robustness properties, in the order they matter:
 //
@@ -23,30 +24,22 @@
 //       restarted daemon truncates torn output tails, rebuilds the
 //       event window by re-parsing journaled batches, restores the
 //       monitors, and re-runs the interrupted cycle — producing the
-//       same bytes it would have produced uninterrupted. Holds under
-//       AdmissionPolicy::kBlock (the default); kShed trades identity
-//       for liveness under overload.
+//       same bytes it would have produced uninterrupted.
 //
-//   supervision  A shard worker whose cycle computation throws is
-//       retried under a seeded BackoffPolicy; when retries exhaust,
-//       the shard is quarantined — its departments drop out of the
-//       report stream (a "shard_quarantined" ledger event says so) and
-//       the remaining shards keep serving.
+//   supervision  A shard whose cycle computation throws is retried
+//       under a seeded BackoffPolicy; when retries exhaust, the shard
+//       is quarantined — its departments drop out of the report stream
+//       (a "shard_quarantined" ledger event says so) and the remaining
+//       shards keep serving.
 //
-//   backpressure  Queues are capped in rows and bytes; under kBlock the
-//       watcher slows to the slowest shard rather than growing without
-//       bound. Queue depth, stalls and shed counts land in the
-//       telemetry registry ("service.*").
-//
-// Threading: the caller's thread parses and commits; one worker thread
-// per shard computes. Workers only touch their own shard state, and
-// every main<->worker handoff goes through a mutex (the queue's, or
-// the shard's task/result mutex), so the whole plane is
-// ThreadSanitizer-clean by construction.
+// Threading: the daemon owns no thread. A shard's task touches only
+// that shard's window, monitors and backoff state, and the pool's join
+// orders it before the caller reads the results, so the plane is
+// ThreadSanitizer-clean by construction. Ingest never overlaps
+// compute, so nothing sits between the parser and the windows.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -55,10 +48,21 @@
 #include "common/faults.h"
 #include "service/cycle_stats.h"
 #include "service/journal.h"
-#include "service/queue.h"
-#include "service/retry.h"
 
 namespace acobe {
+
+// Admission is always lossless: every parsed event reaches its shard's
+// window. The enum, its parser and ServiceConfig::admission stay only
+// because perfbench's per-layer trace program assigns cfg.admission;
+// they go when that program is retired (ROADMAP, per-layer time
+// budget).
+enum class AdmissionPolicy {
+  kBlock,
+};
+
+const char* ToString(AdmissionPolicy policy);
+/// Parses "block"; throws std::invalid_argument otherwise.
+AdmissionPolicy AdmissionPolicyFromString(const std::string& s);
 
 struct ServiceConfig {
   std::string watch_dir;   // drop directory to scan for READY batches
@@ -82,16 +86,10 @@ struct ServiceConfig {
   int persistence_days = 2;
   int cooloff_days = 2;
 
-  std::size_t min_dept_users = 3;  // departments below this are skipped
-
-  // Admission plane.
+  // Departments are hashed over this many shards (capped at the
+  // number of departments); each shard is one pool task per cycle.
   int shards = 2;
-  std::size_t queue_rows = 1u << 16;
-  std::size_t queue_bytes = 64u << 20;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-
-  // Shard-cycle retry / quarantine.
-  BackoffConfig backoff;
 
   IngestOptions ingest;  // CSV policy for batch files (roster is strict)
 };
@@ -115,12 +113,8 @@ struct CycleReport {
 // every committed cycle; readers (HTTP handlers, acobe-top) copy the
 // whole struct, so a scrape never holds the detection path up.
 struct ShardStatus {
-  std::size_t queue_rows = 0;       // live occupancy
-  std::size_t queue_bytes = 0;      // rows * sizeof(PackedEvent)
-  std::size_t queue_peak_rows = 0;  // process-lifetime high-water
-  std::size_t queue_shed = 0;       // events dropped by backpressure
   bool quarantined = false;
-  std::uint32_t failures = 0;       // cumulative absorbed failures
+  std::uint32_t failures = 0;  // cumulative absorbed failures
 };
 
 struct DepartmentStatus {
@@ -130,7 +124,7 @@ struct DepartmentStatus {
 };
 
 struct ServiceStatus {
-  bool ready = false;           // journal replayed, shards running
+  bool ready = false;           // journal replayed, window rebuilt
   std::uint64_t cycle = 0;
   std::uint64_t alerts_total = 0;
   std::int64_t window_start = 0;  // window_end < window_start: no events
@@ -151,7 +145,7 @@ class ServiceSupervisor {
 
   /// Loads the roster, recovers the journal (truncating torn output
   /// tails, restoring monitors, rebuilding the event window from
-  /// already-consumed batches) and spawns the shard workers. Throws
+  /// already-consumed batches). Throws
   /// JournalError when the on-disk state cannot be resumed
   /// bit-identically (config fingerprint mismatch, mutated batch,
   /// corrupt journal) and IngestError/std::runtime_error for input
@@ -177,11 +171,11 @@ class ServiceSupervisor {
   bool recovered() const { return recovered_; }
   std::size_t departments() const;
 
-  // --- Observability surface (thread-safe; serves /readyz, /statusz,
-  // --- /cycles and the queue gauges). ---
+  // --- Observability surface (thread-safe; serves /readyz, /statusz
+  // --- and /cycles). ---
 
-  /// True once Start() has finished: journal replayed (window rebuilt)
-  /// and shard workers running. /readyz is 503 until then.
+  /// True once Start() has finished: journal replayed (window rebuilt).
+  /// /readyz is 503 until then.
   bool Ready() const { return ready_.load(std::memory_order_acquire); }
 
   /// Copy of the latest published snapshot. Before Ready() this is a
@@ -192,11 +186,6 @@ class ServiceSupervisor {
   /// Per-cycle time-series backing /cycles and the service.slo.*
   /// gauges. The ring is itself thread-safe.
   const service::CycleStatsRing& cycle_stats() const { return stats_; }
-
-  /// Re-publishes the live service.queue.{rows,bytes,shed_total} gauges
-  /// from the shard queues so a scrape sees current occupancy, not the
-  /// last cycle's. No-op before Ready() or with metrics disabled.
-  void RefreshQueueGauges() const;
 
  private:
   struct ShardRuntime;
@@ -210,14 +199,10 @@ class ServiceSupervisor {
   CycleReport RunCycle(const std::string& batch_name);
   BatchRecord ParseBatch(const std::string& batch_name, std::size_t* admitted,
                          std::size_t* dropped);
-  void Dispatch(const CycleTask& task);
-  std::vector<ShardOutcome> Collect();
-  void WorkerMain(std::size_t shard_idx);
+  std::vector<ShardOutcome> RunShards(const CycleTask& task);
   ShardOutcome RunShardCycle(ShardRuntime& shard, const CycleTask& task);
-  void StopWorkers();
   std::string JournalPath() const;
   void PublishStatus();
-  void ExportQueueGauges() const;  // unguarded; main thread only pre-ready
 
   ServiceConfig config_;
   std::uint64_t fingerprint_ = 0;
@@ -239,12 +224,11 @@ class ServiceSupervisor {
   std::unique_ptr<AppendLog> ledger_log_;
 
   // Observability plane. dept_open_alerts_ is indexed by canonical
-  // department order, refreshed from worker outcomes each cycle.
+  // department order, refreshed from shard outcomes each cycle.
   std::atomic<bool> ready_{false};
   mutable std::mutex status_mutex_;
   ServiceStatus status_;
   std::vector<std::size_t> dept_open_alerts_;
-  std::uint64_t shed_seen_ = 0;  // cumulative shed at last cycle end
   service::CycleStatsRing stats_;
 };
 

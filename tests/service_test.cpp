@@ -1,7 +1,8 @@
-// The resident service's building blocks: seeded backoff, bounded
-// admission queues (incl. producer/consumer threading), the CRC'd
-// cycle journal with its truncate-to-committed append logs, and the
-// incremental MonitorState drive matching the batch monitor.
+// The resident service's building blocks: seeded backoff, the CRC'd
+// cycle journal with its truncate-to-committed append logs, the
+// incremental MonitorState drive matching the batch monitor, and
+// in-process supervisor drains (shard-count identity, batch digests,
+// cycle time buckets).
 
 #include <gtest/gtest.h>
 
@@ -12,21 +13,26 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/date.h"
+#include "common/faults.h"
 #include "common/telemetry.h"
 #include "core/critic.h"
 #include "core/monitor.h"
 #include "core/score_grid.h"
+#include "logs/log_io.h"
+#include "logs/log_store.h"
 #include "service/cycle_stats.h"
 #include "service/journal.h"
-#include "service/queue.h"
 #include "service/retry.h"
 #include "service/supervisor.h"
+#include "simdata/cert_simulator.h"
 
 using namespace acobe;
 
@@ -55,13 +61,6 @@ class TempDir {
   static int counter_;
 };
 int TempDir::counter_ = 0;
-
-PackedEvent Ev(std::int64_t ts, std::uint32_t user) {
-  PackedEvent p;
-  p.ts = ts;
-  p.user = user;
-  return p;
-}
 
 // --- BackoffPolicy ---------------------------------------------------------
 
@@ -143,100 +142,6 @@ TEST(BackoffPolicyTest, ZeroRetriesQuarantinesImmediately) {
   BackoffPolicy p(cfg);
   EXPECT_FALSE(p.OnFailure().has_value());
   EXPECT_EQ(p.failures(), 1);
-}
-
-// --- BoundedEventQueue -----------------------------------------------------
-
-TEST(BoundedEventQueueTest, ByteCapTightensRowCap) {
-  // 10 rows but only 4 events' worth of bytes: bytes bind.
-  BoundedEventQueue q(10, 4 * sizeof(PackedEvent), AdmissionPolicy::kShed);
-  EXPECT_EQ(q.max_rows(), 4u);
-  // Degenerate caps clamp to one event rather than zero.
-  BoundedEventQueue tiny(10, 1, AdmissionPolicy::kShed);
-  EXPECT_EQ(tiny.max_rows(), 1u);
-}
-
-TEST(BoundedEventQueueTest, ShedPolicyDropsAtCapAndCounts) {
-  BoundedEventQueue q(2, 1 << 20, AdmissionPolicy::kShed);
-  EXPECT_TRUE(q.Push(Ev(1, 0)));
-  EXPECT_TRUE(q.Push(Ev(2, 0)));
-  EXPECT_FALSE(q.Push(Ev(3, 0)));  // at cap: shed
-  EXPECT_EQ(q.shed(), 1u);
-  EXPECT_EQ(q.admitted(), 2u);
-  EXPECT_EQ(q.rows(), 2u);
-}
-
-TEST(BoundedEventQueueTest, BatchBoundariesArriveInOrder) {
-  BoundedEventQueue q(100, 1 << 20, AdmissionPolicy::kBlock);
-  q.Push(Ev(1, 0));
-  q.Push(Ev(2, 0));
-  q.CloseBatch();
-  q.Push(Ev(3, 0));
-  q.CloseBatch();
-  q.CloseBatch();  // empty batch
-  q.CloseAll();
-
-  std::vector<PackedEvent> out;
-  EXPECT_EQ(q.Pop(out, 100), BoundedEventQueue::PopResult::kEvents);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[1].ts, 2);
-  EXPECT_EQ(q.Pop(out, 100), BoundedEventQueue::PopResult::kBatchEnd);
-  EXPECT_EQ(q.Pop(out, 100), BoundedEventQueue::PopResult::kEvents);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[2].ts, 3);
-  EXPECT_EQ(q.Pop(out, 100), BoundedEventQueue::PopResult::kBatchEnd);
-  EXPECT_EQ(q.Pop(out, 100), BoundedEventQueue::PopResult::kBatchEnd);
-  EXPECT_EQ(q.Pop(out, 100), BoundedEventQueue::PopResult::kClosed);
-}
-
-TEST(BoundedEventQueueTest, NeverHandsEventsPastABoundary) {
-  BoundedEventQueue q(100, 1 << 20, AdmissionPolicy::kBlock);
-  q.Push(Ev(1, 0));
-  q.CloseBatch();
-  q.Push(Ev(2, 0));  // next batch, already admitted
-  std::vector<PackedEvent> out;
-  EXPECT_EQ(q.Pop(out, 100), BoundedEventQueue::PopResult::kEvents);
-  EXPECT_EQ(out.size(), 1u);  // stopped at the boundary
-  EXPECT_EQ(q.Pop(out, 100), BoundedEventQueue::PopResult::kBatchEnd);
-}
-
-TEST(BoundedEventQueueTest, PushAfterCloseAllThrows) {
-  BoundedEventQueue q(4, 1 << 20, AdmissionPolicy::kBlock);
-  q.CloseAll();
-  EXPECT_THROW(q.Push(Ev(1, 0)), std::logic_error);
-}
-
-TEST(BoundedEventQueueTest, BlockingProducerDrainsInFifoOrderAcrossThreads) {
-  // A tiny cap forces the producer to block repeatedly; the consumer
-  // must still observe every event exactly once, in admission order.
-  // (This test is part of the ThreadSanitizer CI job.)
-  constexpr int kEvents = 20000;
-  BoundedEventQueue q(8, 1 << 20, AdmissionPolicy::kBlock);
-  std::thread producer([&] {
-    for (int i = 0; i < kEvents; ++i) {
-      ASSERT_TRUE(q.Push(Ev(i, static_cast<std::uint32_t>(i % 7))));
-    }
-    q.CloseBatch();
-    q.CloseAll();
-  });
-  std::vector<PackedEvent> got;
-  bool saw_boundary = false;
-  for (;;) {
-    const auto r = q.Pop(got, 64);
-    if (r == BoundedEventQueue::PopResult::kBatchEnd) {
-      saw_boundary = true;
-      continue;
-    }
-    if (r == BoundedEventQueue::PopResult::kClosed) break;
-  }
-  producer.join();
-  EXPECT_TRUE(saw_boundary);
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kEvents));
-  for (int i = 0; i < kEvents; ++i) {
-    ASSERT_EQ(got[static_cast<std::size_t>(i)].ts, i) << "out of order";
-  }
-  EXPECT_EQ(q.admitted(), static_cast<std::size_t>(kEvents));
-  EXPECT_EQ(q.shed(), 0u);
 }
 
 // --- Journal ---------------------------------------------------------------
@@ -604,6 +509,188 @@ TEST(SupervisorTest, UndecodableMonitorBlobIsAJournalError) {
     EXPECT_NE(std::string(e.what()).find("Engineering"), std::string::npos)
         << e.what();
   }
+}
+
+// --- In-process drains ------------------------------------------------------
+
+constexpr const char* kTinyBatchCsvs[] = {"device.csv", "file.csv",
+                                          "http.csv", "logon.csv"};
+constexpr int kTinyDays = 10;
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
+}
+
+// Splits one whole-range CSV into per-day batch files: the header goes
+// to every day that has rows, each row to the day of its timestamp.
+// Rows after the last day are left out.
+void SplitCsvByDay(const std::string& csv, std::int64_t first_day,
+                   const std::string& watch, const std::string& name) {
+  std::istringstream in(csv);
+  std::string header, line;
+  std::getline(in, header);
+  std::vector<std::string> days(kTinyDays);
+  while (std::getline(in, line)) {
+    const std::int64_t day = std::stoll(line.substr(0, line.find(','))) /
+                                 86400 - first_day;
+    ASSERT_GE(day, 0);
+    if (day >= kTinyDays) continue;  // a logon running past the end
+    days[static_cast<std::size_t>(day)] += line + "\n";
+  }
+  for (int d = 0; d < kTinyDays; ++d) {
+    if (days[static_cast<std::size_t>(d)].empty()) continue;
+    std::ofstream(watch + "/day-" + std::to_string(100 + d) + "/" + name)
+        << header << "\n" << days[static_cast<std::size_t>(d)];
+  }
+}
+
+// A tiny simulated org (3 departments of 5 users, an insider planted in
+// the first one from the sixth day) cut into one batch directory per
+// day. Odd days drop their file.csv, so the digest fold also sees
+// absent files.
+void WriteTinyOrg(const std::string& watch, const std::string& roster) {
+  LogStore store;
+  sim::CertSimConfig cfg;
+  cfg.org.departments = 3;
+  cfg.org.users_per_department = 5;
+  cfg.org.extra_users = 0;
+  cfg.start = Date(2010, 1, 4);
+  cfg.end = Date(2010, 1, 4 + kTinyDays - 1);
+  cfg.profiles.rate_scale = 0.3;
+  cfg.seed = 11;
+  sim::CertSimulator simulator(cfg, store);
+  simulator.InjectScenario(sim::InsiderScenarioKind::kScenario1, 0,
+                           Date(2010, 1, 9), 3);
+  simulator.Run(store);
+  store.SortChronologically();
+
+  const std::int64_t first_day = cfg.start.DayNumber();
+  for (int d = 0; d < kTinyDays; ++d) {
+    fs::create_directories(watch + "/day-" + std::to_string(100 + d));
+  }
+  const struct {
+    const char* name;
+    void (*write)(const LogStore&, std::ostream&);
+  } streams[] = {{"device.csv", WriteDeviceCsv},
+                 {"file.csv", WriteFileCsv},
+                 {"http.csv", WriteHttpCsv},
+                 {"logon.csv", WriteLogonCsv}};
+  for (const auto& stream : streams) {
+    std::ostringstream csv;
+    stream.write(store, csv);
+    SplitCsvByDay(csv.str(), first_day, watch, stream.name);
+  }
+  std::ofstream ldap(roster);
+  WriteLdapCsv(store, ldap);
+  for (int d = 0; d < kTinyDays; ++d) {
+    const std::string dir = watch + "/day-" + std::to_string(100 + d);
+    if (d % 2 == 1) fs::remove(dir + "/file.csv");
+    std::ofstream(dir + "/READY");
+  }
+}
+
+ServiceConfig TinyConfig(const std::string& watch, const std::string& out,
+                         const std::string& roster, int shards) {
+  ServiceConfig cfg;
+  cfg.watch_dir = watch;
+  cfg.out_dir = out;
+  cfg.roster_path = roster;
+  cfg.window_days = 8;
+  cfg.train_days = 5;
+  cfg.omega = 3;
+  cfg.epochs = 1;
+  cfg.cooloff_days = 1;  // so alerts close within the ten days
+  cfg.shards = shards;
+  return cfg;
+}
+
+struct DrainResult {
+  std::string alerts;
+  std::string ledger;  // run_complete included; the manifest's shards not
+  std::vector<service::CycleStat> cycles;
+  std::size_t departments_scored = 0;
+};
+
+DrainResult DrainInProcess(const ServiceConfig& cfg) {
+  DrainResult r;
+  ServiceSupervisor sup(cfg);
+  sup.Start();
+  const std::vector<CycleReport> reports = sup.ProcessAvailableBatches();
+  EXPECT_EQ(reports.size(), static_cast<std::size_t>(kTinyDays));
+  for (const CycleReport& rep : reports) {
+    r.departments_scored += rep.departments_scored;
+  }
+  r.cycles = sup.cycle_stats().Recent(64);
+  sup.Finish("drained");
+  r.alerts = ReadFile(cfg.out_dir + "/alerts.jsonl");
+  r.ledger = std::regex_replace(ReadFile(cfg.out_dir + "/ledger.jsonl"),
+                                std::regex(R"(, "shards": \d+)"), "");
+  return r;
+}
+
+TEST(SupervisorTest, DrainIsIdenticalAtOneAndThreeShards) {
+  TempDir dir;
+  const std::string watch = dir.file("watch");
+  const std::string roster = dir.file("ldap.csv");
+  WriteTinyOrg(watch, roster);
+
+  const DrainResult one =
+      DrainInProcess(TinyConfig(watch, dir.file("out1"), roster, 1));
+  const DrainResult three =
+      DrainInProcess(TinyConfig(watch, dir.file("out3"), roster, 3));
+
+  // Days 5..9 score all three departments.
+  EXPECT_EQ(one.departments_scored, 15u);
+  EXPECT_EQ(three.departments_scored, 15u);
+  EXPECT_NE(one.ledger.find("\"event\": \"detection\""), std::string::npos);
+  EXPECT_FALSE(one.alerts.empty());
+  EXPECT_EQ(one.alerts, three.alerts);
+  EXPECT_EQ(one.ledger, three.ledger);
+
+  // The cycle's wall-clock buckets add up to its separately timed
+  // total (to rounding: each is a nanosecond count in seconds).
+  for (const DrainResult* r : {&one, &three}) {
+    ASSERT_EQ(r->cycles.size(), static_cast<std::size_t>(kTinyDays));
+    for (const service::CycleStat& c : r->cycles) {
+      EXPECT_GT(c.detect_s, 0.0) << "cycle " << c.cycle;
+      EXPECT_NEAR(c.ingest_s + c.detect_s + c.commit_s, c.total_s, 1e-9)
+          << "cycle " << c.cycle;
+    }
+  }
+}
+
+TEST(SupervisorTest, JournaledBatchDigestIsTheCrcOfTheConcatenatedFiles) {
+  TempDir dir;
+  const std::string watch = dir.file("watch");
+  const std::string roster = dir.file("ldap.csv");
+  const std::string out = dir.file("out");
+  WriteTinyOrg(watch, roster);
+  {
+    ServiceSupervisor sup(TinyConfig(watch, out, roster, 2));
+    sup.Start();
+    sup.ProcessAvailableBatches();
+  }
+  const std::optional<JournalState> journal =
+      LoadJournal(out + "/service.journal");
+  ASSERT_TRUE(journal.has_value());
+  ASSERT_EQ(journal->batches.size(), static_cast<std::size_t>(kTinyDays));
+  for (const BatchRecord& b : journal->batches) {
+    std::string concat;
+    for (const char* csv : kTinyBatchCsvs) {
+      const std::string path = watch + "/" + b.name + "/" + csv;
+      if (fs::exists(path)) concat += ReadFile(path);
+    }
+    EXPECT_EQ(b.digest, Crc32(concat)) << b.name;
+  }
+}
+
+TEST(SupervisorTest, OnlyTheBlockAdmissionPolicyParses) {
+  EXPECT_EQ(AdmissionPolicyFromString("block"), AdmissionPolicy::kBlock);
+  EXPECT_STREQ(ToString(AdmissionPolicy::kBlock), "block");
+  EXPECT_THROW(AdmissionPolicyFromString("shed"), std::invalid_argument);
 }
 
 }  // namespace

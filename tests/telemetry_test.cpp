@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "behavior/normalized_day.h"
@@ -81,6 +82,48 @@ TEST_F(TelemetryTest, HistogramNearestRankPercentiles) {
   EXPECT_EQ(one.count, 1u);
   EXPECT_DOUBLE_EQ(one.p50, 7.0);
   EXPECT_DOUBLE_EQ(one.p99, 7.0);
+}
+
+TEST_F(TelemetryTest, HistogramRetainsAtMostTheCapWithExactTotals) {
+  // Ten times the cap from four threads: the totals stay exact (integer
+  // samples, so every partial sum is exact too) while the retained
+  // samples behind the quantiles stop at the cap.
+  constexpr int kThreads = 4;
+  const int per_thread =
+      static_cast<int>(telemetry::Histogram::kMaxSamples) * 10 / kThreads;
+  telemetry::Histogram& h = telemetry::GetHistogram("test.hist_capped");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, t, per_thread] {
+      for (int i = 0; i < per_thread; ++i) h.Record(t * per_thread + i + 1);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const double n = static_cast<double>(kThreads) * per_thread;
+  const auto stats = h.Snapshot();
+  EXPECT_EQ(stats.count, static_cast<std::uint64_t>(n));
+  EXPECT_DOUBLE_EQ(stats.sum, n * (n + 1) / 2);
+  EXPECT_DOUBLE_EQ(stats.min, 1.0);
+  EXPECT_DOUBLE_EQ(stats.max, n);
+  EXPECT_DOUBLE_EQ(stats.mean, (n + 1) / 2);
+  EXPECT_LE(stats.retained, telemetry::Histogram::kMaxSamples);
+  EXPECT_GT(stats.retained, 0u);
+  // The reservoir keeps the quantiles ordered and inside the range.
+  EXPECT_LE(stats.min, stats.p50);
+  EXPECT_LE(stats.p50, stats.p95);
+  EXPECT_LE(stats.p95, stats.p99);
+  EXPECT_LE(stats.p99, stats.max);
+
+  // Reset empties the reservoir budget too: below the cap every sample
+  // is kept again and the quantiles are exact.
+  h.Reset();
+  for (int v = 1; v <= 100; ++v) h.Record(v);
+  const auto again = h.Snapshot();
+  EXPECT_EQ(again.count, 100u);
+  EXPECT_EQ(again.retained, 100u);
+  EXPECT_DOUBLE_EQ(again.p50, 50.0);
+  EXPECT_DOUBLE_EQ(again.p95, 95.0);
+  EXPECT_DOUBLE_EQ(again.p99, 99.0);
 }
 
 TEST_F(TelemetryTest, MacrosAreInertWhenDisabled) {

@@ -918,7 +918,7 @@ int main(int argc, char** argv) {
   }
   for (std::size_t d = 0; d < departments.size(); ++d) {
     auto members = tables.UsersInDepartment(departments[d]);
-    if (members.size() < 3) continue;
+    if (members.size() < kMinDepartmentUsers) continue;
     std::vector<DepartmentJob>& jobs = detect_shards[d % n_shards].jobs;
     jobs.push_back({departments[d], std::move(members), spec});
     if (!checkpoint_dir.empty()) {

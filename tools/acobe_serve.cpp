@@ -5,25 +5,29 @@
 // Feeders drop *batch directories* into the watch directory: a
 // directory holding any of device.csv / file.csv / http.csv /
 // logon.csv (CERT layout) plus an empty READY marker file, written
-// last. Every READY batch becomes one detection cycle: its events are
-// admitted through bounded per-shard queues into a sliding
-// --window-days event window, and each newly scorable day runs the
-// full ACOBE pipeline per department, feeding a persistent-alert
-// monitor. Closed alerts append to OUT/alerts.jsonl; cycle and
-// detection provenance appends to OUT/ledger.jsonl.
+// last. Every READY batch becomes one detection cycle: the main thread
+// parses its events into per-shard sliding --window-days event windows,
+// then each newly scorable day runs the full ACOBE pipeline per
+// department, one pool task per shard (--shards), feeding a
+// persistent-alert monitor. Closed alerts append to OUT/alerts.jsonl;
+// cycle and detection provenance appends to OUT/ledger.jsonl.
 //
 // Crash safety: every cycle commits through OUT/service.journal
 // (src/service/journal.h). Kill the process at any instant — including
 // kill -9 — and the restarted daemon resumes where the journal says,
-// producing output streams byte-identical to an uninterrupted run
-// (under --admission=block, the default). Batch directories must stay
-// immutable after their READY marker appears; the journal stores their
-// digests and refuses to resume over mutated inputs.
+// producing output streams byte-identical to an uninterrupted run, at
+// any --shards. Batch directories must stay immutable after their READY
+// marker appears; the journal stores their digests and refuses to
+// resume over mutated inputs.
 //
 // Supervision: a shard whose detection cycle keeps throwing is retried
-// under seeded exponential backoff (--retries, --backoff-*) and then
+// under seeded exponential backoff (three retries from 100 ms) and then
 // quarantined — its departments stop reporting (a "shard_quarantined"
 // ledger event records why) while the rest of the service keeps going.
+//
+// --admission=block is accepted as a no-op: admission is always
+// lossless. Departments with fewer than 3 members are skipped, as in
+// acobe_detect.
 //
 // Exit codes: 0 success (drained, or clean signal shutdown), 1 internal
 // failure, 2 usage, 3 bad input data, 4 corrupt or non-resumable
@@ -46,6 +50,7 @@
 #include <vector>
 
 #include "cli_util.h"
+#include "common/date.h"
 #include "common/faults.h"
 #include "common/health.h"
 #include "common/shutdown.h"
@@ -69,12 +74,9 @@ void Usage() {
       "             [--window-days=N] [--train-days=N] [--omega=N]\n"
       "             [--epochs=N] [--votes=N] [--top=N] [--seed=N]\n"
       "             [--alert-top=N] [--persistence-days=N] [--cooloff-days=N]\n"
-      "             [--min-dept-users=N] [--shards=N]\n"
-      "             [--queue-rows=N] [--queue-mb=N] [--admission=block|shed]\n"
-      "             [--retries=N] [--backoff-base-ms=X] [--backoff-cap-ms=X]\n"
-      "             [--backoff-seed=N] [--ingest=strict|permissive]\n"
+      "             [--shards=N] [--ingest=strict|permissive]\n"
       "             [--error-budget=X] [--poll-ms=N] [--drain]\n"
-      "             [--max-cycles=N] [--health-out=F] [--health-interval-ms=N]\n"
+      "             [--health-out=F] [--health-interval-ms=N]\n"
       "             [--metrics-out=F] [--listen=ADDR:PORT] [--version]\n"
       "\n"
       "  --watch=DIR         drop directory scanned for READY batches\n"
@@ -90,21 +92,12 @@ void Usage() {
       "  --alert-top=N       daily positions that count as firing (default 3)\n"
       "  --persistence-days=N  days of firing that open an alert (default 2)\n"
       "  --cooloff-days=N    quiet days that close an alert (default 2)\n"
-      "  --min-dept-users=N  skip smaller departments (default 3)\n"
-      "  --shards=N          worker shards (default 2, capped at #depts)\n"
-      "  --queue-rows=N      admission queue cap in events (default 65536)\n"
-      "  --queue-mb=N        admission queue cap in MiB (default 64)\n"
-      "  --admission=P       block (lossless, bit-identical restarts) or\n"
-      "                      shed (drop at cap; outside the identity contract)\n"
-      "  --retries=N         cycle retries before quarantine (default 3)\n"
-      "  --backoff-base-ms=X first retry delay (default 100)\n"
-      "  --backoff-cap-ms=X  delay ceiling (default 30000)\n"
-      "  --backoff-seed=N    jitter RNG seed (default 0x5eed)\n"
+      "  --shards=N          parallel detection shards (default 2, capped at\n"
+      "                      #depts; output is identical at any value)\n"
       "  --ingest=P          batch CSV row policy (default strict)\n"
       "  --error-budget=X    permissive-mode bad-row budget (default 0.05)\n"
       "  --poll-ms=N         watch-directory poll interval (default 500)\n"
       "  --drain             process pending batches, then exit\n"
-      "  --max-cycles=N      stop after N cycles this process (testing)\n"
       "  --health-out=F      heartbeat JSONL (tools/check_health.py)\n"
       "  --metrics-out=F     write telemetry metrics JSON to F\n"
       "  --listen=[A:]P      serve GET /metrics /healthz /readyz /statusz\n"
@@ -162,10 +155,9 @@ std::string StatuszJson(const ServiceSupervisor& sup) {
   for (std::size_t i = 0; i < st.shards.size(); ++i) {
     const ShardStatus& s = st.shards[i];
     if (i) os << ',';
-    os << "{\"shard\":" << i << ",\"queue_rows\":" << s.queue_rows
-       << ",\"queue_bytes\":" << s.queue_bytes
-       << ",\"queue_peak_rows\":" << s.queue_peak_rows
-       << ",\"queue_shed\":" << s.queue_shed
+    // queue_peak_rows and queue_shed are always 0 (there are no
+    // admission queues); perfbench's serve_live still reads both.
+    os << "{\"shard\":" << i << ",\"queue_peak_rows\":0,\"queue_shed\":0"
        << ",\"quarantined\":" << (s.quarantined ? "true" : "false")
        << ",\"failures\":" << s.failures << "}";
   }
@@ -208,11 +200,10 @@ std::string CyclesJson(const ServiceSupervisor& sup, std::size_t n) {
          << JsonStr(Date::FromDayNumber(c.scored_to).ToString());
     }
     os << ",\"events_admitted\":" << c.events_admitted
-       << ",\"events_shed\":" << c.events_shed
        << ",\"departments_scored\":" << c.departments_scored
        << ",\"alerts\":" << c.alerts
-       << ",\"queue_peak_rows\":" << c.queue_peak_rows
        << ",\"ingest_s\":" << JsonNum(c.ingest_s)
+       << ",\"detect_s\":" << JsonNum(c.detect_s)
        << ",\"train_s\":" << JsonNum(c.train_s)
        << ",\"score_s\":" << JsonNum(c.score_s)
        << ",\"commit_s\":" << JsonNum(c.commit_s)
@@ -236,8 +227,7 @@ void RegisterEndpoints(net::HttpServer& http, ServiceSupervisor& sup) {
         "  /cycles    JSON per-cycle time-series (acobe.cycles.v1, ?n=K)\n";
     return r;
   });
-  http.Handle("/metrics", [&sup](const net::HttpRequest&) {
-    sup.RefreshQueueGauges();  // scrape sees live occupancy
+  http.Handle("/metrics", [](const net::HttpRequest&) {
     net::HttpResponse r;
     r.content_type = "text/plain; version=0.0.4; charset=utf-8";
     std::ostringstream os;
@@ -299,7 +289,6 @@ int main(int argc, char** argv) {
   int health_interval_ms = 1000;
   int poll_ms = 500;
   bool drain = false;
-  long long max_cycles = 0;  // 0 = unbounded
   bool listen_enabled = false;
   std::string listen_address;
   std::uint16_t listen_port = 0;
@@ -340,29 +329,10 @@ int main(int argc, char** argv) {
       } else if (std::strncmp(arg, "--cooloff-days=", 15) == 0) {
         cfg.cooloff_days =
             static_cast<int>(cli::ParseInt(arg, arg + 15, 1, kMaxInt));
-      } else if (std::strncmp(arg, "--min-dept-users=", 17) == 0) {
-        cfg.min_dept_users = static_cast<std::size_t>(
-            cli::ParseInt(arg, arg + 17, 1, kMaxInt));
       } else if (std::strncmp(arg, "--shards=", 9) == 0) {
         cfg.shards = static_cast<int>(cli::ParseInt(arg, arg + 9, 1, 65536));
-      } else if (std::strncmp(arg, "--queue-rows=", 13) == 0) {
-        cfg.queue_rows = static_cast<std::size_t>(
-            cli::ParseInt(arg, arg + 13, 1, kMaxInt));
-      } else if (std::strncmp(arg, "--queue-mb=", 11) == 0) {
-        cfg.queue_bytes = static_cast<std::size_t>(cli::ParseInt(
-                              arg, arg + 11, 1, 1 << 20)) << 20;
       } else if (std::strncmp(arg, "--admission=", 12) == 0) {
-        cfg.admission = AdmissionPolicyFromString(arg + 12);
-      } else if (std::strncmp(arg, "--retries=", 10) == 0) {
-        cfg.backoff.max_retries =
-            static_cast<int>(cli::ParseInt(arg, arg + 10, 0, kMaxInt));
-      } else if (std::strncmp(arg, "--backoff-base-ms=", 18) == 0) {
-        cfg.backoff.base_ms = cli::ParseDouble(arg, arg + 18, 0.0, 1e9);
-      } else if (std::strncmp(arg, "--backoff-cap-ms=", 17) == 0) {
-        cfg.backoff.cap_ms = cli::ParseDouble(arg, arg + 17, 0.0, 1e9);
-      } else if (std::strncmp(arg, "--backoff-seed=", 15) == 0) {
-        cfg.backoff.seed = static_cast<std::uint64_t>(cli::ParseInt(
-            arg, arg + 15, 0, std::numeric_limits<long long>::max()));
+        cfg.admission = AdmissionPolicyFromString(arg + 12);  // block only
       } else if (std::strncmp(arg, "--ingest=", 9) == 0) {
         cfg.ingest.policy = IngestPolicyFromString(arg + 9);
       } else if (std::strncmp(arg, "--error-budget=", 15) == 0) {
@@ -371,8 +341,6 @@ int main(int argc, char** argv) {
         poll_ms = static_cast<int>(cli::ParseInt(arg, arg + 10, 10, 3600000));
       } else if (std::strcmp(arg, "--drain") == 0) {
         drain = true;
-      } else if (std::strncmp(arg, "--max-cycles=", 13) == 0) {
-        max_cycles = cli::ParseInt(arg, arg + 13, 1, kMaxInt);
       } else if (std::strncmp(arg, "--health-out=", 13) == 0) {
         health_out = arg + 13;
       } else if (std::strncmp(arg, "--health-interval-ms=", 21) == 0) {
@@ -455,7 +423,6 @@ int main(int argc, char** argv) {
                    sup.quarantined_shards());
     }
 
-    std::uint64_t cycles_this_process = 0;
     bool stop = false;
     while (!stop) {
       health::SetStage("watch");
@@ -479,13 +446,7 @@ int main(int argc, char** argv) {
                      r.departments_scored, r.alerts, r.events_admitted,
                      r.events_dropped);
       }
-      cycles_this_process += reports.size();
-
       if (ShutdownRequested()) break;
-      if (max_cycles > 0 &&
-          cycles_this_process >= static_cast<std::uint64_t>(max_cycles)) {
-        break;
-      }
       if (drain) {
         if (sup.PendingBatches().empty()) break;
         continue;  // more arrived while we were busy

@@ -18,9 +18,10 @@
 // skipped, never fatal.
 //
 // Remote mode (--url) polls GET /statusz and /cycles instead: service
-// readiness, window span, per-shard queue occupancy and quarantine
-// state, open alerts per department, the alert-latency/cycle-wall SLO
-// rollups, and the recent per-cycle wall-time breakdown. A fetch error
+// readiness, window span, per-shard quarantine state, open alerts per
+// department, the alert-latency/cycle-wall SLO rollups, and the recent
+// per-cycle wall-time breakdown (ingest + detect + commit = total) with
+// the train/score thread-seconds beside it. A fetch error
 // in follow mode renders as "waiting" (the daemon may be restarting);
 // with --once it exits 1.
 //
@@ -291,8 +292,7 @@ void RenderStatus(std::ostream& out, const json::Value& status,
 
   if (const json::Value* shards = status.Get("shards");
       shards != nullptr && shards->is_array() && shards->size() > 0) {
-    out << "  shard   queue rows   queue bytes    peak rows       shed"
-           "   state\n";
+    out << "  shard   state\n";
     for (std::size_t i = 0; i < shards->size(); ++i) {
       const json::Value& s = (*shards)[i];
       std::string state = "ok";
@@ -303,12 +303,8 @@ void RenderStatus(std::ostream& out, const json::Value& status,
                       s.GetNumber("failures", 0));
         state = line;
       }
-      std::snprintf(line, sizeof(line),
-                    "  %5.0f %12.0f %13s %12.0f %10.0f   %s\n",
-                    s.GetNumber("shard", 0), s.GetNumber("queue_rows", 0),
-                    HumanBytes(s.GetNumber("queue_bytes", 0)).c_str(),
-                    s.GetNumber("queue_peak_rows", 0),
-                    s.GetNumber("queue_shed", 0), state.c_str());
+      std::snprintf(line, sizeof(line), "  %5.0f   %s\n",
+                    s.GetNumber("shard", 0), state.c_str());
       out << line;
     }
     out << '\n';
@@ -329,19 +325,20 @@ void RenderStatus(std::ostream& out, const json::Value& status,
 
   if (const json::Value* recent = cycles.Get("cycles");
       recent != nullptr && recent->is_array() && recent->size() > 0) {
-    out << "  cycle  batch         events    alerts   ingest s    "
-           "train s    score s   commit s    total s\n";
+    out << "  cycle  batch         events    alerts   ingest s   "
+           "detect s   commit s    total s    train s    score s\n";
     for (std::size_t i = 0; i < recent->size(); ++i) {
       const json::Value& c = (*recent)[i];
       std::snprintf(line, sizeof(line),
                     "  %5.0f  %-12s %8.0f %9.0f %10.2f %10.2f %10.2f "
-                    "%10.2f %10.2f\n",
+                    "%10.2f %10.2f %10.2f\n",
                     c.GetNumber("cycle", 0),
                     c.GetString("batch", "?").c_str(),
                     c.GetNumber("events_admitted", 0),
                     c.GetNumber("alerts", 0), c.GetNumber("ingest_s", 0),
-                    c.GetNumber("train_s", 0), c.GetNumber("score_s", 0),
-                    c.GetNumber("commit_s", 0), c.GetNumber("total_s", 0));
+                    c.GetNumber("detect_s", 0), c.GetNumber("commit_s", 0),
+                    c.GetNumber("total_s", 0), c.GetNumber("train_s", 0),
+                    c.GetNumber("score_s", 0));
       out << line;
     }
   }

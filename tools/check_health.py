@@ -16,23 +16,19 @@ Checks, per line and across the file:
   - with --require-final: the last beat has final == true and its stage
     is "done", and at least --min-beats lines exist (default 2: the
     startup beat plus the final one),
-  - with --daemon: the file came from acobe_serve, so the per-shard
-    queue gauges (service.queue.rows.shardK / .bytes.shardK /
-    .shed_total.shardK) must appear in at least one beat, agree on the
-    shard count, keep bytes a whole multiple of the packed-event size,
-    and keep each shard's shed_total nondecreasing across beats.
+  - with --daemon: the file came from acobe_serve, so the final beat
+    must carry the service.cycles and service.batches counters (the
+    daemon registers both at startup; a restart with nothing pending
+    reports them at 0).
 
 Exit code 0 on success, 1 with a diagnostic on the first failure.
 """
 
 import json
-import re
 import sys
 
 SCHEMA = "acobe.health.v1"
-PACKED_EVENT_BYTES = 24  # sizeof(acobe::PackedEvent), static_asserted
-QUEUE_GAUGE_RE = re.compile(
-    r"^service\.queue\.(rows|bytes|shed_total)\.shard(\d+)$")
+DAEMON_COUNTERS = ("service.cycles", "service.batches")
 
 
 def fail(msg):
@@ -94,44 +90,13 @@ def check_beat(i, beat):
             fail(f"line {i}: span {s['name']!r} self_ms > total_ms")
 
 
-def check_daemon_gauges(beats):
-    """Daemon-mode validation of the per-shard queue gauges."""
-    shards_seen = set()
-    beats_with_gauges = 0
-    prev_shed = {}
-    for i, beat in enumerate(beats, 1):
-        queue = {}  # shard -> {kind: value}
-        for name, value in beat["gauges"].items():
-            m = QUEUE_GAUGE_RE.match(name)
-            if not m:
-                continue
-            kind, shard = m.group(1), int(m.group(2))
-            queue.setdefault(shard, {})[kind] = value
-        if not queue:
-            continue
-        beats_with_gauges += 1
-        shards_seen.update(queue)
-        for shard, kinds in sorted(queue.items()):
-            for kind in ("rows", "bytes", "shed_total"):
-                if kind not in kinds:
-                    fail(f"line {i}: shard {shard} lacks queue gauge "
-                         f"{kind!r} (has {sorted(kinds)})")
-                if kinds[kind] < 0:
-                    fail(f"line {i}: shard {shard} queue {kind} negative")
-            if kinds["bytes"] % PACKED_EVENT_BYTES != 0:
-                fail(f"line {i}: shard {shard} queue bytes "
-                     f"{kinds['bytes']} not a multiple of "
-                     f"{PACKED_EVENT_BYTES}")
-            if kinds["shed_total"] < prev_shed.get(shard, 0):
-                fail(f"line {i}: shard {shard} shed_total decreased "
-                     f"({prev_shed[shard]} -> {kinds['shed_total']})")
-            prev_shed[shard] = kinds["shed_total"]
-    if beats_with_gauges == 0:
-        fail("--daemon: no beat carries service.queue.* gauges")
-    if shards_seen != set(range(len(shards_seen))):
-        fail(f"--daemon: shard ids not contiguous from 0: "
-             f"{sorted(shards_seen)}")
-    return beats_with_gauges, len(shards_seen)
+def check_daemon_counters(beats):
+    """Daemon mode: the final beat carries the cycle counters."""
+    counters = beats[-1]["counters"]
+    for name in DAEMON_COUNTERS:
+        if name not in counters:
+            fail(f"--daemon: final beat lacks counter {name!r}")
+    return {name: counters[name]["total"] for name in DAEMON_COUNTERS}
 
 
 def main():
@@ -194,9 +159,9 @@ def main():
 
     daemon_note = ""
     if daemon:
-        gauge_beats, n_shards = check_daemon_gauges(beats)
-        daemon_note = (f", queue gauges for {n_shards} shard(s) "
-                       f"in {gauge_beats} beat(s)")
+        totals = check_daemon_counters(beats)
+        daemon_note = (f", {totals['service.cycles']} cycle(s) over "
+                       f"{totals['service.batches']} batch(es)")
 
     tools = {b["tool"] for b in beats}
     print(f"check_health: OK: {len(beats)} beats from {'/'.join(sorted(tools))}"

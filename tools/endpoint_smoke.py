@@ -15,7 +15,8 @@ Drives one full daemon lifecycle and validates every endpoint:
   5. validate /statusz and /cycles JSON (schemas acobe.statusz.v1 /
      acobe.cycles.v1), the 400 on a bad ?n=, the 404/405 surface, and
      /metrics under tools/check_prom.py (including the service.slo.*
-     and per-shard service.queue.* gauges),
+     gauges); every /cycles row's ingest_s + detect_s + commit_s must
+     add up to its total_s,
   6. render the remote dashboard once with acobe_top --url,
   7. SIGTERM the daemon, require a clean exit, and validate its
      heartbeat file with check_health.py --daemon.
@@ -199,8 +200,8 @@ def main():
         if len(shards) != 2:
             fail(f"/statusz reports {len(shards)} shards, expected 2")
         for s in shards:
-            for key in ("shard", "queue_rows", "queue_bytes",
-                        "queue_peak_rows", "queue_shed", "quarantined"):
+            for key in ("shard", "queue_peak_rows", "queue_shed",
+                        "quarantined"):
                 if key not in s:
                     fail(f"/statusz shard lacks {key!r}: {s}")
         if not status_doc.get("departments"):
@@ -223,12 +224,17 @@ def main():
             fail("/cycles empty after a live batch")
         for c in cycles:
             for key in ("cycle", "batch", "events_admitted", "alerts",
-                        "ingest_s", "train_s", "score_s", "commit_s",
-                        "total_s", "batch_age_s", "alert_latency_s"):
+                        "ingest_s", "detect_s", "commit_s", "total_s",
+                        "train_s", "score_s", "batch_age_s",
+                        "alert_latency_s"):
                 if key not in c:
                     fail(f"/cycles row lacks {key!r}: {c}")
             if c["total_s"] < 0:
                 fail(f"/cycles negative total_s: {c}")
+            # Each value carries 6 significant digits (%.6g).
+            buckets = c["ingest_s"] + c["detect_s"] + c["commit_s"]
+            if abs(buckets - c["total_s"]) > 3e-5 * c["total_s"] + 1e-12:
+                fail(f"/cycles buckets {buckets} != total_s: {c}")
         live = cycles[-1]
         if live["events_admitted"] <= 0 or live["batch_age_s"] < 0:
             fail(f"live cycle looks unpopulated: {live}")
@@ -248,7 +254,6 @@ def main():
             fail(f"/metrics content type {headers.get('Content-Type')!r}")
         text = body.decode()
         for needle in ("acobe_service_slo_alert_latency_p50_s",
-                       "acobe_service_queue_rows_shard0",
                        "acobe_net_http_requests"):
             if needle not in text:
                 fail(f"/metrics lacks {needle}")

@@ -30,8 +30,8 @@ interrupted. This harness proves it the blunt way:
 With --with-http every soak-side daemon additionally runs the embedded
 observability server (--listen=127.0.0.1:0) while the reference run
 does not, proving the endpoint plane never perturbs detection output,
-and the heartbeat check also enforces the per-shard queue gauges
-(check_health.py --daemon).
+and the heartbeat check also requires the daemon's cycle counters in
+the final beat (check_health.py --daemon).
 
 Everything is driven by one --seed, so a failure reproduces.
 
