@@ -9,13 +9,21 @@
 // Four scenarios (two per sub-dataset analog), one insider per
 // department; per-scenario investigation lists are pooled exactly as in
 // the paper, with worst-case tie ordering (FP before TP).
+//
+// --metrics-out also carries each Figure 6(a,b) model's AUC, AP and
+// FPs-before-TP as gauges (fig6.seed<S>.<model>.auc /
+// .average_precision / .fps_before_tp.<i>), with bench.hw_threads and
+// bench.simd_avx2: the input of `tools/check_bench.py --quality`.
 
 #include <cstdio>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/version.h"
 #include "eval/metrics.h"
+#include "eval/report.h"
 
 using namespace acobe;
 using namespace acobe::bench;
@@ -57,6 +65,18 @@ void PrintCurves(const std::string& name,
   std::printf("\n");
 }
 
+/// Publishes one model's quality as gauges keyed by dataset seed.
+void PublishQuality(std::uint64_t seed, const eval::ModelSummary& m) {
+  const std::string prefix =
+      "fig6.seed" + std::to_string(seed) + "." + m.name + ".";
+  telemetry::GetGauge(prefix + "auc").Set(m.auc);
+  telemetry::GetGauge(prefix + "average_precision").Set(m.average_precision);
+  for (std::size_t i = 0; i < m.fps_before_tp.size(); ++i) {
+    telemetry::GetGauge(prefix + "fps_before_tp." + std::to_string(i + 1))
+        .Set(m.fps_before_tp[i]);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -93,6 +113,7 @@ int main(int argc, char** argv) {
     }
     const auto pooled = PoolScenarios(per_scenario);
     PrintCurves(ToString(kind), pooled);
+    PublishQuality(args.seed, eval::Summarize(ToString(kind), pooled));
     auc_by_name[ToString(kind)] =
         eval::RocAuc(eval::PositiveFlags(pooled));
   }
@@ -119,6 +140,12 @@ int main(int argc, char** argv) {
               "Base-FF %.2f%%\n",
               100 * auc_by_name["ACOBE"], 100 * auc_by_name["No-Group"],
               100 * auc_by_name["Baseline"], 100 * auc_by_name["Base-FF"]);
+  // The machine the numbers come from. The NN kernels are bit-exact at
+  // any thread count and SIMD level, so these only explain a mismatch.
+  telemetry::GetGauge("bench.hw_threads")
+      .Set(static_cast<double>(std::thread::hardware_concurrency()));
+  telemetry::GetGauge("bench.simd_avx2")
+      .Set(std::string(ActiveSimdName()) == "avx2" ? 1.0 : 0.0);
   args.FinishTelemetry();
   return 0;
 }

@@ -46,15 +46,13 @@ int main() {
               store.emails().size());
 
   // --- 2. CSV round-trip (the CERT dataset's file-per-log-type layout) -----
-  std::stringstream device_csv, http_csv, ldap_csv;
-  WriteDeviceCsv(store, device_csv);
-  WriteHttpCsv(store, http_csv);
-  WriteLdapCsv(store, ldap_csv);
+  // CsvEventSink is the one event-CSV writer: a simulator can stream
+  // into it directly, or a buffered store can be fed through it.
+  std::stringstream device_csv;
+  CsvEventSink(store, nullptr, &device_csv, nullptr, nullptr)
+      .ConsumeStore(store);
   LogStore reloaded;
-  {
-    std::stringstream in(device_csv.str());
-    ReadDeviceCsv(in, reloaded);
-  }
+  ReadDeviceCsv(device_csv, reloaded, IngestOptions{});
   std::printf("device.csv round-trip: %zu -> %zu events (%.1f KiB)\n",
               store.devices().size(), reloaded.devices().size(),
               device_csv.str().size() / 1024.0);

@@ -4,10 +4,16 @@
 
 namespace acobe {
 
-std::string CsvEscape(const std::string& field) {
-  const bool needs_quoting =
-      field.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quoting) return field;
+namespace {
+
+bool NeedsQuoting(std::string_view field) {
+  return field.find_first_of(",\"\n\r") != std::string_view::npos;
+}
+
+}  // namespace
+
+std::string CsvEscape(std::string_view field) {
+  if (!NeedsQuoting(field)) return std::string(field);
   std::string out;
   out.reserve(field.size() + 2);
   out.push_back('"');
@@ -19,10 +25,15 @@ std::string CsvEscape(const std::string& field) {
   return out;
 }
 
-void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << CsvEscape(fields[i]);
+void CsvWriter::WriteRow(std::initializer_list<std::string_view> fields) {
+  for (const std::string_view& field : fields) {
+    if (&field != fields.begin()) out_ << ',';
+    // Most fields need no quoting: write them without a copy.
+    if (NeedsQuoting(field)) {
+      out_ << CsvEscape(field);
+    } else {
+      out_ << field;
+    }
   }
   out_ << '\n';
 }
@@ -62,12 +73,6 @@ CsvRowStatus SplitCsvLineChecked(const std::string& line,
   }
   fields.push_back(std::move(current));
   return in_quotes ? CsvRowStatus::kUnterminatedQuote : CsvRowStatus::kOk;
-}
-
-std::vector<std::string> SplitCsvLine(const std::string& line) {
-  std::vector<std::string> fields;
-  SplitCsvLineChecked(line, fields);
-  return fields;
 }
 
 }  // namespace acobe

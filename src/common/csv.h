@@ -1,14 +1,16 @@
 #pragma once
 
-// Minimal CSV reading/writing used for log round-trips and bench output.
+// Minimal CSV reading/writing for the CERT log layout (logs/log_io.h).
 // The writer quotes fields containing commas, quotes or newlines. The
 // reader splits one physical line at a time (the CERT log layout is one
 // record per line; logs/log_io.cpp cuts files into lines), handles CRLF
 // endings, and reports structural damage (an unterminated quote)
 // instead of guessing, so ingestion policies can decide.
 
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace acobe {
@@ -18,7 +20,7 @@ class CsvWriter {
  public:
   explicit CsvWriter(std::ostream& out) : out_(out) {}
 
-  void WriteRow(const std::vector<std::string>& fields);
+  void WriteRow(std::initializer_list<std::string_view> fields);
 
  private:
   std::ostream& out_;
@@ -37,11 +39,7 @@ enum class CsvRowStatus {
 CsvRowStatus SplitCsvLineChecked(const std::string& line,
                                  std::vector<std::string>& fields);
 
-/// Splits a single CSV line (no embedded newlines) into fields,
-/// ignoring structural damage (legacy convenience wrapper).
-std::vector<std::string> SplitCsvLine(const std::string& line);
-
 /// Escapes a single field for CSV output.
-std::string CsvEscape(const std::string& field);
+std::string CsvEscape(std::string_view field);
 
 }  // namespace acobe

@@ -44,6 +44,13 @@ const char* ToString(IngestPolicy policy);
 /// std::invalid_argument otherwise.
 IngestPolicy IngestPolicyFromString(const std::string& s);
 
+/// The tools' event-timestamp plausibility window: 1980-01-01 ..
+/// 2100-01-01. One corrupted-but-numeric timestamp outside it would
+/// otherwise stretch the detected day span (and the measurement-cube
+/// allocation) by decades.
+constexpr std::int64_t kPlausibleTsMin = 315532800;
+constexpr std::int64_t kPlausibleTsMax = 4102444800;
+
 struct IngestOptions {
   IngestPolicy policy = IngestPolicy::kStrict;
   /// Bounded error budget: even in permissive/quarantine mode the read
@@ -64,9 +71,8 @@ struct IngestOptions {
   bool drop_consecutive_duplicates = false;
   /// Plausibility window for event timestamps (seconds since epoch);
   /// rows outside are rejected as "bad timestamp". Unrestricted by
-  /// default (unit tests use synthetic epochs); acobe-detect narrows it
-  /// to 1980..2100 so one corrupted timestamp cannot explode the
-  /// day-range (and with it the measurement-cube allocation).
+  /// default (unit tests use synthetic epochs); the tools narrow it to
+  /// kPlausibleTsMin..kPlausibleTsMax.
   std::int64_t ts_min = std::numeric_limits<std::int64_t>::min();
   std::int64_t ts_max = std::numeric_limits<std::int64_t>::max();
   /// Workers that parse one file's newline-aligned chunks (resolved via

@@ -1,36 +1,10 @@
 #include "eval/report.h"
 
-#include <algorithm>
-#include <iomanip>
-#include <ostream>
 #include <sstream>
 
 #include "common/telemetry.h"
 
 namespace acobe::eval {
-
-void WriteRocCsv(const std::vector<bool>& flags, std::ostream& out) {
-  out << "fpr,tpr\n";
-  for (const RocPoint& p : RocCurve(flags)) {
-    out << p.fpr << ',' << p.tpr << '\n';
-  }
-}
-
-void WritePrCsv(const std::vector<bool>& flags, std::ostream& out) {
-  out << "recall,precision\n";
-  for (const PrPoint& p : PrCurve(flags)) {
-    out << p.recall << ',' << p.precision << '\n';
-  }
-}
-
-void WriteRankingCsv(const std::vector<RankedUser>& ranked,
-                     std::ostream& out) {
-  out << "position,user,priority,positive\n";
-  for (std::size_t i = 0; i < ranked.size(); ++i) {
-    out << i + 1 << ',' << ranked[i].user << ',' << ranked[i].priority << ','
-        << (ranked[i].positive ? 1 : 0) << '\n';
-  }
-}
 
 ModelSummary Summarize(const std::string& name,
                        const std::vector<RankedUser>& ranked) {
@@ -41,40 +15,6 @@ ModelSummary Summarize(const std::string& name,
   summary.average_precision = AveragePrecision(flags);
   summary.fps_before_tp = FalsePositivesBeforeEachTp(flags);
   return summary;
-}
-
-void WriteComparisonTable(const std::vector<ModelSummary>& models,
-                          std::ostream& out) {
-  std::size_t name_width = 5;
-  for (const ModelSummary& m : models) {
-    name_width = std::max(name_width, m.name.size());
-  }
-  out << std::left << std::setw(static_cast<int>(name_width) + 2) << "model"
-      << std::right << std::setw(10) << "AUC%" << std::setw(8) << "AP"
-      << "  FPs-before-TPs\n";
-  for (const ModelSummary& m : models) {
-    out << std::left << std::setw(static_cast<int>(name_width) + 2) << m.name
-        << std::right << std::fixed << std::setprecision(4) << std::setw(10)
-        << 100.0 * m.auc << std::setprecision(3) << std::setw(8)
-        << m.average_precision << "  ";
-    for (std::size_t i = 0; i < m.fps_before_tp.size(); ++i) {
-      if (i) out << ',';
-      out << m.fps_before_tp[i];
-    }
-    out << '\n';
-  }
-  out.unsetf(std::ios::fixed);
-}
-
-void WriteCutoffSweepCsv(const std::vector<bool>& flags,
-                         const std::vector<std::size_t>& cutoffs,
-                         std::ostream& out) {
-  out << "cutoff,tp,fp,fn,tn,precision,recall,f1\n";
-  for (std::size_t cutoff : cutoffs) {
-    const ConfusionCounts c = AtCutoff(flags, cutoff);
-    out << cutoff << ',' << c.tp << ',' << c.fp << ',' << c.fn << ',' << c.tn
-        << ',' << c.Precision() << ',' << c.Recall() << ',' << c.F1() << '\n';
-  }
 }
 
 LedgerEvent MakeQualityEvent(const std::string& model,

@@ -1,9 +1,8 @@
 #pragma once
 
-// Report generation: export detection results as CSV (for plotting the
-// paper's figures with external tools) and as fixed-width text tables.
+// Report generation: per-model quality summaries (the Figure 6
+// comparison) and the run ledger's "quality" event.
 
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,16 +11,6 @@
 #include "eval/metrics.h"
 
 namespace acobe::eval {
-
-/// Writes the ROC curve as CSV ("fpr,tpr" with a header).
-void WriteRocCsv(const std::vector<bool>& flags, std::ostream& out);
-
-/// Writes the PR curve as CSV ("recall,precision").
-void WritePrCsv(const std::vector<bool>& flags, std::ostream& out);
-
-/// Writes the ranked list as CSV ("position,user,priority,positive").
-void WriteRankingCsv(const std::vector<RankedUser>& ranked,
-                     std::ostream& out);
 
 /// One row of a model-comparison table.
 struct ModelSummary {
@@ -34,16 +23,6 @@ struct ModelSummary {
 /// Builds a summary from a ranked list.
 ModelSummary Summarize(const std::string& name,
                        const std::vector<RankedUser>& ranked);
-
-/// Renders summaries as an aligned text table (the Figure 6 comparison).
-void WriteComparisonTable(const std::vector<ModelSummary>& models,
-                          std::ostream& out);
-
-/// Confusion metrics at several cut-offs ("cutoff,tp,fp,fn,tn,
-/// precision,recall,f1"), e.g. for budgeted-investigation planning.
-void WriteCutoffSweepCsv(const std::vector<bool>& flags,
-                         const std::vector<std::size_t>& cutoffs,
-                         std::ostream& out);
 
 /// Builds the run ledger's "quality" event from a ranked list with
 /// ground truth: ROC AUC, average precision, and precision@k for each

@@ -6,7 +6,6 @@
 #include <deque>
 #include <future>
 #include <istream>
-#include <limits>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
@@ -23,8 +22,6 @@
 
 namespace acobe {
 namespace {
-
-std::string TsToString(Timestamp ts) { return std::to_string(ts); }
 
 /// Strict integer parse: the whole field must be a decimal integer
 /// (optional leading minus), no whitespace, no trailing junk —
@@ -48,31 +45,6 @@ Timestamp ParseTs(const std::string& s, const IngestOptions& opts) {
                                 " outside plausibility window");
   }
   return ts;
-}
-
-std::uint32_t ParseU32(const std::string& s, const char* what) {
-  const std::int64_t v = ParseI64(s, what);
-  if (v < 0 || v > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument(std::string(what) + ": out of range '" + s +
-                                "'");
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-std::uint16_t ParseU16(const std::string& s, const char* what) {
-  const std::int64_t v = ParseI64(s, what);
-  if (v < 0 || v > std::numeric_limits<std::uint16_t>::max()) {
-    throw std::invalid_argument(std::string(what) + ": out of range '" + s +
-                                "'");
-  }
-  return static_cast<std::uint16_t>(v);
-}
-
-bool ParseBool01(const std::string& s, const char* what) {
-  if (s == "1") return true;
-  if (s == "0") return false;
-  throw std::invalid_argument(std::string(what) + ": expected 0 or 1, got '" +
-                              s + "'");
 }
 
 /// Discards every event: the sink of readers that fill only the catalog.
@@ -489,16 +461,6 @@ ScopedIngestChunkBytes::~ScopedIngestChunkBytes() {
 
 }  // namespace detail
 
-void WriteDeviceCsv(const LogStore& store, std::ostream& out) {
-  ACOBE_SPAN2("logs.write", "device");
-  CsvWriter w(out);
-  w.WriteRow({"ts", "user", "pc", "activity"});
-  for (const DeviceEvent& e : store.devices()) {
-    w.WriteRow({TsToString(e.ts), store.users().NameOf(e.user),
-                store.pcs().NameOf(e.pc), ToString(e.activity)});
-  }
-}
-
 IngestStats ReadDeviceCsv(std::istream& in, EntityCatalog& tables,
                           LogSink& sink, const IngestOptions& opts,
                           const std::string& source) {
@@ -513,24 +475,6 @@ IngestStats ReadDeviceCsv(std::istream& in, EntityCatalog& tables,
                      e.pc = t.pcs().Intern(row[2]);
                      s.Consume(e);
                    });
-}
-
-IngestStats ReadDeviceCsv(std::istream& in, LogStore& store,
-                          const IngestOptions& opts,
-                          const std::string& source) {
-  return ReadDeviceCsv(in, store, static_cast<LogSink&>(store), opts, source);
-}
-
-void WriteFileCsv(const LogStore& store, std::ostream& out) {
-  ACOBE_SPAN2("logs.write", "file");
-  CsvWriter w(out);
-  w.WriteRow({"ts", "user", "pc", "activity", "file", "from", "to"});
-  for (const FileEvent& e : store.file_events()) {
-    w.WriteRow({TsToString(e.ts), store.users().NameOf(e.user),
-                store.pcs().NameOf(e.pc), ToString(e.activity),
-                store.files().NameOf(e.file), ToString(e.from),
-                ToString(e.to)});
-  }
 }
 
 IngestStats ReadFileCsv(std::istream& in, EntityCatalog& tables, LogSink& sink,
@@ -551,22 +495,6 @@ IngestStats ReadFileCsv(std::istream& in, EntityCatalog& tables, LogSink& sink,
                    });
 }
 
-IngestStats ReadFileCsv(std::istream& in, LogStore& store,
-                        const IngestOptions& opts, const std::string& source) {
-  return ReadFileCsv(in, store, static_cast<LogSink&>(store), opts, source);
-}
-
-void WriteHttpCsv(const LogStore& store, std::ostream& out) {
-  ACOBE_SPAN2("logs.write", "http");
-  CsvWriter w(out);
-  w.WriteRow({"ts", "user", "pc", "activity", "domain", "filetype"});
-  for (const HttpEvent& e : store.http_events()) {
-    w.WriteRow({TsToString(e.ts), store.users().NameOf(e.user),
-                store.pcs().NameOf(e.pc), ToString(e.activity),
-                store.domains().NameOf(e.domain), ToString(e.filetype)});
-  }
-}
-
 IngestStats ReadHttpCsv(std::istream& in, EntityCatalog& tables, LogSink& sink,
                         const IngestOptions& opts, const std::string& source) {
   ACOBE_SPAN2("logs.read", "http");
@@ -584,21 +512,6 @@ IngestStats ReadHttpCsv(std::istream& in, EntityCatalog& tables, LogSink& sink,
                    });
 }
 
-IngestStats ReadHttpCsv(std::istream& in, LogStore& store,
-                        const IngestOptions& opts, const std::string& source) {
-  return ReadHttpCsv(in, store, static_cast<LogSink&>(store), opts, source);
-}
-
-void WriteLogonCsv(const LogStore& store, std::ostream& out) {
-  ACOBE_SPAN2("logs.write", "logon");
-  CsvWriter w(out);
-  w.WriteRow({"ts", "user", "pc", "activity"});
-  for (const LogonEvent& e : store.logons()) {
-    w.WriteRow({TsToString(e.ts), store.users().NameOf(e.user),
-                store.pcs().NameOf(e.pc), ToString(e.activity)});
-  }
-}
-
 IngestStats ReadLogonCsv(std::istream& in, EntityCatalog& tables,
                          LogSink& sink, const IngestOptions& opts,
                          const std::string& source) {
@@ -613,90 +526,6 @@ IngestStats ReadLogonCsv(std::istream& in, EntityCatalog& tables,
                      e.pc = t.pcs().Intern(row[2]);
                      s.Consume(e);
                    });
-}
-
-IngestStats ReadLogonCsv(std::istream& in, LogStore& store,
-                         const IngestOptions& opts,
-                         const std::string& source) {
-  return ReadLogonCsv(in, store, static_cast<LogSink&>(store), opts, source);
-}
-
-void WriteEnterpriseCsv(const LogStore& store, std::ostream& out) {
-  ACOBE_SPAN2("logs.write", "enterprise");
-  CsvWriter w(out);
-  w.WriteRow({"ts", "user", "aspect", "event_id", "object"});
-  for (const EnterpriseEvent& e : store.enterprise_events()) {
-    w.WriteRow({TsToString(e.ts), store.users().NameOf(e.user),
-                ToString(e.aspect), std::to_string(e.event_id),
-                store.objects().NameOf(e.object)});
-  }
-}
-
-IngestStats ReadEnterpriseCsv(std::istream& in, EntityCatalog& tables,
-                              LogSink& sink, const IngestOptions& opts,
-                              const std::string& source) {
-  ACOBE_SPAN2("logs.read", "enterprise");
-  return IngestCsv(in, source, 5, opts, tables, sink,
-                   [&opts](const std::vector<std::string>& row,
-                           EntityCatalog& t, LogSink& s) {
-                     EnterpriseEvent e;
-                     e.ts = ParseTs(row[0], opts);
-                     e.aspect = EnterpriseAspectFromString(row[2]);
-                     e.event_id = ParseU16(row[3], "event_id");
-                     e.user = t.users().Intern(row[1]);
-                     e.object = t.objects().Intern(row[4]);
-                     s.Consume(e);
-                   });
-}
-
-IngestStats ReadEnterpriseCsv(std::istream& in, LogStore& store,
-                              const IngestOptions& opts,
-                              const std::string& source) {
-  return ReadEnterpriseCsv(in, store, static_cast<LogSink&>(store), opts,
-                           source);
-}
-
-void WriteProxyCsv(const LogStore& store, std::ostream& out) {
-  ACOBE_SPAN2("logs.write", "proxy");
-  CsvWriter w(out);
-  w.WriteRow({"ts", "user", "domain", "success", "bytes"});
-  for (const ProxyEvent& e : store.proxy_events()) {
-    w.WriteRow({TsToString(e.ts), store.users().NameOf(e.user),
-                store.domains().NameOf(e.domain), e.success ? "1" : "0",
-                std::to_string(e.bytes)});
-  }
-}
-
-IngestStats ReadProxyCsv(std::istream& in, EntityCatalog& tables,
-                         LogSink& sink, const IngestOptions& opts,
-                         const std::string& source) {
-  ACOBE_SPAN2("logs.read", "proxy");
-  return IngestCsv(in, source, 5, opts, tables, sink,
-                   [&opts](const std::vector<std::string>& row,
-                           EntityCatalog& t, LogSink& s) {
-                     ProxyEvent e;
-                     e.ts = ParseTs(row[0], opts);
-                     e.success = ParseBool01(row[3], "success");
-                     e.bytes = ParseU32(row[4], "bytes");
-                     e.user = t.users().Intern(row[1]);
-                     e.domain = t.domains().Intern(row[2]);
-                     s.Consume(e);
-                   });
-}
-
-IngestStats ReadProxyCsv(std::istream& in, LogStore& store,
-                         const IngestOptions& opts,
-                         const std::string& source) {
-  return ReadProxyCsv(in, store, static_cast<LogSink&>(store), opts, source);
-}
-
-void WriteLdapCsv(const LogStore& store, std::ostream& out) {
-  ACOBE_SPAN2("logs.write", "ldap");
-  CsvWriter w(out);
-  w.WriteRow({"user", "department", "team", "role"});
-  for (const LdapRecord& r : store.ldap()) {
-    w.WriteRow({r.user_name, r.department, r.team, r.role});
-  }
 }
 
 IngestStats ReadLdapCsv(std::istream& in, EntityCatalog& tables,
@@ -716,83 +545,104 @@ IngestStats ReadLdapCsv(std::istream& in, EntityCatalog& tables,
                    });
 }
 
+IngestStats ReadDeviceCsv(std::istream& in, LogStore& store,
+                          const IngestOptions& opts,
+                          const std::string& source) {
+  return ReadDeviceCsv(in, store, static_cast<LogSink&>(store), opts, source);
+}
+
+IngestStats ReadFileCsv(std::istream& in, LogStore& store,
+                        const IngestOptions& opts, const std::string& source) {
+  return ReadFileCsv(in, store, static_cast<LogSink&>(store), opts, source);
+}
+
+IngestStats ReadHttpCsv(std::istream& in, LogStore& store,
+                        const IngestOptions& opts, const std::string& source) {
+  return ReadHttpCsv(in, store, static_cast<LogSink&>(store), opts, source);
+}
+
+IngestStats ReadLogonCsv(std::istream& in, LogStore& store,
+                         const IngestOptions& opts,
+                         const std::string& source) {
+  return ReadLogonCsv(in, store, static_cast<LogSink&>(store), opts, source);
+}
+
 IngestStats ReadLdapCsv(std::istream& in, LogStore& store,
                         const IngestOptions& opts, const std::string& source) {
   return ReadLdapCsv(in, static_cast<EntityCatalog&>(store), opts, source);
 }
 
+void WriteLdapCsv(const EntityCatalog& tables, std::ostream& out,
+                  bool write_header) {
+  CsvWriter w(out);
+  if (write_header) w.WriteRow({"user", "department", "team", "role"});
+  for (const LdapRecord& r : tables.ldap()) {
+    w.WriteRow({r.user_name, r.department, r.team, r.role});
+  }
+}
+
 CsvEventSink::CsvEventSink(const EntityCatalog& tables, std::ostream* logon,
                            std::ostream* device, std::ostream* file,
                            std::ostream* http, bool write_headers)
-    : tables_(tables) {
-  logon_.out = logon;
-  device_.out = device;
-  file_.out = file;
-  http_.out = http;
-  if (!write_headers) {
-    logon_.header_written = device_.header_written = file_.header_written =
-        http_.header_written = true;
+    : tables_(tables),
+      logon_(logon),
+      device_(device),
+      file_(file),
+      http_(http) {
+  if (!write_headers) return;
+  if (logon_) CsvWriter(*logon_).WriteRow({"ts", "user", "pc", "activity"});
+  if (device_) CsvWriter(*device_).WriteRow({"ts", "user", "pc", "activity"});
+  if (file_) {
+    CsvWriter(*file_).WriteRow(
+        {"ts", "user", "pc", "activity", "file", "from", "to"});
   }
-}
-
-void CsvEventSink::WriteRow(Stream& s, const std::vector<std::string>& header,
-                            const std::vector<std::string>& row) {
-  if (!s.out) return;
-  CsvWriter w(*s.out);
-  if (!s.header_written) {
-    s.header_written = true;
-    w.WriteRow(header);
+  if (http_) {
+    CsvWriter(*http_).WriteRow(
+        {"ts", "user", "pc", "activity", "domain", "filetype"});
   }
-  w.WriteRow(row);
-  ++rows_written_;
 }
 
 void CsvEventSink::Consume(const LogonEvent& e) {
-  WriteRow(logon_, {"ts", "user", "pc", "activity"},
-           {TsToString(e.ts), tables_.users().NameOf(e.user),
-            tables_.pcs().NameOf(e.pc), ToString(e.activity)});
+  if (!logon_) return;
+  CsvWriter(*logon_).WriteRow({std::to_string(e.ts),
+                               tables_.users().NameOf(e.user),
+                               tables_.pcs().NameOf(e.pc),
+                               ToString(e.activity)});
+  ++rows_written_;
 }
 
 void CsvEventSink::Consume(const DeviceEvent& e) {
-  WriteRow(device_, {"ts", "user", "pc", "activity"},
-           {TsToString(e.ts), tables_.users().NameOf(e.user),
-            tables_.pcs().NameOf(e.pc), ToString(e.activity)});
+  if (!device_) return;
+  CsvWriter(*device_).WriteRow({std::to_string(e.ts),
+                                tables_.users().NameOf(e.user),
+                                tables_.pcs().NameOf(e.pc),
+                                ToString(e.activity)});
+  ++rows_written_;
 }
 
 void CsvEventSink::Consume(const FileEvent& e) {
-  WriteRow(file_, {"ts", "user", "pc", "activity", "file", "from", "to"},
-           {TsToString(e.ts), tables_.users().NameOf(e.user),
-            tables_.pcs().NameOf(e.pc), ToString(e.activity),
-            tables_.files().NameOf(e.file), ToString(e.from), ToString(e.to)});
+  if (!file_) return;
+  CsvWriter(*file_).WriteRow(
+      {std::to_string(e.ts), tables_.users().NameOf(e.user),
+       tables_.pcs().NameOf(e.pc), ToString(e.activity),
+       tables_.files().NameOf(e.file), ToString(e.from), ToString(e.to)});
+  ++rows_written_;
 }
 
 void CsvEventSink::Consume(const HttpEvent& e) {
-  WriteRow(http_, {"ts", "user", "pc", "activity", "domain", "filetype"},
-           {TsToString(e.ts), tables_.users().NameOf(e.user),
-            tables_.pcs().NameOf(e.pc), ToString(e.activity),
-            tables_.domains().NameOf(e.domain), ToString(e.filetype)});
+  if (!http_) return;
+  CsvWriter(*http_).WriteRow(
+      {std::to_string(e.ts), tables_.users().NameOf(e.user),
+       tables_.pcs().NameOf(e.pc), ToString(e.activity),
+       tables_.domains().NameOf(e.domain), ToString(e.filetype)});
+  ++rows_written_;
 }
 
-void ReadDeviceCsv(std::istream& in, LogStore& store) {
-  ReadDeviceCsv(in, store, IngestOptions{});
-}
-void ReadFileCsv(std::istream& in, LogStore& store) {
-  ReadFileCsv(in, store, IngestOptions{});
-}
-void ReadHttpCsv(std::istream& in, LogStore& store) {
-  ReadHttpCsv(in, store, IngestOptions{});
-}
-void ReadLogonCsv(std::istream& in, LogStore& store) {
-  ReadLogonCsv(in, store, IngestOptions{});
-}
-void ReadLdapCsv(std::istream& in, LogStore& store) {
-  ReadLdapCsv(in, store, IngestOptions{});
-}
-void ReadEnterpriseCsv(std::istream& in, LogStore& store) {
-  ReadEnterpriseCsv(in, store, IngestOptions{});
-}
-void ReadProxyCsv(std::istream& in, LogStore& store) {
-  ReadProxyCsv(in, store, IngestOptions{});
+void CsvEventSink::ConsumeStore(const LogStore& store) {
+  for (const LogonEvent& e : store.logons()) Consume(e);
+  for (const DeviceEvent& e : store.devices()) Consume(e);
+  for (const FileEvent& e : store.file_events()) Consume(e);
+  for (const HttpEvent& e : store.http_events()) Consume(e);
 }
 
 }  // namespace acobe

@@ -1,13 +1,20 @@
 #pragma once
 
-// CSV round-trips for log streams, mirroring the CERT dataset's
-// one-file-per-log-type layout (device.csv, file.csv, http.csv, ...).
+// The CERT dataset's on-disk layout: one CSV per event type
+// (device.csv, file.csv, http.csv, logon.csv) plus the ldap.csv roster.
+// It is the only file format the tools read or write.
+//
+// Writing: CsvEventSink renders the four event streams, whether they
+// come straight from a simulator or from a buffered LogStore
+// (ConsumeStore); WriteLdapCsv renders the roster.
 //
 // Reading is policy-driven (common/faults.h): strict mode throws on the
 // first malformed row (with file:line context), permissive mode skips
 // bad rows under a bounded error budget, quarantine mode additionally
 // copies every rejected raw row to a sink. Telemetry:
 // logs.rows_read / rows_rejected / rows_quarantined / rows_deduped.
+// The catalog/sink readers are the ones the tools use; the LogStore
+// overloads buffer into a store for the trace driver and the tests.
 //
 // Every reader runs one chunked loop: the calling thread cuts the body
 // into ~1 MiB newline-aligned chunks, IngestOptions::threads pool
@@ -25,31 +32,38 @@
 #include <ostream>
 #include <string>
 
-#include "common/csv.h"
 #include "common/faults.h"
 #include "logs/log_store.h"
 
 namespace acobe {
 
-/// Writes one stream as CSV with a header row. Ids are resolved to names
-/// through the store's entity tables.
-void WriteDeviceCsv(const LogStore& store, std::ostream& out);
-void WriteFileCsv(const LogStore& store, std::ostream& out);
-void WriteHttpCsv(const LogStore& store, std::ostream& out);
-void WriteLogonCsv(const LogStore& store, std::ostream& out);
-void WriteLdapCsv(const LogStore& store, std::ostream& out);
-
-/// Enterprise case-study streams (Windows/Sysmon events, proxy logs).
-void WriteEnterpriseCsv(const LogStore& store, std::ostream& out);
-void WriteProxyCsv(const LogStore& store, std::ostream& out);
-
-/// Reads a stream previously written by the corresponding writer,
-/// interning names into `store`'s tables, under `options`' recovery
+/// Reads one CERT event stream, interning names into `tables` and
+/// handing each parsed event to `sink`, under `options`' recovery
 /// policy. `source` labels the stream in diagnostics ("file:line:
 /// reason"). Fully-empty rows (e.g. a trailing blank line) are skipped
 /// in every policy. Throws IngestError (a std::invalid_argument) on a
 /// malformed row in strict mode, or in any mode once rejected rows
 /// exceed the error budget.
+IngestStats ReadDeviceCsv(std::istream& in, EntityCatalog& tables,
+                          LogSink& sink, const IngestOptions& options,
+                          const std::string& source = "device.csv");
+IngestStats ReadFileCsv(std::istream& in, EntityCatalog& tables, LogSink& sink,
+                        const IngestOptions& options,
+                        const std::string& source = "file.csv");
+IngestStats ReadHttpCsv(std::istream& in, EntityCatalog& tables, LogSink& sink,
+                        const IngestOptions& options,
+                        const std::string& source = "http.csv");
+IngestStats ReadLogonCsv(std::istream& in, EntityCatalog& tables,
+                         LogSink& sink, const IngestOptions& options,
+                         const std::string& source = "logon.csv");
+/// LDAP rows populate only the catalog (roster + directory), no sink.
+IngestStats ReadLdapCsv(std::istream& in, EntityCatalog& tables,
+                        const IngestOptions& options,
+                        const std::string& source = "ldap.csv");
+
+/// The readers above with `store` as both catalog and sink. They stay
+/// while perfbench/driver/trace_driver.cpp (its in-memory path) calls
+/// them; they go when that driver is retired.
 IngestStats ReadDeviceCsv(std::istream& in, LogStore& store,
                           const IngestOptions& options,
                           const std::string& source = "device.csv");
@@ -65,53 +79,27 @@ IngestStats ReadLogonCsv(std::istream& in, LogStore& store,
 IngestStats ReadLdapCsv(std::istream& in, LogStore& store,
                         const IngestOptions& options,
                         const std::string& source = "ldap.csv");
-IngestStats ReadEnterpriseCsv(std::istream& in, LogStore& store,
-                              const IngestOptions& options,
-                              const std::string& source = "enterprise.csv");
-IngestStats ReadProxyCsv(std::istream& in, LogStore& store,
-                         const IngestOptions& options,
-                         const std::string& source = "proxy.csv");
 
-/// Strict-mode conveniences (legacy signatures). Throw
-/// std::invalid_argument on the first malformed row.
-void ReadDeviceCsv(std::istream& in, LogStore& store);
-void ReadFileCsv(std::istream& in, LogStore& store);
-void ReadHttpCsv(std::istream& in, LogStore& store);
-void ReadLogonCsv(std::istream& in, LogStore& store);
-void ReadLdapCsv(std::istream& in, LogStore& store);
-void ReadEnterpriseCsv(std::istream& in, LogStore& store);
-void ReadProxyCsv(std::istream& in, LogStore& store);
+/// A catalog/sink reader of one CERT event file.
+using CertEventReader = IngestStats (*)(std::istream&, EntityCatalog&,
+                                        LogSink&, const IngestOptions&,
+                                        const std::string&);
 
-// --- streaming (out-of-core) ingestion --------------------------------------
-//
-// The same readers, decoupled from LogStore: names intern into `tables`
-// and each parsed event goes straight to `sink` instead of a buffering
-// vector. The LogStore overloads above delegate here with the store as
-// both catalog and sink — parsing, recovery policy and interning order
-// are byte-for-byte shared between the buffered and streaming paths,
-// which is what makes the two pipelines bit-identical.
-IngestStats ReadDeviceCsv(std::istream& in, EntityCatalog& tables,
-                          LogSink& sink, const IngestOptions& options,
-                          const std::string& source = "device.csv");
-IngestStats ReadFileCsv(std::istream& in, EntityCatalog& tables, LogSink& sink,
-                        const IngestOptions& options,
-                        const std::string& source = "file.csv");
-IngestStats ReadHttpCsv(std::istream& in, EntityCatalog& tables, LogSink& sink,
-                        const IngestOptions& options,
-                        const std::string& source = "http.csv");
-IngestStats ReadLogonCsv(std::istream& in, EntityCatalog& tables,
-                         LogSink& sink, const IngestOptions& options,
-                         const std::string& source = "logon.csv");
-IngestStats ReadEnterpriseCsv(std::istream& in, EntityCatalog& tables,
-                              LogSink& sink, const IngestOptions& options,
-                              const std::string& source = "enterprise.csv");
-IngestStats ReadProxyCsv(std::istream& in, EntityCatalog& tables,
-                         LogSink& sink, const IngestOptions& options,
-                         const std::string& source = "proxy.csv");
-/// LDAP rows populate only the catalog (roster + directory), no sink.
-IngestStats ReadLdapCsv(std::istream& in, EntityCatalog& tables,
-                        const IngestOptions& options,
-                        const std::string& source = "ldap.csv");
+struct CertEventCsv {
+  const char* name;
+  CertEventReader read;
+};
+
+/// The CERT event files, in parse order. The order is part of the
+/// determinism contract: it fixes entity-interning order, the
+/// within-day event order the extractors see, and the order in which
+/// per-file CRCs fold into dataset and batch digests.
+inline constexpr CertEventCsv kCertEventCsvs[] = {
+    {"device.csv", ReadDeviceCsv},
+    {"file.csv", ReadFileCsv},
+    {"http.csv", ReadHttpCsv},
+    {"logon.csv", ReadLogonCsv},
+};
 
 namespace detail {
 
@@ -133,19 +121,26 @@ class ScopedIngestChunkBytes {
 
 }  // namespace detail
 
-/// A LogSink that renders events as CERT-layout CSV rows the moment
-/// they are consumed — the write-side dual of the streaming readers.
-/// Lets a generator emit arbitrarily large logs without buffering them:
-/// rows land in file order (day order for a day-by-day simulator), and
-/// both detection paths re-group by day on read, so file order need not
-/// be globally timestamp-sorted. Pass nullptr for streams you do not
-/// want; headers are written on first use of each stream. Email,
-/// enterprise and proxy events are dropped (no CERT-layout file).
+/// Writes the LDAP roster ("user,department,team,role"), preceded by
+/// its header when `write_header` is true.
+void WriteLdapCsv(const EntityCatalog& tables, std::ostream& out,
+                  bool write_header = true);
+
+/// The one event-CSV writer: a LogSink that renders events as
+/// CERT-layout rows the moment they are consumed, resolving ids through
+/// `tables`. A generator can emit arbitrarily large logs through it
+/// without buffering them: rows land in consumption order (day order
+/// for a day-by-day simulator), and every reader re-groups by day, so
+/// file order need not be globally timestamp-sorted. Pass nullptr for
+/// streams you do not want. Email, enterprise and proxy events are
+/// dropped (no CERT-layout file).
 class CsvEventSink : public LogSink {
  public:
-  /// `write_headers` false appends rows to streams whose header was
-  /// already emitted (sharded generation: shard 0 writes headers, the
-  /// rest append).
+  /// With `write_headers`, each non-null stream gets its header line
+  /// here, before any row, so a stream that never sees an event still
+  /// holds a valid (header-only) CSV. Without, rows are appended to
+  /// streams that already carry one (sharded generation: shard 0 writes
+  /// the headers, the rest append).
   CsvEventSink(const EntityCatalog& tables, std::ostream* logon,
                std::ostream* device, std::ostream* file, std::ostream* http,
                bool write_headers = true);
@@ -158,20 +153,18 @@ class CsvEventSink : public LogSink {
   void Consume(const EnterpriseEvent&) override {}
   void Consume(const ProxyEvent&) override {}
 
-  /// Events written so far, by stream.
+  /// Renders the store's four CERT streams, each in stored order.
+  void ConsumeStore(const LogStore& store);
+
+  /// Events written so far, over all streams.
   std::size_t rows_written() const { return rows_written_; }
 
  private:
-  struct Stream {
-    std::ostream* out = nullptr;
-    bool header_written = false;
-  };
-  /// Emits the header once, then the row. No-op for absent streams.
-  void WriteRow(Stream& s, const std::vector<std::string>& header,
-                const std::vector<std::string>& row);
-
   const EntityCatalog& tables_;
-  Stream logon_, device_, file_, http_;
+  std::ostream* logon_;
+  std::ostream* device_;
+  std::ostream* file_;
+  std::ostream* http_;
   std::size_t rows_written_ = 0;
 };
 

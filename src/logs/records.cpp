@@ -67,16 +67,6 @@ const char* ToString(HttpFileType t) {
   return "?";
 }
 
-const char* ToString(EnterpriseAspect a) {
-  switch (a) {
-    case EnterpriseAspect::kFile: return "file";
-    case EnterpriseAspect::kCommand: return "command";
-    case EnterpriseAspect::kConfig: return "config";
-    case EnterpriseAspect::kResource: return "resource";
-  }
-  return "?";
-}
-
 LogonActivity LogonActivityFromString(const std::string& s) {
   if (s == "logon") return LogonActivity::kLogon;
   if (s == "logoff") return LogonActivity::kLogoff;
@@ -119,14 +109,6 @@ HttpFileType HttpFileTypeFromString(const std::string& s) {
   if (s == "txt") return HttpFileType::kTxt;
   if (s == "zip") return HttpFileType::kZip;
   BadEnum("HttpFileType", s);
-}
-
-EnterpriseAspect EnterpriseAspectFromString(const std::string& s) {
-  if (s == "file") return EnterpriseAspect::kFile;
-  if (s == "command") return EnterpriseAspect::kCommand;
-  if (s == "config") return EnterpriseAspect::kConfig;
-  if (s == "resource") return EnterpriseAspect::kResource;
-  BadEnum("EnterpriseAspect", s);
 }
 
 }  // namespace acobe

@@ -133,7 +133,7 @@ struct ProxyEvent {
 };
 
 // ---------------------------------------------------------------------------
-// Enum <-> string helpers (for CSV round-trips and reports)
+// Enum <-> string helpers (the CERT-layout CSV fields)
 
 const char* ToString(LogonActivity a);
 const char* ToString(DeviceActivity a);
@@ -141,7 +141,6 @@ const char* ToString(FileActivity a);
 const char* ToString(FileLocation l);
 const char* ToString(HttpActivity a);
 const char* ToString(HttpFileType t);
-const char* ToString(EnterpriseAspect a);
 
 LogonActivity LogonActivityFromString(const std::string& s);
 DeviceActivity DeviceActivityFromString(const std::string& s);
@@ -149,6 +148,5 @@ FileActivity FileActivityFromString(const std::string& s);
 FileLocation FileLocationFromString(const std::string& s);
 HttpActivity HttpActivityFromString(const std::string& s);
 HttpFileType HttpFileTypeFromString(const std::string& s);
-EnterpriseAspect EnterpriseAspectFromString(const std::string& s);
 
 }  // namespace acobe

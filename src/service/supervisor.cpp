@@ -32,11 +32,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kReadyMarker = "READY";
-// Batch CSVs, parsed in this fixed order: the order is part of the
-// determinism contract (it fixes entity-interning order and the
-// within-day event order fed to the extractors).
-constexpr const char* kBatchCsvs[] = {"device.csv", "file.csv", "http.csv",
-                                      "logon.csv"};
 
 std::int64_t DayOfTs(std::int64_t ts) {
   // Floor division: pre-epoch timestamps land on the correct day.
@@ -480,24 +475,16 @@ BatchRecord ServiceSupervisor::ParseBatch(const std::string& batch_name,
   for (auto& s : shards_) windows.push_back(&s->window);
   ShardRouter router(dir_->user_shard, std::move(windows));
   // The batch digest is the CRC-32 of the files concatenated in
-  // kBatchCsvs order, folded from the CRCs the readers take as they
+  // kCertEventCsvs order, folded from the CRCs the readers take as they
   // parse.
   std::uint32_t crc = 0;
-  for (const char* csv : kBatchCsvs) {
-    const fs::path p = dir / csv;
+  for (const CertEventCsv& csv : kCertEventCsvs) {
+    const fs::path p = dir / csv.name;
     if (!fs::exists(p)) continue;
     std::ifstream in = OpenOrThrow(p.string());
-    const std::string source = batch_name + "/" + csv;
-    IngestStats stats;
-    if (csv == kBatchCsvs[0]) {
-      stats = ReadDeviceCsv(in, dir_->tables, router, config_.ingest, source);
-    } else if (csv == kBatchCsvs[1]) {
-      stats = ReadFileCsv(in, dir_->tables, router, config_.ingest, source);
-    } else if (csv == kBatchCsvs[2]) {
-      stats = ReadHttpCsv(in, dir_->tables, router, config_.ingest, source);
-    } else {
-      stats = ReadLogonCsv(in, dir_->tables, router, config_.ingest, source);
-    }
+    const IngestStats stats = csv.read(in, dir_->tables, router,
+                                       config_.ingest,
+                                       batch_name + "/" + csv.name);
     crc = Crc32Combine(crc, stats.bytes_crc, stats.bytes_read);
   }
   BatchRecord rec;

@@ -230,6 +230,13 @@ TEST(RngTest, PickThrowsOnEmpty) {
 
 // --- CSV ---------------------------------------------------------------------
 
+/// Splits a line that must be structurally sound.
+std::vector<std::string> SplitOk(const std::string& line) {
+  std::vector<std::string> fields;
+  EXPECT_EQ(SplitCsvLineChecked(line, fields), CsvRowStatus::kOk) << line;
+  return fields;
+}
+
 TEST(CsvTest, EscapePlainFieldUnchanged) {
   EXPECT_EQ(CsvEscape("hello"), "hello");
 }
@@ -240,14 +247,14 @@ TEST(CsvTest, EscapeQuotesAndCommas) {
 }
 
 TEST(CsvTest, SplitSimple) {
-  const auto fields = SplitCsvLine("a,b,c");
+  const auto fields = SplitOk("a,b,c");
   ASSERT_EQ(fields.size(), 3u);
   EXPECT_EQ(fields[0], "a");
   EXPECT_EQ(fields[2], "c");
 }
 
 TEST(CsvTest, SplitQuoted) {
-  const auto fields = SplitCsvLine("\"a,b\",\"say \"\"hi\"\"\",x");
+  const auto fields = SplitOk("\"a,b\",\"say \"\"hi\"\"\",x");
   ASSERT_EQ(fields.size(), 3u);
   EXPECT_EQ(fields[0], "a,b");
   EXPECT_EQ(fields[1], "say \"hi\"");
@@ -260,7 +267,7 @@ TEST(CsvTest, WriterReaderRoundTrip) {
   writer.WriteRow({"plain", "with,comma", "with\"quote", ""});
   std::string line;
   ASSERT_TRUE(std::getline(ss, line));
-  const std::vector<std::string> row = SplitCsvLine(line);
+  const std::vector<std::string> row = SplitOk(line);
   ASSERT_EQ(row.size(), 4u);
   EXPECT_EQ(row[0], "plain");
   EXPECT_EQ(row[1], "with,comma");
@@ -274,7 +281,7 @@ class CsvRoundTrip : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CsvRoundTrip, Holds) {
   const std::string original = GetParam();
-  const auto fields = SplitCsvLine(CsvEscape(original) + "," + "tail");
+  const auto fields = SplitOk(CsvEscape(original) + "," + "tail");
   ASSERT_EQ(fields.size(), 2u);
   EXPECT_EQ(fields[0], original);
   EXPECT_EQ(fields[1], "tail");

@@ -59,10 +59,6 @@ TEST(RecordsTest, EnumStringRoundTrips) {
                  HttpFileType::kZip}) {
     EXPECT_EQ(HttpFileTypeFromString(ToString(t)), t);
   }
-  for (auto a : {EnterpriseAspect::kFile, EnterpriseAspect::kCommand,
-                 EnterpriseAspect::kConfig, EnterpriseAspect::kResource}) {
-    EXPECT_EQ(EnterpriseAspectFromString(ToString(a)), a);
-  }
   EXPECT_THROW(LogonActivityFromString("nope"), std::invalid_argument);
   EXPECT_THROW(HttpFileTypeFromString(""), std::invalid_argument);
 }
@@ -111,9 +107,9 @@ TEST(LogStoreTest, DepartmentsAndMembers) {
 TEST(LogIoTest, DeviceCsvRoundTrip) {
   LogStore store = MakeSampleStore();
   std::stringstream ss;
-  WriteDeviceCsv(store, ss);
+  CsvEventSink(store, nullptr, &ss, nullptr, nullptr).ConsumeStore(store);
   LogStore loaded;
-  ReadDeviceCsv(ss, loaded);
+  ReadDeviceCsv(ss, loaded, IngestOptions{});
   ASSERT_EQ(loaded.devices().size(), 2u);
   EXPECT_EQ(loaded.devices()[0].ts, 200);
   EXPECT_EQ(loaded.users().NameOf(loaded.devices()[0].user), "JPH1910");
@@ -123,9 +119,9 @@ TEST(LogIoTest, DeviceCsvRoundTrip) {
 TEST(LogIoTest, FileCsvRoundTripWithQuoting) {
   LogStore store = MakeSampleStore();
   std::stringstream ss;
-  WriteFileCsv(store, ss);
+  CsvEventSink(store, nullptr, nullptr, &ss, nullptr).ConsumeStore(store);
   LogStore loaded;
-  ReadFileCsv(ss, loaded);
+  ReadFileCsv(ss, loaded, IngestOptions{});
   ASSERT_EQ(loaded.file_events().size(), 1u);
   const FileEvent& e = loaded.file_events()[0];
   EXPECT_EQ(loaded.files().NameOf(e.file), "doc,with comma");
@@ -136,14 +132,13 @@ TEST(LogIoTest, FileCsvRoundTripWithQuoting) {
 TEST(LogIoTest, HttpLogonLdapRoundTrips) {
   LogStore store = MakeSampleStore();
   std::stringstream http, logon, ldap;
-  WriteHttpCsv(store, http);
-  WriteLogonCsv(store, logon);
+  CsvEventSink(store, &logon, nullptr, nullptr, &http).ConsumeStore(store);
   WriteLdapCsv(store, ldap);
 
   LogStore loaded;
-  ReadHttpCsv(http, loaded);
-  ReadLogonCsv(logon, loaded);
-  ReadLdapCsv(ldap, loaded);
+  ReadHttpCsv(http, loaded, IngestOptions{});
+  ReadLogonCsv(logon, loaded, IngestOptions{});
+  ReadLdapCsv(ldap, loaded, IngestOptions{});
   ASSERT_EQ(loaded.http_events().size(), 1u);
   EXPECT_EQ(loaded.http_events()[0].filetype, HttpFileType::kDoc);
   ASSERT_EQ(loaded.logons().size(), 1u);
@@ -154,7 +149,7 @@ TEST(LogIoTest, HttpLogonLdapRoundTrips) {
 TEST(LogIoTest, MalformedRowThrows) {
   std::stringstream ss("ts,user,pc,activity\n1,alice\n");
   LogStore store;
-  EXPECT_THROW(ReadDeviceCsv(ss, store), std::invalid_argument);
+  EXPECT_THROW(ReadDeviceCsv(ss, store, IngestOptions{}), IngestError);
 }
 
 TEST(LogIoTest, CrlfLineEndingsParse) {
@@ -164,7 +159,7 @@ TEST(LogIoTest, CrlfLineEndingsParse) {
       "\r\n"
       "200,bob,pc2,disconnect\r\n");
   LogStore store;
-  ReadDeviceCsv(ss, store);
+  ReadDeviceCsv(ss, store, IngestOptions{});
   ASSERT_EQ(store.devices().size(), 2u);
   EXPECT_EQ(store.users().NameOf(store.devices()[0].user), "alice");
   EXPECT_EQ(store.pcs().NameOf(store.devices()[1].pc), "pc2");
@@ -174,8 +169,35 @@ TEST(LogIoTest, CrlfLineEndingsParse) {
 TEST(LogIoTest, EmptyStreamYieldsNothing) {
   std::stringstream ss;
   LogStore store;
-  ReadDeviceCsv(ss, store);
+  ReadDeviceCsv(ss, store, IngestOptions{});
   EXPECT_TRUE(store.devices().empty());
+}
+
+// Headers are written when the sink is built, so a stream that sees no
+// event is still a valid CSV; a sink built without them appends rows
+// only (sharded generation: every shard after the first).
+TEST(CsvEventSinkTest, HeadersWithoutEventsAndRowsWithoutHeaders) {
+  std::ostringstream logon, device, file, http;
+  const EntityCatalog empty{};
+  const CsvEventSink headers(empty, &logon, &device, &file, &http);
+  EXPECT_EQ(headers.rows_written(), 0u);
+  EXPECT_EQ(logon.str(), "ts,user,pc,activity\n");
+  EXPECT_EQ(device.str(), "ts,user,pc,activity\n");
+  EXPECT_EQ(file.str(), "ts,user,pc,activity,file,from,to\n");
+  EXPECT_EQ(http.str(), "ts,user,pc,activity,domain,filetype\n");
+
+  const LogStore store = MakeSampleStore();
+  std::ostringstream rows_logon, rows_device, rows_file, rows_http;
+  CsvEventSink rows(store, &rows_logon, &rows_device, &rows_file, &rows_http,
+                    /*write_headers=*/false);
+  rows.ConsumeStore(store);
+  EXPECT_EQ(rows.rows_written(), 5u);
+  EXPECT_EQ(rows_logon.str(), "90,JPH1910,PC-1,logon\n");
+  EXPECT_EQ(rows_device.str(),
+            "200,JPH1910,PC-1,connect\n100,JPH1910,PC-1,disconnect\n");
+  EXPECT_EQ(rows_file.str(),
+            "150,JPH1910,PC-1,copy,\"doc,with comma\",local,remote\n");
+  EXPECT_EQ(rows_http.str(), "120,JPH1910,PC-1,upload,wikileaks.org,doc\n");
 }
 
 // --- Ingestion policies ------------------------------------------------
@@ -308,33 +330,6 @@ TEST(IngestPolicyTest, StrayQuoteDamagesOneRowOnly) {
   EXPECT_EQ(store.devices().size(), 2u);
 }
 
-TEST(LogIoTest, EnterpriseAndProxyCsvRoundTrips) {
-  LogStore store;
-  const UserId u = store.users().Intern("emp1");
-  const auto obj = store.objects().Intern("registry/HKCU-Run");
-  const DomainId d = store.domains().Intern("cnc.example.net");
-  store.Add(EnterpriseEvent{500, u, EnterpriseAspect::kConfig, 13, obj});
-  store.Add(ProxyEvent{600, u, d, false, 0});
-
-  std::stringstream ent, proxy;
-  WriteEnterpriseCsv(store, ent);
-  WriteProxyCsv(store, proxy);
-
-  LogStore loaded;
-  ReadEnterpriseCsv(ent, loaded);
-  ReadProxyCsv(proxy, loaded);
-  ASSERT_EQ(loaded.enterprise_events().size(), 1u);
-  const EnterpriseEvent& e = loaded.enterprise_events()[0];
-  EXPECT_EQ(e.ts, 500);
-  EXPECT_EQ(e.aspect, EnterpriseAspect::kConfig);
-  EXPECT_EQ(e.event_id, 13);
-  EXPECT_EQ(loaded.objects().NameOf(e.object), "registry/HKCU-Run");
-  ASSERT_EQ(loaded.proxy_events().size(), 1u);
-  EXPECT_FALSE(loaded.proxy_events()[0].success);
-  EXPECT_EQ(loaded.domains().NameOf(loaded.proxy_events()[0].domain),
-            "cnc.example.net");
-}
-
 // --- Chunked parsing -----------------------------------------------------
 //
 // Tiny chunks make every few bytes a chunk boundary; four workers make
@@ -445,10 +440,6 @@ TEST(ChunkedIngestTest, FoldedDigestEqualsARereadOfTheFiles) {
     const std::string bytes{std::istreambuf_iterator<char>(in), {}};
     reread = Crc32(bytes, reread);
   }
-  using Reader = IngestStats (*)(std::istream&, EntityCatalog&, LogSink&,
-                                 const IngestOptions&, const std::string&);
-  const Reader readers[] = {ReadDeviceCsv, ReadFileCsv, ReadHttpCsv,
-                            ReadLogonCsv};
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                   detail::kIngestChunkBytes}) {
     for (const int threads : {1, 4}) {
@@ -458,12 +449,11 @@ TEST(ChunkedIngestTest, FoldedDigestEqualsARereadOfTheFiles) {
       EntityCatalog tables;
       LogStore sink;
       std::uint32_t folded = 0;
-      for (std::size_t f = 0; f < std::size(readers); ++f) {
-        std::ifstream in(dir / kOrder[f]);
-        const IngestStats stats =
-            readers[f](in, tables, sink, opts, kOrder[f]);
-        EXPECT_EQ(stats.bytes_read, std::filesystem::file_size(dir / kOrder[f]))
-            << kOrder[f];
+      for (const CertEventCsv& csv : kCertEventCsvs) {
+        std::ifstream in(dir / csv.name);
+        const IngestStats stats = csv.read(in, tables, sink, opts, csv.name);
+        EXPECT_EQ(stats.bytes_read, std::filesystem::file_size(dir / csv.name))
+            << csv.name;
         folded = Crc32Combine(folded, stats.bytes_crc, stats.bytes_read);
       }
       EXPECT_EQ(folded, reread) << "chunk " << chunk << " threads " << threads;

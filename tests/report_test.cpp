@@ -1,8 +1,10 @@
-// Tests for eval/report (CSV + table exporters).
+// Tests for eval/report (model summaries, the ledger quality event)
+// and the precision@k metric it reports.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/json.h"
 #include "eval/report.h"
@@ -16,53 +18,14 @@ std::vector<bool> Flags(std::initializer_list<int> xs) {
   return out;
 }
 
-TEST(ReportTest, RocCsvShape) {
-  std::stringstream ss;
-  eval::WriteRocCsv(Flags({1, 0, 1}), ss);
-  std::string line;
-  std::getline(ss, line);
-  EXPECT_EQ(line, "fpr,tpr");
-  int rows = 0;
-  while (std::getline(ss, line)) ++rows;
-  EXPECT_EQ(rows, 4);  // origin + one point per list entry
-}
-
-TEST(ReportTest, PrCsvShape) {
-  std::stringstream ss;
-  eval::WritePrCsv(Flags({1, 0, 1}), ss);
-  std::string line;
-  std::getline(ss, line);
-  EXPECT_EQ(line, "recall,precision");
-  std::getline(ss, line);
-  EXPECT_EQ(line, "0.5,1");
-}
-
-TEST(ReportTest, RankingCsv) {
-  std::vector<eval::RankedUser> ranked = {{7, 1.0, true}, {9, 2.0, false}};
-  std::stringstream ss;
-  eval::WriteRankingCsv(ranked, ss);
-  std::string line;
-  std::getline(ss, line);
-  std::getline(ss, line);
-  EXPECT_EQ(line, "1,7,1,1");
-  std::getline(ss, line);
-  EXPECT_EQ(line, "2,9,2,0");
-}
-
-TEST(ReportTest, SummaryAndComparisonTable) {
+TEST(ReportTest, Summary) {
   const auto ranked = std::vector<eval::RankedUser>{
       {1, 1.0, true}, {2, 2.0, false}, {3, 3.0, true}, {4, 4.0, false}};
   const auto summary = eval::Summarize("ACOBE", ranked);
   EXPECT_EQ(summary.name, "ACOBE");
   EXPECT_DOUBLE_EQ(summary.auc, 0.75);
+  EXPECT_DOUBLE_EQ(summary.average_precision, (1.0 + 2.0 / 3.0) / 2.0);
   EXPECT_EQ(summary.fps_before_tp, (std::vector<int>{0, 1}));
-
-  std::stringstream ss;
-  eval::WriteComparisonTable({summary}, ss);
-  const std::string text = ss.str();
-  EXPECT_NE(text.find("ACOBE"), std::string::npos);
-  EXPECT_NE(text.find("75.0000"), std::string::npos);
-  EXPECT_NE(text.find("0,1"), std::string::npos);
 }
 
 TEST(ReportTest, PrecisionAtK) {
@@ -105,19 +68,6 @@ TEST(ReportTest, QualityEventCarriesMetrics) {
   ASSERT_NE(p_at, nullptr);
   EXPECT_DOUBLE_EQ(p_at->GetNumber("1", 0), 1.0);
   EXPECT_DOUBLE_EQ(p_at->GetNumber("2", 0), 0.5);
-}
-
-TEST(ReportTest, CutoffSweepCsv) {
-  std::stringstream ss;
-  eval::WriteCutoffSweepCsv(Flags({1, 0, 1, 0}), {1, 2, 4}, ss);
-  std::string line;
-  std::getline(ss, line);
-  EXPECT_EQ(line, "cutoff,tp,fp,fn,tn,precision,recall,f1");
-  std::getline(ss, line);
-  EXPECT_EQ(line.substr(0, 8), "1,1,0,1,");
-  int rows = 1;
-  while (std::getline(ss, line)) ++rows;
-  EXPECT_EQ(rows, 3);
 }
 
 }  // namespace

@@ -571,18 +571,12 @@ void WriteTinyOrg(const std::string& watch, const std::string& roster) {
   for (int d = 0; d < kTinyDays; ++d) {
     fs::create_directories(watch + "/day-" + std::to_string(100 + d));
   }
-  const struct {
-    const char* name;
-    void (*write)(const LogStore&, std::ostream&);
-  } streams[] = {{"device.csv", WriteDeviceCsv},
-                 {"file.csv", WriteFileCsv},
-                 {"http.csv", WriteHttpCsv},
-                 {"logon.csv", WriteLogonCsv}};
-  for (const auto& stream : streams) {
-    std::ostringstream csv;
-    stream.write(store, csv);
-    SplitCsvByDay(csv.str(), first_day, watch, stream.name);
-  }
+  std::ostringstream device, file, http, logon;
+  CsvEventSink(store, &logon, &device, &file, &http).ConsumeStore(store);
+  SplitCsvByDay(device.str(), first_day, watch, "device.csv");
+  SplitCsvByDay(file.str(), first_day, watch, "file.csv");
+  SplitCsvByDay(http.str(), first_day, watch, "http.csv");
+  SplitCsvByDay(logon.str(), first_day, watch, "logon.csv");
   std::ofstream ldap(roster);
   WriteLdapCsv(store, ldap);
   for (int d = 0; d < kTinyDays; ++d) {

@@ -114,14 +114,9 @@ using namespace acobe;
 
 namespace {
 
-// Event-timestamp plausibility window: 1980-01-01 .. 2100-01-01. One
-// corrupted-but-numeric timestamp outside this range would otherwise
-// stretch the detected day span (and the measurement-cube allocation)
-// by decades.
-constexpr std::int64_t kTsMin = 315532800;
-constexpr std::int64_t kTsMax = 4102444800;
-// And a belt-and-braces cap on the resulting day span (the window above
-// is ~43.8k days).
+// A belt-and-braces cap on the day span of the input (the timestamp
+// plausibility window, kPlausibleTsMin..kPlausibleTsMax, is ~43.8k
+// days).
 constexpr int kMaxDaySpan = 44000;
 
 // Packed-event buffer budget for the spooler (pass A) and its replay
@@ -171,10 +166,6 @@ void Usage() {
       "artifact\n");
 }
 
-using StreamingReader = IngestStats (*)(std::istream&, EntityCatalog&,
-                                        LogSink&, const IngestOptions&,
-                                        const std::string&);
-
 /// Each input CSV's read stats (for its byte count and CRC), by name.
 using FileDigests = std::map<std::string, IngestStats>;
 
@@ -222,16 +213,18 @@ std::string SanitizePathComponent(const std::string& name) {
 }
 
 /// The ledger's dataset digest: the CRC-32 of the input CSVs' raw
-/// bytes concatenated in a fixed order, folded from the CRCs the
-/// readers took while parsing. Absent files contribute nothing.
+/// bytes concatenated in kCertEventCsvs order, then ldap.csv, folded
+/// from the CRCs the readers took while parsing. Absent files
+/// contribute nothing.
 std::uint32_t DigestDataset(const FileDigests& digests) {
   std::uint32_t crc = 0;
-  for (const char* name :
-       {"device.csv", "file.csv", "http.csv", "logon.csv", "ldap.csv"}) {
+  auto fold = [&](const char* name) {
     const auto it = digests.find(name);
-    if (it == digests.end()) continue;
+    if (it == digests.end()) return;
     crc = Crc32Combine(crc, it->second.bytes_crc, it->second.bytes_read);
-  }
+  };
+  for (const CertEventCsv& csv : kCertEventCsvs) fold(csv.name);
+  fold("ldap.csv");
   return crc;
 }
 
@@ -579,8 +572,8 @@ int main(int argc, char** argv) {
   int shards = 8, health_interval_ms = 1000;
   bool resume = false;
   IngestOptions ingest;
-  ingest.ts_min = kTsMin;
-  ingest.ts_max = kTsMax;
+  ingest.ts_min = kPlausibleTsMin;
+  ingest.ts_max = kPlausibleTsMax;
 
   const int kMaxInt = std::numeric_limits<int>::max();
   try {
@@ -778,18 +771,14 @@ int main(int argc, char** argv) {
     for (const LdapRecord& r : tables.ldap()) {
       spooler->AssignUser(r.user, dept_shard[r.department]);
     }
-    auto read_stream = [&](const char* name, StreamingReader reader) {
-      return ReadOneCsv(
-          in_dir, name, ingest, quarantine_dir, ingest_stats, file_digests,
-          [&](std::istream& in, const IngestOptions& opts) {
-            return reader(in, tables, *spooler, opts, name);
-          });
-    };
     bool any = false;
-    any |= read_stream("device.csv", ReadDeviceCsv);
-    any |= read_stream("file.csv", ReadFileCsv);
-    any |= read_stream("http.csv", ReadHttpCsv);
-    any |= read_stream("logon.csv", ReadLogonCsv);
+    for (const CertEventCsv& csv : kCertEventCsvs) {
+      any |= ReadOneCsv(
+          in_dir, csv.name, ingest, quarantine_dir, ingest_stats,
+          file_digests, [&](std::istream& in, const IngestOptions& opts) {
+            return csv.read(in, tables, *spooler, opts, csv.name);
+          });
+    }
     if (!any) {
       std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
       return kExitBadInput;

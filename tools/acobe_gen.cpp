@@ -225,13 +225,7 @@ int GenerateStreamed(sim::CertSimConfig base,
       telemetry::TraceSpan sim_span("gen.simulate");
       simulator.Run(sink);
     }
-    {
-      CsvWriter w(ldap.stream());
-      if (s == 0) w.WriteRow({"user", "department", "team", "role"});
-      for (const LdapRecord& r : shard_store.ldap()) {
-        w.WriteRow({r.user_name, r.department, r.team, r.role});
-      }
-    }
+    WriteLdapCsv(shard_store, ldap.stream(), /*write_header=*/s == 0);
     for (const sim::InsiderScenario& sc : simulator.scenarios()) {
       all_scenarios.push_back(sc);
     }
@@ -424,15 +418,18 @@ int main(int argc, char** argv) {
   fault_config.redeliver = true;
   const sim::FaultInjector injector(fault_config);
 
-  // Render in memory, optionally corrupt, then land on disk atomically
-  // so an interrupted acobe-gen never leaves a half-written CSV behind.
+  // Render in memory, one file at a time, optionally corrupt, then land
+  // on disk atomically so an interrupted acobe-gen never leaves a
+  // half-written CSV behind.
   health::SetStage("write", 6);  // five CSVs + truth.csv
-  auto write = [&](const char* name,
-                   void (*writer)(const LogStore&, std::ostream&),
-                   bool corruptible) {
+  auto write = [&](const char* name, bool corruptible,
+                   const std::function<void(std::ostream&)>& render) {
     const std::string path = out_dir + "/" + name;
     std::ostringstream rendered;
-    writer(store, rendered);
+    {
+      ACOBE_SPAN2("logs.write", name);
+      render(rendered);
+    }
     std::string text = rendered.str();
     if (corruptible && corrupt_rate > 0.0) {
       // Per-file key: each CSV draws an independent fault stream.
@@ -451,11 +448,25 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrote %s\n", path.c_str());
     health::StageAdvance();
   };
-  write("device.csv", WriteDeviceCsv, /*corruptible=*/true);
-  write("file.csv", WriteFileCsv, /*corruptible=*/true);
-  write("http.csv", WriteHttpCsv, /*corruptible=*/true);
-  write("logon.csv", WriteLogonCsv, /*corruptible=*/true);
-  write("ldap.csv", WriteLdapCsv, /*corruptible=*/false);
+  // Each event CSV is the one stream of a CsvEventSink fed the store.
+  auto events = [&](std::ostream* logon, std::ostream* device,
+                    std::ostream* file, std::ostream* http) {
+    CsvEventSink(store, logon, device, file, http).ConsumeStore(store);
+  };
+  write("device.csv", /*corruptible=*/true, [&](std::ostream& out) {
+    events(nullptr, &out, nullptr, nullptr);
+  });
+  write("file.csv", /*corruptible=*/true, [&](std::ostream& out) {
+    events(nullptr, nullptr, &out, nullptr);
+  });
+  write("http.csv", /*corruptible=*/true, [&](std::ostream& out) {
+    events(nullptr, nullptr, nullptr, &out);
+  });
+  write("logon.csv", /*corruptible=*/true, [&](std::ostream& out) {
+    events(&out, nullptr, nullptr, nullptr);
+  });
+  write("ldap.csv", /*corruptible=*/false,
+        [&](std::ostream& out) { WriteLdapCsv(store, out); });
 
   // Ground truth for evaluation (never corrupted: it is the answer key).
   {

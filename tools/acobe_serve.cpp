@@ -63,10 +63,6 @@ using namespace acobe;
 
 namespace {
 
-// Same event-timestamp plausibility window as acobe-detect: 1980..2100.
-constexpr std::int64_t kTsMin = 315532800;
-constexpr std::int64_t kTsMax = 4102444800;
-
 void Usage() {
   std::fprintf(
       stderr,
@@ -283,8 +279,8 @@ void RegisterEndpoints(net::HttpServer& http, ServiceSupervisor& sup) {
 
 int main(int argc, char** argv) {
   ServiceConfig cfg;
-  cfg.ingest.ts_min = kTsMin;
-  cfg.ingest.ts_max = kTsMax;
+  cfg.ingest.ts_min = kPlausibleTsMin;
+  cfg.ingest.ts_max = kPlausibleTsMax;
   std::string health_out, metrics_out;
   int health_interval_ms = 1000;
   int poll_ms = 500;

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""CI gate for the blocked GEMM kernels and the streaming pipeline.
+"""CI gate for the blocked GEMM kernels, the streaming pipeline and
+detection quality.
 
 Default mode compares a fresh `micro_nn --metrics-out=...` run against
 the checked-in baseline (bench/BENCH_nn.json). Absolute GFLOP/s numbers do not transfer
@@ -35,6 +36,7 @@ Usage:
         [--fused-floor 1.5]
     tools/check_bench.py --pipeline BASELINE.json CURRENT.json \
         [--rss-tolerance 1.25]
+    tools/check_bench.py --quality bench/BENCH_quality.json RUN.json...
 
 --pipeline gates a `tools/bench_pipeline.py` run (bench/BENCH_pipeline.json
 is the checked-in baseline) the same way: on the in-run ratio that
@@ -45,6 +47,21 @@ The gate fails if the current ratio exceeds the baseline ratio times
 --rss-tolerance (default 1.25, i.e. sharding bounds memory >25% worse
 than it did), or if any required pipeline gauge is missing or
 non-positive.
+
+--quality gates detection quality across dataset seeds, exactly.
+Each `bench/fig6_roc_pr --seed=S --metrics-out=RUN` publishes the AUC,
+average precision and FPs-before-each-TP of the six Figure 6 models as
+`fig6.seedS.<model>.*` gauges. The gauges of all RUNs, merged, must
+equal bench/BENCH_quality.json's (recorded at seeds 1-5): the NN
+kernels are bit-exact at any thread count and SIMD level, so the
+scores are too, and any difference is named. bench.hw_threads and
+bench.simd_avx2 are recorded to explain a mismatch, not gated. A change
+that moves scores re-records the baseline and says why in CHANGES.md:
+
+    for s in 1 2 3 4 5; do
+      build/bench/fig6_roc_pr --seed=$s --metrics-out=/tmp/q$s.json
+    done
+    cd tools && python3 -c 'import check_bench as c, sys; c.print_quality_baseline(sys.argv[1:])' /tmp/q[1-5].json > ../bench/BENCH_quality.json
 
 Exit status 0 on pass, 1 on regression, hw_threads mismatch or
 malformed input. A failure names every gate that failed.
@@ -134,6 +151,59 @@ def check_pipeline(base, cur, rss_tolerance):
     return 0
 
 
+QUALITY_PREFIX = "fig6."
+QUALITY_MACHINE = ("bench.hw_threads", "bench.simd_avx2")
+
+
+def quality_gauges(paths):
+    """The quality gauges of fig6_roc_pr runs, merged over seeds, plus
+    the machine they ran on: the content of bench/BENCH_quality.json."""
+    merged = {}
+    for path in paths:
+        for key, value in load_gauges(path).items():
+            if key.startswith(QUALITY_PREFIX) or key in QUALITY_MACHINE:
+                merged[key] = value
+    return merged
+
+
+def print_quality_baseline(paths):
+    """Prints a baseline file holding the quality gauges of `paths`."""
+    json.dump({"schema": "acobe.metrics.v1", "counters": {},
+               "gauges": quality_gauges(paths)},
+              sys.stdout, indent=2, sort_keys=True)
+    print()
+
+
+def check_quality(base, cur):
+    """The --quality gate: every quality value equal to the baseline's."""
+    for key in QUALITY_MACHINE:
+        if base.get(key) != cur.get(key):
+            print(f"check_bench: note: {key} is {cur.get(key)} here, "
+                  f"{base.get(key)} in the baseline")
+    want = {k: v for k, v in base.items() if k.startswith(QUALITY_PREFIX)}
+    got = {k: v for k, v in cur.items() if k.startswith(QUALITY_PREFIX)}
+    if not want:
+        print("check_bench: the baseline holds no quality values",
+              file=sys.stderr)
+        return 1
+    differ = []
+    for key in sorted(want.keys() | got.keys()):
+        if key not in got:
+            differ.append(f"{key}: missing (baseline {want[key]})")
+        elif key not in want:
+            differ.append(f"{key}: {got[key]} (not in the baseline)")
+        elif float(got[key]) != float(want[key]):
+            differ.append(f"{key}: {got[key]} (baseline {want[key]})")
+    for line in differ:
+        print(f"check_bench: {line}", file=sys.stderr)
+    if differ:
+        print(f"check_bench: {len(differ)} quality values differ from the "
+              "baseline", file=sys.stderr)
+        return 1
+    print(f"check_bench: all {len(want)} quality values match the baseline")
+    return 0
+
+
 FUSED_LABEL = "fused train-stream speedup"
 FUSED_NUM = "bench.BM_TrainStreamFused/112/4/real_time.items_per_second"
 FUSED_DEN = "bench.BM_TrainStreamSolo/112/real_time.items_per_second"
@@ -164,7 +234,8 @@ def check_fused(cur, floor):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline")
-    ap.add_argument("current")
+    ap.add_argument("current", nargs="+",
+                    help="the run to gate (--quality: one per seed)")
     ap.add_argument("--tolerance", type=float, default=0.8,
                     help="fail if current speedup < baseline speedup * "
                          "TOLERANCE (default 0.8)")
@@ -177,11 +248,18 @@ def main():
     ap.add_argument("--rss-tolerance", type=float, default=1.25,
                     help="--pipeline: fail if the sharded/single RSS ratio "
                          "> baseline ratio * RSS_TOLERANCE (default 1.25)")
+    ap.add_argument("--quality", action="store_true",
+                    help="gate fig6_roc_pr quality gauges (one run per "
+                         "seed) exactly against the baseline")
     args = ap.parse_args()
+    if not args.quality and len(args.current) != 1:
+        ap.error("exactly one current run outside --quality")
 
     try:
         base = load_gauges(args.baseline)
-        cur = load_gauges(args.current)
+        if args.quality:
+            return check_quality(base, quality_gauges(args.current))
+        cur = load_gauges(args.current[0])
     except (OSError, ValueError, json.JSONDecodeError) as e:
         print(f"check_bench: {e}", file=sys.stderr)
         return 1
@@ -200,7 +278,7 @@ def main():
     for n in SIZES:
         try:
             base_s = speedup(base, n, args.baseline)
-            cur_s = speedup(cur, n, args.current)
+            cur_s = speedup(cur, n, args.current[0])
         except ValueError as e:
             print(f"check_bench: {e}", file=sys.stderr)
             return 1
