@@ -50,7 +50,6 @@ class CompoundMatrixBuilder : public SampleBuilder {
   std::size_t SampleSize(std::size_t n_features) const override {
     return FlatSize(n_features);
   }
-  int FeatureCount() const override { return users_->features(); }
   int FirstValidDay() const override { return FirstAnchorDay(); }
   int EndDay() const override { return days(); }
   /// Inverts Build's [component][feature][day][frame] flattening.

@@ -37,7 +37,6 @@ class NormalizedDayBuilder : public SampleBuilder {
   std::size_t SampleSize(std::size_t n_features) const override {
     return FlatSize(n_features);
   }
-  int FeatureCount() const override { return cube_->features(); }
   int FirstValidDay() const override { return 0; }
   int EndDay() const override { return cube_->days(); }
   /// Inverts Build's [feature][frame] flattening (single component,

@@ -31,8 +31,6 @@ class SampleBuilder {
                                          std::span<const int> features,
                                          int day) const = 0;
   virtual std::size_t SampleSize(std::size_t n_features) const = 0;
-  /// BuildSample's feature indices must lie in [0, FeatureCount()).
-  virtual int FeatureCount() const = 0;
   /// First day index for which BuildSample is defined.
   virtual int FirstValidDay() const = 0;
   /// One past the last valid day index.

@@ -79,8 +79,8 @@ struct SpanStack {
 
 SpanStack g_span_stacks[kMaxSpanThreads];
 
-// Releases the slot when its thread exits (ParallelFor spawns fresh
-// workers per call, so slots must recycle).
+// Releases the slot when its thread exits (the spool writer and the
+// HTTP server's threads come and go, so slots must recycle).
 struct SlotHolder {
   SpanStack* slot = nullptr;
   int overflow = 0;  // pushes beyond kMaxSpanDepth, to keep pops paired

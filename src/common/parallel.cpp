@@ -16,15 +16,9 @@ namespace acobe {
 
 namespace {
 
+/// Set for a pool worker's whole life: nested parallel sections check
+/// OnWorkerThread() and run inline instead of re-entering the pool.
 thread_local bool t_on_worker_thread = false;
-
-/// RAII worker marker: nested parallel sections check OnWorkerThread()
-/// and run inline instead of re-entering the runtime.
-struct WorkerScope {
-  bool previous;
-  WorkerScope() : previous(t_on_worker_thread) { t_on_worker_thread = true; }
-  ~WorkerScope() { t_on_worker_thread = previous; }
-};
 
 }  // namespace
 
@@ -49,6 +43,7 @@ ThreadPool::ThreadPool(int threads) {
   workers_.reserve(n);
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] {
+      t_on_worker_thread = true;
       if (telemetry::TracingEnabled()) {
         telemetry::SetCurrentThreadName("pool-worker-" + std::to_string(i));
       }
@@ -131,59 +126,9 @@ void ThreadPool::WorkerLoop() {
     // Span "pool.task" is how utilization shows up: the fraction of a
     // worker's trace row covered by pool.task events is its busy share.
     telemetry::TraceSpan span("pool.task");
-    WorkerScope worker_scope;
     task();  // exceptions land in the packaged_task's future
     ACOBE_COUNT("pool.tasks_executed", 1);
   }
-}
-
-void ParallelFor(int begin, int end, int threads,
-                 const std::function<void(int)>& fn) {
-  if (begin >= end) return;
-  const int span = end - begin;
-  int n = ResolveThreadCount(threads);
-  if (n > span) n = span;
-  ACOBE_COUNT("parallel.for_calls", 1);
-  ACOBE_HISTOGRAM("parallel.for_iterations", span);
-  if (n <= 1 || OnWorkerThread()) {
-    for (int i = begin; i < end; ++i) fn(i);
-    return;
-  }
-
-  std::atomic<int> next(begin);
-  std::atomic<bool> failed(false);
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  auto worker = [&] {
-    WorkerScope worker_scope;
-    for (;;) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end || failed.load(std::memory_order_relaxed)) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> extra;
-  extra.reserve(n - 1);
-  for (int t = 1; t < n; ++t) {
-    extra.emplace_back([&worker] {
-      if (telemetry::TracingEnabled()) {
-        telemetry::SetCurrentThreadName("parallel-worker");
-      }
-      telemetry::TraceSpan span("parallel.worker");
-      worker();
-    });
-  }
-  worker();  // the calling thread participates
-  for (std::thread& t : extra) t.join();
-  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& SharedPool(int threads) {
@@ -196,16 +141,15 @@ ThreadPool& SharedPool(int threads) {
   return *slot;
 }
 
-void PooledParallelFor(int begin, int end, int threads,
-                       const std::function<void(int)>& fn) {
+void ParallelFor(int begin, int end, int threads,
+                 const std::function<void(int)>& fn) {
   if (begin >= end) return;
-  const int span = end - begin;
   // The pool is keyed by the resolved count, not by min(count, span):
   // one thread count means one pool, however short the range.
   // ThreadPool::ParallelFor caps its tasks at the span itself.
   const int n = ResolveThreadCount(threads);
-  ACOBE_COUNT("parallel.pooled_for_calls", 1);
-  if (n <= 1 || span <= 1 || OnWorkerThread()) {
+  ACOBE_COUNT("parallel.for_calls", 1);
+  if (n <= 1 || end - begin <= 1 || OnWorkerThread()) {
     for (int i = begin; i < end; ++i) fn(i);
     return;
   }

@@ -1,9 +1,8 @@
 #pragma once
 
 // One framed record codec for every CRC'd binary artifact: autoencoders
-// (nn/serialize.h), ensembles (core/ensemble_io.h), monitor snapshots
-// (core/monitor.h) and the service journal (service/journal.h). Frame,
-// every field little-endian:
+// (nn/serialize.h), monitor snapshots (core/monitor.h) and the service
+// journal (service/journal.h). Frame, every field little-endian:
 //
 //   tag[4] | u32 version | u64 payload size | payload | u32 CRC-32(payload)
 //

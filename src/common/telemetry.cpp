@@ -17,10 +17,8 @@
 namespace acobe::telemetry {
 namespace {
 
-#ifndef ACOBE_TELEMETRY_DISABLED
 std::atomic<bool> g_metrics_enabled{false};
 std::atomic<bool> g_tracing_enabled{false};
-#endif
 
 struct TraceEvent {
   std::string name;
@@ -122,7 +120,6 @@ void JsonNumber(std::ostream& out, double v) {
   out << buf;
 }
 
-#ifndef ACOBE_TELEMETRY_DISABLED
 bool MetricsEnabled() {
   return g_metrics_enabled.load(std::memory_order_relaxed);
 }
@@ -135,10 +132,6 @@ void EnableMetrics(bool on) {
 void EnableTracing(bool on) {
   g_tracing_enabled.store(on, std::memory_order_relaxed);
 }
-#else
-void EnableMetrics(bool) {}
-void EnableTracing(bool) {}
-#endif
 
 void Gauge::SetMax(double v) {
   double cur = value_.load(std::memory_order_relaxed);

@@ -20,9 +20,7 @@
 //
 // Cost contract: everything is gated on two process-wide flags, both
 // default-off. Disabled-at-runtime cost is one relaxed atomic load per
-// instrumentation point. Compiling with -DACOBE_TELEMETRY=OFF (the
-// ACOBE_TELEMETRY_DISABLED define) turns the flags into constexpr
-// false, so every ACOBE_* macro and TraceSpan folds to nothing.
+// instrumentation point.
 //
 // Registered metric objects are never destroyed (the registry leaks by
 // design); references returned by GetCounter()/GetGauge()/... stay
@@ -40,19 +38,13 @@
 
 namespace acobe::telemetry {
 
-#ifdef ACOBE_TELEMETRY_DISABLED
-constexpr bool MetricsEnabled() { return false; }
-constexpr bool TracingEnabled() { return false; }
-#else
 /// True after EnableMetrics(true): counters/gauges/histograms/series
 /// record, and spans feed the "span.<name>" duration histograms.
 bool MetricsEnabled();
 /// True after EnableTracing(true): spans additionally emit trace events
 /// (one per span instance, attributed to the recording thread).
 bool TracingEnabled();
-#endif
 
-/// Both are no-ops in ACOBE_TELEMETRY_DISABLED builds.
 void EnableMetrics(bool on);
 void EnableTracing(bool on);
 
@@ -213,15 +205,9 @@ void RecordTraceEvent(std::string name, std::uint64_t start_ns,
 // Statement macros for instrumentation sites with literal metric names.
 // They cache the registry lookup in a function-local static, so the
 // steady-state enabled cost is one relaxed load + one relaxed RMW (or a
-// striped-lock append for histograms). All fold to ((void)0) in
-// ACOBE_TELEMETRY_DISABLED builds. Dynamic names (per-aspect series)
-// call GetSeries()/GetHistogram() directly under MetricsEnabled().
-#ifdef ACOBE_TELEMETRY_DISABLED
-#define ACOBE_COUNT(name, n) ((void)0)
-#define ACOBE_GAUGE_SET(name, v) ((void)0)
-#define ACOBE_GAUGE_MAX(name, v) ((void)0)
-#define ACOBE_HISTOGRAM(name, v) ((void)0)
-#else
+// striped-lock append for histograms). Dynamic names (per-aspect
+// series) call GetSeries()/GetHistogram() directly under
+// MetricsEnabled().
 #define ACOBE_COUNT(name, n)                                      \
   do {                                                            \
     if (acobe::telemetry::MetricsEnabled()) {                     \
@@ -254,4 +240,3 @@ void RecordTraceEvent(std::string name, std::uint64_t start_ns,
       acobe_tm_metric.Record(static_cast<double>(v));             \
     }                                                             \
   } while (0)
-#endif

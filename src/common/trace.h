@@ -9,8 +9,7 @@
 //     current thread when tracing is enabled (name "<name>" or
 //     "<name>:<detail>").
 // When both are disabled the constructor is a pair of relaxed loads and
-// the destructor a branch; in ACOBE_TELEMETRY_DISABLED builds the whole
-// class folds away.
+// the destructor a branch.
 //
 // Active spans additionally maintain the health plane's per-thread span
 // stack (common/health.h): Begin pushes the name (learning the parent
@@ -64,17 +63,12 @@ class TraceSpan {
 
 // Statement macro: ACOBE_SPAN("ensemble.train"); measures to the end of
 // the enclosing scope. ACOBE_SPAN2 adds a dynamic detail string (trace
-// event name only). Both vanish in ACOBE_TELEMETRY_DISABLED builds.
+// event name only).
 #define ACOBE_SPAN_CONCAT2(a, b) a##b
 #define ACOBE_SPAN_CONCAT(a, b) ACOBE_SPAN_CONCAT2(a, b)
-#ifdef ACOBE_TELEMETRY_DISABLED
-#define ACOBE_SPAN(name) ((void)0)
-#define ACOBE_SPAN2(name, detail) ((void)0)
-#else
 #define ACOBE_SPAN(name)                                    \
   acobe::telemetry::TraceSpan ACOBE_SPAN_CONCAT(            \
       acobe_tm_span_, __LINE__)(name)
 #define ACOBE_SPAN2(name, detail)                           \
   acobe::telemetry::TraceSpan ACOBE_SPAN_CONCAT(            \
       acobe_tm_span_, __LINE__)(name, detail)
-#endif

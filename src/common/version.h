@@ -17,7 +17,7 @@ struct BuildInfo {
   std::string version;     // kAcobeVersion
   std::string build_type;  // CMAKE_BUILD_TYPE baked in at compile time
   std::string simd;        // "avx2" or "scalar" (runtime dispatch)
-  bool telemetry = false;  // instrumentation compiled in
+  bool telemetry = true;   // instrumentation compiled in (always)
   // NN kernel family (nn::kKernelFamily), stamped by acobe_detect. Left
   // empty by tools that do not report it, whose manifests omit the
   // field.
@@ -40,11 +40,6 @@ inline BuildInfo GetBuildInfo() {
   info.build_type = "unknown";
 #endif
   info.simd = ActiveSimdName();
-#ifdef ACOBE_TELEMETRY_DISABLED
-  info.telemetry = false;
-#else
-  info.telemetry = true;
-#endif
   return info;
 }
 

@@ -59,28 +59,6 @@ AspectEnsemble::AspectEnsemble(std::vector<AspectGroup> aspects,
   }
 }
 
-AspectEnsemble AspectEnsemble::FromTrainedModels(
-    std::vector<AspectGroup> aspects, EnsembleConfig config,
-    std::vector<nn::Sequential> models,
-    std::vector<nn::AutoencoderSpec> specs) {
-  if (models.size() != aspects.size() || specs.size() != aspects.size()) {
-    throw std::invalid_argument(
-        "AspectEnsemble::FromTrainedModels: size mismatch");
-  }
-  AspectEnsemble ensemble(std::move(aspects), std::move(config));
-  ensemble.models_ = std::move(models);
-  ensemble.specs_ = std::move(specs);
-  ensemble.aspect_ok_.assign(ensemble.aspects_.size(), 1);
-  ensemble.summaries_.assign(ensemble.aspects_.size(), AspectTrainSummary{});
-  for (std::size_t a = 0; a < ensemble.aspects_.size(); ++a) {
-    ensemble.summaries_[a].name = ensemble.aspects_[a].name;
-    ensemble.summaries_[a].resumed = true;  // loaded, not trained here
-    ensemble.summaries_[a].ok = true;
-  }
-  ensemble.trained_ = true;
-  return ensemble;
-}
-
 bool AspectEnsemble::degraded() const {
   return trained_ && healthy_aspect_count() != aspect_count();
 }
@@ -157,7 +135,7 @@ void AspectEnsemble::Train(
   // stream below.
   std::vector<nn::Tensor> datas(aspects_.size());
   std::vector<std::uint8_t> needs_train(aspects_.size(), 0);
-  PooledParallelFor(
+  ParallelFor(
       0, static_cast<int>(aspects_.size()), config_.threads,
       [&](int ai) {
         const std::size_t a = static_cast<std::size_t>(ai);
@@ -324,17 +302,6 @@ ScoreGrid AspectEnsemble::Score(const SampleBuilder& builder, int n_users,
                                 int day_begin, int day_end) const {
   ACOBE_SPAN("ensemble.score");
   if (!trained_) throw std::logic_error("AspectEnsemble::Score before Train");
-  // BuildSample does not bounds-check feature indices, and a loaded
-  // ensemble may carry any index its file held.
-  for (const AspectGroup& aspect : aspects_) {
-    for (int f : aspect.feature_indices) {
-      if (f < 0 || f >= builder.FeatureCount()) {
-        throw std::invalid_argument("AspectEnsemble::Score: aspect '" +
-                                    aspect.name + "' uses feature " +
-                                    std::to_string(f) + " out of range");
-      }
-    }
-  }
   const int first = std::max(day_begin, builder.FirstValidDay());
   const int last = std::min(day_end, builder.EndDay());
   if (first >= last) {
@@ -363,7 +330,7 @@ ScoreGrid AspectEnsemble::Score(const SampleBuilder& builder, int n_users,
   const int n_days = last - first;
   // Pool-backed so scoring reuses the workers (and their thread-local
   // batch/scratch buffers) the training stream already warmed up.
-  PooledParallelFor(0, n_aspects * n_users, config_.threads, [&](int item) {
+  ParallelFor(0, n_aspects * n_users, config_.threads, [&](int item) {
     telemetry::TraceSpan item_span("ensemble.score_user");
     const int h = item / n_users;
     const int a = healthy[static_cast<std::size_t>(h)];

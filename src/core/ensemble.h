@@ -62,8 +62,8 @@ struct CheckpointMismatch : std::runtime_error {
 };
 
 /// How one aspect's model came to be — provenance for the run ledger's
-/// "aspect_trained" events. Filled by Train() (one entry per aspect,
-/// aspect order) and by FromTrainedModels (marked resumed).
+/// "aspect_trained" events. Filled by Train(), one entry per aspect in
+/// aspect order.
 struct AspectTrainSummary {
   std::string name;
   /// Training attempts consumed (divergence retries included); 0 when
@@ -122,13 +122,6 @@ class AspectEnsemble {
   const std::vector<AspectTrainSummary>& train_summaries() const {
     return summaries_;
   }
-
-  /// Reassembles a trained ensemble from persisted parts (used by
-  /// LoadEnsemble); models must match `aspects` pairwise.
-  static AspectEnsemble FromTrainedModels(
-      std::vector<AspectGroup> aspects, EnsembleConfig config,
-      std::vector<nn::Sequential> models,
-      std::vector<nn::AutoencoderSpec> specs);
 
  private:
   nn::Tensor AssembleBatchForDays(const SampleBuilder& builder,

@@ -30,7 +30,6 @@ constexpr std::size_t kNR = 16;
 // math-core throughput next to the span timings. Costs two clock reads
 // per GEMM when metrics are enabled, nothing when disabled.
 // ---------------------------------------------------------------------------
-#ifndef ACOBE_TELEMETRY_DISABLED
 class GemmTimer {
  public:
   GemmTimer() : enabled_(telemetry::MetricsEnabled()), start_ns_(0) {
@@ -75,11 +74,6 @@ class GemmTimer {
   bool sampled_ = false;
   std::uint64_t start_ns_;
 };
-#else
-struct GemmTimer {
-  void Finish(std::size_t, std::size_t, std::size_t) const {}
-};
-#endif
 
 // ---------------------------------------------------------------------------
 // Blocked kernels.

@@ -32,8 +32,9 @@ void ForEachStateTensor(Sequential& net, Fn&& fn) {
 
 }  // namespace
 
-void EncodeAutoencoder(const AutoencoderSpec& spec, Sequential& net,
-                       RecordWriter& w) {
+void SaveAutoencoder(const AutoencoderSpec& spec, Sequential& net,
+                     std::ostream& out) {
+  RecordWriter w;
   w.U32(static_cast<std::uint32_t>(spec.input_dim));
   w.Count(spec.encoder_dims.size());
   for (std::size_t d : spec.encoder_dims) w.U32(static_cast<std::uint32_t>(d));
@@ -44,9 +45,12 @@ void EncodeAutoencoder(const AutoencoderSpec& spec, Sequential& net,
     w.U32(static_cast<std::uint32_t>(t.cols()));
     w.Floats({t.data(), t.size()});
   });
+  WriteRecord(out, kTag, kVersion, w.payload());
 }
 
-Sequential DecodeAutoencoder(RecordReader& r, AutoencoderSpec& spec_out) {
+Sequential LoadAutoencoder(std::istream& in, AutoencoderSpec& spec_out) {
+  const std::string payload = ReadRecord(in, kTag, kVersion, "LoadAutoencoder");
+  RecordReader r(payload, "LoadAutoencoder");
   AutoencoderSpec spec;
   const std::uint32_t input_dim = r.U32();
   if (input_dim == 0 || input_dim > kMaxDim) r.Fail("implausible input dim");
@@ -78,22 +82,8 @@ Sequential DecodeAutoencoder(RecordReader& r, AutoencoderSpec& spec_out) {
     if (rows != t.rows() || cols != t.cols()) r.Fail("tensor shape mismatch");
     r.Floats({t.data(), t.size()});
   });
-  spec_out = spec;
-  return net;
-}
-
-void SaveAutoencoder(const AutoencoderSpec& spec, Sequential& net,
-                     std::ostream& out) {
-  RecordWriter w;
-  EncodeAutoencoder(spec, net, w);
-  WriteRecord(out, kTag, kVersion, w.payload());
-}
-
-Sequential LoadAutoencoder(std::istream& in, AutoencoderSpec& spec_out) {
-  const std::string payload = ReadRecord(in, kTag, kVersion, "LoadAutoencoder");
-  RecordReader r(payload, "LoadAutoencoder");
-  Sequential net = DecodeAutoencoder(r, spec_out);
   r.ExpectEnd();
+  spec_out = spec;
   return net;
 }
 

@@ -25,10 +25,4 @@ void SaveAutoencoderFile(const AutoencoderSpec& spec, Sequential& net,
 Sequential LoadAutoencoderFile(const std::string& path,
                                AutoencoderSpec& spec_out);
 
-/// One model's fields, shared by the standalone record above and the
-/// ensemble record (core/ensemble_io.h).
-void EncodeAutoencoder(const AutoencoderSpec& spec, Sequential& net,
-                       RecordWriter& w);
-Sequential DecodeAutoencoder(RecordReader& r, AutoencoderSpec& spec_out);
-
 }  // namespace acobe::nn

@@ -80,7 +80,7 @@ void TrainStream(std::vector<TrainJob>& jobs, int threads) {
   ACOBE_COUNT("nn.train_stream.jobs", jobs.size());
   // Each job runs start to finish on its worker's thread-local
   // workspace; a TrainingDiverged throw becomes the job's outcome.
-  PooledParallelFor(0, static_cast<int>(jobs.size()), threads, [&jobs](int i) {
+  ParallelFor(0, static_cast<int>(jobs.size()), threads, [&jobs](int i) {
     TrainJob& job = jobs[static_cast<std::size_t>(i)];
     try {
       job.history =

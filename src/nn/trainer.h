@@ -77,7 +77,7 @@ struct TrainJob {
 };
 
 /// Trains every job in `jobs`, fanned out job-per-worker over the
-/// shared pool (PooledParallelFor: inline and in order at one thread or
+/// shared pool (ParallelFor: inline and in order at one thread or
 /// on a pool worker). Each model's parameters are bit-identical to
 /// training it alone: a job only ever consumes its own seed-derived
 /// streams. Divergence is per-job: a TrainingDiverged job is recorded

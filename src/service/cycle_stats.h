@@ -20,13 +20,15 @@ namespace acobe::service {
 struct CycleStat {
   std::uint64_t cycle = 0;        // 1-based supervisor cycle number
   std::string batch;              // batch directory name ("" = none)
-  std::int64_t window_start = 0;  // current window span [start, end)
-  std::int64_t window_end = 0;
+  // Absolute day numbers, both spans inclusive.
+  std::int64_t window_start = 0;  // current window span
+  std::int64_t window_end = -1;   // window_end < window_start: no events yet
   std::int64_t scored_from = 0;   // scored day range this cycle
-  std::int64_t scored_to = 0;
-  std::uint64_t events_admitted = 0;  // rows routed to shard windows
+  std::int64_t scored_to = -1;    // scored_to < scored_from: ingest-only
+  std::size_t events_admitted = 0;  // rows routed to shard windows
+  std::size_t events_dropped = 0;   // users outside the roster's departments
   std::size_t departments_scored = 0;
-  std::size_t alerts = 0;             // alerts appended this cycle
+  std::size_t alerts = 0;           // alerts appended this cycle
   // Wall-clock buckets (seconds), timed on the supervisor's thread from
   // consecutive clock reads: ingest_s + detect_s + commit_s == total_s
   // up to rounding.

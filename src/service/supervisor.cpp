@@ -457,8 +457,8 @@ std::vector<std::string> ServiceSupervisor::PendingBatches() const {
   return out;
 }
 
-std::vector<CycleReport> ServiceSupervisor::ProcessAvailableBatches() {
-  std::vector<CycleReport> reports;
+std::vector<service::CycleStat> ServiceSupervisor::ProcessAvailableBatches() {
+  std::vector<service::CycleStat> reports;
   for (const std::string& name : PendingBatches()) {
     if (ShutdownRequested()) break;
     reports.push_back(RunCycle(name));
@@ -509,7 +509,7 @@ std::vector<ServiceSupervisor::ShardOutcome> ServiceSupervisor::RunShards(
   // caller reads them.
   std::vector<ShardOutcome> outs(shards_.size());
   const int n = static_cast<int>(shards_.size());
-  PooledParallelFor(0, n, n, [&](int i) {
+  ParallelFor(0, n, n, [&](int i) {
     ShardRuntime& shard = *shards_[static_cast<std::size_t>(i)];
     ShardOutcome& out = outs[static_cast<std::size_t>(i)];
     try {
@@ -529,7 +529,7 @@ std::vector<ServiceSupervisor::ShardOutcome> ServiceSupervisor::RunShards(
   return outs;
 }
 
-CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
+service::CycleStat ServiceSupervisor::RunCycle(const std::string& batch_name) {
   health::SetStage("ingest");
   health::SetStageDetail(batch_name);
 
@@ -552,13 +552,13 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
     }
   }
 
-  CycleReport rep;
-  rep.batch = batch_name;
-  BatchRecord rec = ParseBatch(batch_name, &rep.events_admitted,
-                               &rep.events_dropped);
+  service::CycleStat cs;
+  cs.batch = batch_name;
+  BatchRecord rec = ParseBatch(batch_name, &cs.events_admitted,
+                               &cs.events_dropped);
   ACOBE_COUNT("service.batches", 1);
   ACOBE_COUNT("service.events_admitted",
-              static_cast<std::uint64_t>(rep.events_admitted));
+              static_cast<std::uint64_t>(cs.events_admitted));
 
   if (rec.day_hi >= rec.day_lo) {
     if (latest_day_ < first_day_seen_) {
@@ -579,10 +579,10 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
     task.scored_from = std::max(state_.last_scored_day + 1, scorable_from);
     task.scored_to = task.win_end;
   }
-  rep.window_start = task.win_start;
-  rep.window_end = task.win_end;
-  rep.scored_from = task.scored_from;
-  rep.scored_to = task.scored_to;
+  cs.window_start = task.win_start;
+  cs.window_end = task.win_end;
+  cs.scored_from = task.scored_from;
+  cs.scored_to = task.scored_to;
 
   const auto t_ingest_done = std::chrono::steady_clock::now();
   // train_s/score_s are span-profile deltas around the detect phase:
@@ -598,7 +598,7 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
 
   health::SetStage("commit");
   state_.cycle += 1;
-  rep.cycle = state_.cycle;
+  cs.cycle = state_.cycle;
 
   // Merge per-shard results into canonical department order.
   std::vector<const DeptCycleResult*> scored;
@@ -609,7 +609,7 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
             [](const DeptCycleResult* a, const DeptCycleResult* b) {
               return a->dept->order < b->dept->order;
             });
-  rep.departments_scored = scored.size();
+  cs.departments_scored = scored.size();
 
   // Alerts first: their global sequence numbers are journaled.
   auto member_name = [&](const DeptCycleResult* d, int member) {
@@ -631,7 +631,7 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
           .Str("peak_aspect", a.peak_aspect_name)
           .Num("peak_score", a.peak_score);
       alerts_log_->Append(ev.Finish());
-      rep.alerts += 1;
+      cs.alerts += 1;
       ACOBE_COUNT("service.alerts_emitted", 1);
     }
   }
@@ -643,8 +643,8 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
     ev.Int("cycle", static_cast<std::int64_t>(state_.cycle))
         .Str("batch", batch_name)
         .Int("batch_digest", rec.digest)
-        .Int("events_admitted", static_cast<std::int64_t>(rep.events_admitted))
-        .Int("events_dropped", static_cast<std::int64_t>(rep.events_dropped));
+        .Int("events_admitted", static_cast<std::int64_t>(cs.events_admitted))
+        .Int("events_dropped", static_cast<std::int64_t>(cs.events_dropped));
     if (task.win_end >= task.win_start) {
       ev.Str("window_start", DayString(task.win_start))
           .Str("window_end", DayString(task.win_end));
@@ -654,8 +654,8 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
           .Str("scored_to", DayString(task.scored_to));
     }
     ev.Int("departments_scored",
-           static_cast<std::int64_t>(rep.departments_scored))
-        .Int("alerts", static_cast<std::int64_t>(rep.alerts));
+           static_cast<std::int64_t>(cs.departments_scored))
+        .Int("alerts", static_cast<std::int64_t>(cs.alerts));
     ledger_log_->Append(ev.Finish());
   }
   for (const DeptCycleResult* d : scored) {
@@ -731,16 +731,6 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
     }
   }
   const auto t_end = std::chrono::steady_clock::now();
-  service::CycleStat cs;
-  cs.cycle = state_.cycle;
-  cs.batch = batch_name;
-  cs.window_start = rep.window_start;
-  cs.window_end = rep.window_end;
-  cs.scored_from = rep.scored_from;
-  cs.scored_to = rep.scored_to;
-  cs.events_admitted = rep.events_admitted;
-  cs.departments_scored = rep.departments_scored;
-  cs.alerts = rep.alerts;
   cs.ingest_s = SecondsBetween(cycle_t0, t_ingest_done);
   cs.detect_s = SecondsBetween(t_ingest_done, t_detect_done);
   cs.train_s = (SpanTotalMs(spans_after, "detector.train") -
@@ -752,7 +742,7 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
   cs.commit_s = SecondsBetween(t_detect_done, t_end);
   cs.total_s = SecondsBetween(cycle_t0, t_end);
   cs.batch_age_s = batch_age_s;
-  if (rep.alerts > 0 && have_ready_mtime) {
+  if (cs.alerts > 0 && have_ready_mtime) {
     cs.alert_latency_s = std::chrono::duration<double>(
                              fs::file_time_type::clock::now() - ready_mtime)
                              .count();
@@ -760,7 +750,7 @@ CycleReport ServiceSupervisor::RunCycle(const std::string& batch_name) {
   stats_.Record(cs);
   stats_.ExportSloGauges();
   PublishStatus();
-  return rep;
+  return cs;
 }
 
 void ServiceSupervisor::Finish(const std::string& reason) {

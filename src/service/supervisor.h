@@ -10,7 +10,7 @@
 // multi-day event window. When the batch advances the window far
 // enough to expose new scorable days, every shard runs ACOBE detection
 // per department (DetectDepartments, core/detector.h) as one task on
-// the shared pool (PooledParallelFor, common/parallel.h; inline at one
+// the shared pool (ParallelFor, common/parallel.h; inline at one
 // shard), feeds each department's score grid into a persistent-alert
 // MonitorState (AdvanceGrid), and hands the results back to the caller,
 // which commits them.
@@ -94,20 +94,6 @@ struct ServiceConfig {
   IngestOptions ingest;  // CSV policy for batch files (roster is strict)
 };
 
-/// What one consumed batch did; returned so the tool can narrate.
-struct CycleReport {
-  std::uint64_t cycle = 0;
-  std::string batch;
-  std::int64_t window_start = 0;  // absolute day numbers
-  std::int64_t window_end = -1;   // window_end < window_start: no events yet
-  std::int64_t scored_from = 0;
-  std::int64_t scored_to = -1;    // scored_to < scored_from: ingest-only
-  std::size_t departments_scored = 0;
-  std::size_t alerts = 0;          // closed alerts emitted this cycle
-  std::size_t events_admitted = 0;
-  std::size_t events_dropped = 0;  // users outside the roster's departments
-};
-
 // Point-in-time snapshots for the observability plane (/statusz).
 // Built by the supervisor under a status mutex after Start() and after
 // every committed cycle; readers (HTTP handlers, acobe-top) copy the
@@ -157,8 +143,9 @@ class ServiceSupervisor {
   std::vector<std::string> PendingBatches() const;
 
   /// Consumes every pending batch as one cycle each; stops early when
-  /// ShutdownRequested(). Returns one report per cycle run.
-  std::vector<CycleReport> ProcessAvailableBatches();
+  /// ShutdownRequested(). Returns each cycle's record (the one
+  /// cycle_stats() keeps), so the tool can narrate.
+  std::vector<service::CycleStat> ProcessAvailableBatches();
 
   /// Appends a run_complete event (reason: "drained" | "signal").
   /// Deliberately not journaled: a later resume truncates it away, so
@@ -196,7 +183,7 @@ class ServiceSupervisor {
   void LoadRoster();
   void RecoverOrInit();
   void ReplayWindow(const std::vector<BatchRecord>& batches);
-  CycleReport RunCycle(const std::string& batch_name);
+  service::CycleStat RunCycle(const std::string& batch_name);
   BatchRecord ParseBatch(const std::string& batch_name, std::size_t* admitted,
                          std::size_t* dropped);
   std::vector<ShardOutcome> RunShards(const CycleTask& task);

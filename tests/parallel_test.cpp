@@ -146,7 +146,7 @@ TEST(ParallelForTest, NestedCallRunsInlineOnWorkerThread) {
   for (const auto& ids : inner) EXPECT_EQ(ids.size(), 1u);
 }
 
-TEST(PooledParallelForTest, ShortRangeReusesThePoolOfItsThreadCount) {
+TEST(ParallelForTest, ShortRangeReusesThePoolOfItsThreadCount) {
   // Pin every worker of SharedPool(4) at once to learn their ids.
   ThreadIdSet pool_workers;
   std::atomic<int> arrived(0);
@@ -165,7 +165,7 @@ TEST(PooledParallelForTest, ShortRangeReusesThePoolOfItsThreadCount) {
   // second, 3-worker one.
   ThreadIdSet used;
   std::atomic<int> started(0);
-  PooledParallelFor(0, 3, 4, [&](int) {
+  ParallelFor(0, 3, 4, [&](int) {
     used.Add();
     ++started;
     while (started.load() < 3) std::this_thread::yield();

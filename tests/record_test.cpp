@@ -1,5 +1,5 @@
-// The framed record codec (common/record.h) and the four formats built
-// on it: autoencoder, ensemble, monitor snapshot and service journal.
+// The framed record codec (common/record.h) and the three formats built
+// on it: autoencoder, monitor snapshot and service journal.
 // One table drives the corruption cases over every format: truncation
 // at every length, a flip of every byte, seeded payload mutations
 // re-framed with a valid CRC (so they reach the field decoders), the
@@ -25,7 +25,6 @@
 #include "common/faults.h"
 #include "common/record.h"
 #include "common/rng.h"
-#include "core/ensemble_io.h"
 #include "core/monitor.h"
 #include "nn/serialize.h"
 #include "service/journal.h"
@@ -164,7 +163,7 @@ TEST(RecordCodecTest, FrameRejectsTagVersionSizeAndChecksum) {
   EXPECT_EQ(read(good.substr(0, good.size() - 1)), "fmt: truncated checksum");
 }
 
-// --- The four formats -------------------------------------------------------
+// --- The three formats ------------------------------------------------------
 
 class TempDir {
  public:
@@ -210,20 +209,6 @@ std::string AutoencoderSample() {
   nn::Sequential net = TinyModel(spec, 25);
   std::ostringstream out;
   nn::SaveAutoencoder(spec, net, out);
-  return out.str();
-}
-
-std::string EnsembleSample() {
-  std::vector<AspectGroup> groups = {{"x", {0}}, {"y", {1, 0}}};
-  std::vector<nn::AutoencoderSpec> specs = {TinySpec(1, false),
-                                            TinySpec(2, false)};
-  std::vector<nn::Sequential> models;
-  models.push_back(TinyModel(specs[0], 1));
-  models.push_back(TinyModel(specs[1], 2));
-  AspectEnsemble ensemble = AspectEnsemble::FromTrainedModels(
-      std::move(groups), EnsembleConfig{}, std::move(models), std::move(specs));
-  std::ostringstream out;
-  SaveEnsemble(ensemble, out);
   return out.str();
 }
 
@@ -276,13 +261,6 @@ std::string LoadAutoencoderBytes(const std::string& bytes) {
   });
 }
 
-std::string LoadEnsembleBytes(const std::string& bytes) {
-  return RecordFailure([&] {
-    std::istringstream in(bytes);
-    LoadEnsemble(in);
-  });
-}
-
 std::string LoadMonitorBytes(const std::string& bytes) {
   return RecordFailure([&] {
     std::istringstream in(bytes);
@@ -304,8 +282,8 @@ std::string LoadJournalBytes(const std::string& bytes) {
   return "";
 }
 
-/// Previous versions' frames: the autoencoder and ensemble used a bare u32
-/// magic, u32 size and u32 CRC ahead of the payload; the monitor a u32
+/// Previous versions' frames: the autoencoder used a bare u32 magic, u32
+/// size and u32 CRC ahead of the payload; the monitor a u32
 /// magic ("ACMS" as an integer), version 1 and a u32 size; the journal
 /// "ACJL", version 1 and a u64 size, both with the CRC trailing.
 std::string LegacyMagicFrame(std::uint32_t magic, const std::string& payload) {
@@ -343,17 +321,6 @@ std::vector<Format> Formats() {
                      },
                      "bad magic",
                      {{"encoder depth", WithHugeCount(AutoencoderPrefix())}}});
-
-  RecordWriter one_aspect;
-  one_aspect.Count(1);
-  one_aspect.Str("x");
-  formats.push_back({"ensemble", EnsembleSample, LoadEnsembleBytes,
-                     [](const std::string& p) {
-                       return LegacyMagicFrame(0xAC0BE003u, p);
-                     },
-                     "bad magic",
-                     {{"aspect", WithHugeCount(RecordWriter{})},
-                      {"feature", WithHugeCount(one_aspect)}}});
 
   RecordWriter monitor_head;
   for (int i = 0; i < 6; ++i) monitor_head.I32(0);

@@ -612,9 +612,10 @@ DrainResult DrainInProcess(const ServiceConfig& cfg) {
   DrainResult r;
   ServiceSupervisor sup(cfg);
   sup.Start();
-  const std::vector<CycleReport> reports = sup.ProcessAvailableBatches();
+  const std::vector<service::CycleStat> reports =
+      sup.ProcessAvailableBatches();
   EXPECT_EQ(reports.size(), static_cast<std::size_t>(kTinyDays));
-  for (const CycleReport& rep : reports) {
+  for (const service::CycleStat& rep : reports) {
     r.departments_scored += rep.departments_scored;
   }
   r.cycles = sup.cycle_stats().Recent(64);

@@ -181,10 +181,8 @@ TEST(SpoolTest, RemoveCleansUpShardFilesAndDirectory) {
 
 // --- Bounded spool: background writer, recycled buffers ------------------
 
-/// Metric counter value, or 0 when telemetry is compiled out.
 std::uint64_t CounterValue(const char* name) {
-  return telemetry::MetricsEnabled() ? telemetry::GetCounter(name).value()
-                                     : 0;
+  return telemetry::GetCounter(name).value();
 }
 
 /// Logons of users 0..3 on random days in [0, max_day); the pc field
@@ -493,7 +491,6 @@ class FanOutTest : public ::testing::Test {
  protected:
   void SetUp() override {
     telemetry::EnableMetrics(true);
-    if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
     LogStore& store = *SharedCertStore();
     spool_ = std::make_unique<ShardSpooler>(SpoolDir("spool_fanout"), 1,
                                             1 << 14);

@@ -137,7 +137,6 @@ TEST_F(TelemetryTest, MacrosAreInertWhenDisabled) {
 
 TEST_F(TelemetryTest, MacrosRecordWhenEnabled) {
   telemetry::EnableMetrics(true);
-  if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
   ACOBE_COUNT("test.macro_counter", 2);
   ACOBE_COUNT("test.macro_counter", 3);
   ACOBE_GAUGE_MAX("test.macro_gauge", 9);
@@ -149,7 +148,6 @@ TEST_F(TelemetryTest, MacrosRecordWhenEnabled) {
 
 TEST_F(TelemetryTest, ConcurrentRecordingFromParallelFor) {
   telemetry::EnableMetrics(true);
-  if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
   ParallelFor(0, 1000, 4, [](int i) {
     ACOBE_COUNT("test.parallel_counter", 1);
     telemetry::GetHistogram("test.parallel_hist").Record(i);
@@ -163,7 +161,6 @@ TEST_F(TelemetryTest, ConcurrentRecordingFromParallelFor) {
 
 TEST_F(TelemetryTest, MetricsJsonShape) {
   telemetry::EnableMetrics(true);
-  if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
   ACOBE_COUNT("test.json_counter", 3);
   telemetry::GetSeries("test.json_series").Append(0.5);
   telemetry::GetSeries("test.json_series").Append(0.25);
@@ -183,7 +180,6 @@ TEST_F(TelemetryTest, MetricsJsonShape) {
 
 TEST_F(TelemetryTest, TraceSpansCarryWorkerThreadAttribution) {
   telemetry::EnableTracing(true);
-  if (!telemetry::TracingEnabled()) GTEST_SKIP() << "telemetry compiled out";
   {
     telemetry::TraceSpan outer("test.outer");
     ParallelFor(0, 8, 4, [](int) {
@@ -197,8 +193,8 @@ TEST_F(TelemetryTest, TraceSpansCarryWorkerThreadAttribution) {
   EXPECT_NE(json.find("\"test.outer\""), std::string::npos);
   EXPECT_NE(json.find("\"test.inner\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  // The ParallelFor workers are fresh threads, so inner spans must land
-  // on at least two distinct tids alongside the caller's.
+  // The ParallelFor iterations run on pool workers, so inner spans must
+  // land on a tid other than the caller's.
   std::vector<int> tids;
   for (std::size_t pos = json.find("\"tid\": "); pos != std::string::npos;
        pos = json.find("\"tid\": ", pos + 1)) {

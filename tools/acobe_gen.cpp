@@ -77,6 +77,23 @@ bool ParseScenario(const char* text, sim::InsiderScenarioKind kind,
   return true;
 }
 
+/// Plants one scenario and narrates it. False, after a one-line
+/// message, when the simulator refuses it (say, a span outside the
+/// simulated range).
+bool Plant(sim::CertSimulator& simulator, const ScenarioArg& sc) {
+  try {
+    const auto& planted =
+        simulator.InjectScenario(sc.kind, sc.department, sc.start, sc.days);
+    std::fprintf(stderr, "planted scenario %d insider %s in department %d\n",
+                 static_cast<int>(sc.kind), planted.user_name.c_str(),
+                 sc.department);
+    return true;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "acobe-gen: %s\n", e.what());
+    return false;
+  }
+}
+
 void Usage() {
   std::printf(
       "acobe-gen --out=DIR [--users=N] [--departments=N] [--seed=S]\n"
@@ -142,13 +159,6 @@ int GenerateStreamed(sim::CertSimConfig base,
                      const std::string& out_dir, int shards) {
   const int total_depts = base.org.departments;
   const int n_shards = std::max(1, std::min(shards, total_depts));
-  for (const ScenarioArg& s : scenarios) {
-    if (s.department < 0 || s.department >= total_depts) {
-      std::fprintf(stderr, "acobe-gen: scenario department %d out of range\n",
-                   s.department);
-      return kExitUsage;
-    }
-  }
 
   // Probe: resolve the org-wide environmental-change schedule once,
   // from the base seed, and hand the result to every shard. Without
@@ -211,11 +221,9 @@ int GenerateStreamed(sim::CertSimConfig base,
     sim::CertSimulator simulator(cfg, shard_store);
     for (const ScenarioArg& sc : scenarios) {
       if (sc.department < lo || sc.department >= hi) continue;
-      const auto& planted =
-          simulator.InjectScenario(sc.kind, sc.department, sc.start, sc.days);
-      std::fprintf(stderr, "planted scenario %d insider %s in department %d\n",
-                   static_cast<int>(sc.kind), planted.user_name.c_str(),
-                   sc.department);
+      // Returning runs the StreamedCsv destructors, which remove the
+      // .tmp files.
+      if (!Plant(simulator, sc)) return kExitUsage;
     }
 
     CsvEventSink sink(shard_store, &logon.stream(), &device.stream(),
@@ -269,133 +277,16 @@ int GenerateStreamed(sim::CertSimConfig base,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string out_dir;
-  std::string metrics_out, trace_out;
-  std::string health_out;
-  int health_interval_ms = 1000;
-  sim::CertSimConfig config;
-  config.org.departments = 2;
-  config.org.users_per_department = 20;
-  config.org.extra_users = 0;
-  config.profiles.rate_scale = 0.5;
-  std::vector<ScenarioArg> scenarios;
-  double corrupt_rate = 0.0;
-  std::uint64_t corrupt_seed = 99;
-  bool stream = false;
-  int shards = 16;
-
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--out=", 6) == 0) {
-        out_dir = arg + 6;
-      } else if (std::strncmp(arg, "--users=", 8) == 0) {
-        config.org.users_per_department =
-            static_cast<int>(cli::ParseInt(arg, arg + 8, 1, 1000000));
-      } else if (std::strncmp(arg, "--departments=", 14) == 0) {
-        config.org.departments =
-            static_cast<int>(cli::ParseInt(arg, arg + 14, 1, 10000));
-      } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-        config.seed = cli::ParseU64(arg, arg + 7);
-      } else if (std::strncmp(arg, "--start=", 8) == 0) {
-        config.start = Date::FromString(arg + 8);
-      } else if (std::strncmp(arg, "--end=", 6) == 0) {
-        config.end = Date::FromString(arg + 6);
-      } else if (std::strncmp(arg, "--rate=", 7) == 0) {
-        config.profiles.rate_scale = cli::ParseDouble(arg, arg + 7, 0.0, 1e6);
-      } else if (std::strcmp(arg, "--stream") == 0) {
-        stream = true;
-      } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-        shards = static_cast<int>(cli::ParseInt(arg, arg + 9, 1, 65536));
-      } else if (std::strncmp(arg, "--corrupt-rate=", 15) == 0) {
-        corrupt_rate = cli::ParseDouble(arg, arg + 15, 0.0, 1.0);
-      } else if (std::strncmp(arg, "--corrupt-seed=", 15) == 0) {
-        corrupt_seed = cli::ParseU64(arg, arg + 15);
-      } else if (std::strncmp(arg, "--scenario1=", 12) == 0) {
-        if (!ParseScenario(arg + 12, sim::InsiderScenarioKind::kScenario1,
-                           scenarios)) {
-          Usage();
-          return kExitUsage;
-        }
-      } else if (std::strncmp(arg, "--scenario2=", 12) == 0) {
-        if (!ParseScenario(arg + 12, sim::InsiderScenarioKind::kScenario2,
-                           scenarios)) {
-          Usage();
-          return kExitUsage;
-        }
-      } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-        metrics_out = arg + 14;
-      } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-        trace_out = arg + 12;
-      } else if (std::strncmp(arg, "--health-out=", 13) == 0) {
-        health_out = arg + 13;
-      } else if (std::strncmp(arg, "--health-interval-ms=", 21) == 0) {
-        health_interval_ms =
-            static_cast<int>(cli::ParseInt(arg, arg + 21, 10, 3600000));
-      } else if (std::strcmp(arg, "--version") == 0) {
-        cli::PrintVersion("acobe-gen");
-        return 0;
-      } else {
-        Usage();
-        return std::strcmp(arg, "--help") == 0 ? 0 : kExitUsage;
-      }
-    }
-  } catch (const cli::FlagError& e) {
-    std::fprintf(stderr, "acobe-gen: %s\n", e.what());
-    Usage();
-    return kExitUsage;
-  } catch (const std::invalid_argument& e) {  // Date::FromString
-    std::fprintf(stderr, "acobe-gen: %s\n", e.what());
-    Usage();
-    return kExitUsage;
-  }
-  if (out_dir.empty()) {
-    Usage();
-    return kExitUsage;
-  }
-  if (stream && corrupt_rate > 0.0) {
-    std::fprintf(stderr,
-                 "acobe-gen: --corrupt-rate is not supported with --stream "
-                 "(fault injection needs the rendered file in memory)\n");
-    return kExitUsage;
-  }
-
-  InstallShutdownHandler();
-  telemetry::EnableMetrics(true);
-  telemetry::EnableTracing(!trace_out.empty());
-  if (!health_out.empty()) {
-    health::HealthOptions health_opts;
-    health_opts.path = health_out;
-    health_opts.interval_ms = health_interval_ms;
-    health_opts.tool = "acobe-gen";
-    if (!health::StartHealth(health_opts)) return kExitFailure;
-  }
-
-  if (stream) {
-    const int code = GenerateStreamed(config, scenarios, out_dir, shards);
-    // The final heartbeat lands in every outcome, so a supervisor
-    // watching the health file sees how the run ended.
-    health::SetStage(code == 0 ? "done"
-                               : code == kExitAborted ? "aborted" : "failed");
-    health::StopHealth();
-    if (!telemetry::FlushTelemetry("acobe-gen", metrics_out, trace_out,
-                                   std::cerr)) {
-      return code != 0 ? code : kExitFailure;
-    }
-    return code;
-  }
-
+/// The default path: simulate the whole org into one sorted store, then
+/// render each CSV in memory (optionally corrupted) and land it.
+int GenerateInMemory(const sim::CertSimConfig& config,
+                     const std::vector<ScenarioArg>& scenarios,
+                     const std::string& out_dir, double corrupt_rate,
+                     std::uint64_t corrupt_seed) {
   LogStore store;
   sim::CertSimulator simulator(config, store);
   for (const ScenarioArg& s : scenarios) {
-    const auto& planted =
-        simulator.InjectScenario(s.kind, s.department, s.start, s.days);
-    std::fprintf(stderr, "planted scenario %d insider %s in department %d\n",
-                 static_cast<int>(s.kind), planted.user_name.c_str(),
-                 s.department);
+    if (!Plant(simulator, s)) return kExitUsage;
   }
   health::SetStage("simulate", 1);
   {
@@ -488,11 +379,133 @@ int main(int argc, char** argv) {
     health::StageAdvance();
   }
 
-  health::SetStage("done");
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string out_dir;
+  std::string metrics_out, trace_out;
+  std::string health_out;
+  int health_interval_ms = 1000;
+  sim::CertSimConfig config;
+  config.org.departments = 2;
+  config.org.users_per_department = 20;
+  config.org.extra_users = 0;
+  config.profiles.rate_scale = 0.5;
+  std::vector<ScenarioArg> scenarios;
+  double corrupt_rate = 0.0;
+  std::uint64_t corrupt_seed = 99;
+  bool stream = false;
+  int shards = 16;
+
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const char* arg = argv[i];
+      if (std::strncmp(arg, "--out=", 6) == 0) {
+        out_dir = arg + 6;
+      } else if (std::strncmp(arg, "--users=", 8) == 0) {
+        config.org.users_per_department =
+            static_cast<int>(cli::ParseInt(arg, arg + 8, 1, 1000000));
+      } else if (std::strncmp(arg, "--departments=", 14) == 0) {
+        config.org.departments =
+            static_cast<int>(cli::ParseInt(arg, arg + 14, 1, 10000));
+      } else if (std::strncmp(arg, "--seed=", 7) == 0) {
+        config.seed = cli::ParseU64(arg, arg + 7);
+      } else if (std::strncmp(arg, "--start=", 8) == 0) {
+        config.start = Date::FromString(arg + 8);
+      } else if (std::strncmp(arg, "--end=", 6) == 0) {
+        config.end = Date::FromString(arg + 6);
+      } else if (std::strncmp(arg, "--rate=", 7) == 0) {
+        config.profiles.rate_scale = cli::ParseDouble(arg, arg + 7, 0.0, 1e6);
+      } else if (std::strcmp(arg, "--stream") == 0) {
+        stream = true;
+      } else if (std::strncmp(arg, "--shards=", 9) == 0) {
+        shards = static_cast<int>(cli::ParseInt(arg, arg + 9, 1, 65536));
+      } else if (std::strncmp(arg, "--corrupt-rate=", 15) == 0) {
+        corrupt_rate = cli::ParseDouble(arg, arg + 15, 0.0, 1.0);
+      } else if (std::strncmp(arg, "--corrupt-seed=", 15) == 0) {
+        corrupt_seed = cli::ParseU64(arg, arg + 15);
+      } else if (std::strncmp(arg, "--scenario1=", 12) == 0) {
+        if (!ParseScenario(arg + 12, sim::InsiderScenarioKind::kScenario1,
+                           scenarios)) {
+          Usage();
+          return kExitUsage;
+        }
+      } else if (std::strncmp(arg, "--scenario2=", 12) == 0) {
+        if (!ParseScenario(arg + 12, sim::InsiderScenarioKind::kScenario2,
+                           scenarios)) {
+          Usage();
+          return kExitUsage;
+        }
+      } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
+        metrics_out = arg + 14;
+      } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
+        trace_out = arg + 12;
+      } else if (std::strncmp(arg, "--health-out=", 13) == 0) {
+        health_out = arg + 13;
+      } else if (std::strncmp(arg, "--health-interval-ms=", 21) == 0) {
+        health_interval_ms =
+            static_cast<int>(cli::ParseInt(arg, arg + 21, 10, 3600000));
+      } else if (std::strcmp(arg, "--version") == 0) {
+        cli::PrintVersion("acobe-gen");
+        return 0;
+      } else {
+        Usage();
+        return std::strcmp(arg, "--help") == 0 ? 0 : kExitUsage;
+      }
+    }
+  } catch (const cli::FlagError& e) {
+    std::fprintf(stderr, "acobe-gen: %s\n", e.what());
+    Usage();
+    return kExitUsage;
+  } catch (const std::invalid_argument& e) {  // Date::FromString
+    std::fprintf(stderr, "acobe-gen: %s\n", e.what());
+    Usage();
+    return kExitUsage;
+  }
+  if (out_dir.empty()) {
+    Usage();
+    return kExitUsage;
+  }
+  for (const ScenarioArg& s : scenarios) {
+    if (s.department < 0 || s.department >= config.org.departments) {
+      std::fprintf(stderr, "acobe-gen: scenario department %d out of range\n",
+                   s.department);
+      return kExitUsage;
+    }
+  }
+  if (stream && corrupt_rate > 0.0) {
+    std::fprintf(stderr,
+                 "acobe-gen: --corrupt-rate is not supported with --stream "
+                 "(fault injection needs the rendered file in memory)\n");
+    return kExitUsage;
+  }
+
+  InstallShutdownHandler();
+  telemetry::EnableMetrics(true);
+  telemetry::EnableTracing(!trace_out.empty());
+  if (!health_out.empty()) {
+    health::HealthOptions health_opts;
+    health_opts.path = health_out;
+    health_opts.interval_ms = health_interval_ms;
+    health_opts.tool = "acobe-gen";
+    if (!health::StartHealth(health_opts)) return kExitFailure;
+  }
+
+  const int code =
+      stream ? GenerateStreamed(config, scenarios, out_dir, shards)
+             : GenerateInMemory(config, scenarios, out_dir, corrupt_rate,
+                                corrupt_seed);
+  // The final heartbeat lands in every outcome, so a supervisor
+  // watching the health file sees how the run ended.
+  health::SetStage(code == 0 ? "done"
+                             : code == kExitAborted ? "aborted" : "failed");
   health::StopHealth();
   if (!telemetry::FlushTelemetry("acobe-gen", metrics_out, trace_out,
                                  std::cerr)) {
-    return kExitFailure;
+    return code != 0 ? code : kExitFailure;
   }
-  return 0;
+  return code;
 }

@@ -422,8 +422,9 @@ int main(int argc, char** argv) {
     bool stop = false;
     while (!stop) {
       health::SetStage("watch");
-      const std::vector<CycleReport> reports = sup.ProcessAvailableBatches();
-      for (const CycleReport& r : reports) {
+      const std::vector<service::CycleStat> reports =
+          sup.ProcessAvailableBatches();
+      for (const service::CycleStat& r : reports) {
         std::string window = "-";
         if (r.window_end >= r.window_start) {
           window = Date::FromDayNumber(r.window_start).ToString() + ".." +
