@@ -35,7 +35,8 @@ constexpr int kExitAborted = 5;          // SIGINT/SIGTERM before completion
 /// How the CSV readers react to a malformed row.
 enum class IngestPolicy {
   kStrict,      // throw IngestError on the first bad row (legacy behavior)
-  kPermissive,  // skip bad rows, keep counts, abort only past the budget
+  kPermissive,  // skip bad rows and consecutive duplicate rows, keep
+                // counts, abort only past the budget
   kQuarantine,  // permissive + copy every rejected raw row to a sink
 };
 
@@ -64,11 +65,6 @@ struct IngestOptions {
   /// (one line per logical row; embedded newlines are escaped by the
   /// CSV quoting they arrived with). May be null.
   std::ostream* quarantine = nullptr;
-  /// Drop a data row identical (byte-for-byte) to its predecessor.
-  /// At-least-once log shippers duplicate on redelivery, and the
-  /// FaultInjector's duplicate fault models exactly that. Off by
-  /// default: legitimate streams may contain identical adjacent events.
-  bool drop_consecutive_duplicates = false;
   /// Plausibility window for event timestamps (seconds since epoch);
   /// rows outside are rejected as "bad timestamp". Unrestricted by
   /// default (unit tests use synthetic epochs); the tools narrow it to

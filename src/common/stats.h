@@ -2,10 +2,12 @@
 
 // Small numeric helpers shared across modules.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 namespace acobe {
 
@@ -43,6 +45,25 @@ inline double ClampSymmetric(double x, double bound) {
 /// Linear rescale of x from [-bound, bound] to [0, 1].
 inline double ToUnitInterval(double x, double bound) {
   return (x + bound) / (2.0 * bound);
+}
+
+/// Nearest-rank quantile (q in [0,1], clamped) over values already
+/// sorted ascending: the value at 1-based rank ceil(q * N), at least 1.
+/// 0 for empty input.
+inline double NearestRankQuantileSorted(std::span<const double> sorted,
+                                        double q) {
+  if (sorted.empty()) return 0.0;
+  const double clamped = std::min(1.0, std::max(0.0, q));
+  std::size_t rank = static_cast<std::size_t>(
+      std::ceil(clamped * static_cast<double>(sorted.size())));
+  if (rank == 0) rank = 1;
+  return sorted[rank - 1];
+}
+
+/// Same, over unsorted values (sorts its copy).
+inline double NearestRankQuantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  return NearestRankQuantileSorted(values, q);
 }
 
 }  // namespace acobe

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <string>
 
+#include "common/stats.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 
@@ -43,20 +44,6 @@ std::string DriftGaugeName(const std::string& aspect, double q) {
     std::snprintf(buf, sizeof(buf), "q%.1f", pct);
   }
   return "drift." + aspect + "." + buf;
-}
-
-double NearestRankQuantileSorted(std::span<const double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double clamped = std::min(1.0, std::max(0.0, q));
-  std::size_t rank = static_cast<std::size_t>(
-      std::ceil(clamped * static_cast<double>(sorted.size())));
-  if (rank == 0) rank = 1;
-  return sorted[rank - 1];
-}
-
-double NearestRankQuantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  return NearestRankQuantileSorted(values, q);
 }
 
 std::vector<AspectDrift> ComputeScoreDrift(const ScoreGrid& reference,

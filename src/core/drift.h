@@ -16,7 +16,6 @@
 // and mirrored as telemetry gauges `drift.<aspect>.q<pct>` plus an
 // aggregate `drift.alerts` counter.
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -54,15 +53,6 @@ struct AspectDrift {
   std::vector<QuantileShift> shifts;  // one per DriftConfig quantile
   bool alert = false;                 // any quantile alerted
 };
-
-/// Nearest-rank quantile of `values` (q in [0,1]); 0 for empty input.
-/// Exposed for tests; `values` is copied, not mutated.
-double NearestRankQuantile(std::vector<double> values, double q);
-
-/// Same, over values already sorted ascending (no copy, no re-sort).
-/// ComputeScoreDrift sorts each aspect's scores once and evaluates all
-/// configured quantiles against that one sorted vector.
-double NearestRankQuantileSorted(std::span<const double> sorted, double q);
 
 /// Gauge name for one (aspect, quantile): "drift.<aspect>.q<pct>" with
 /// the percent compact ("q50", "q99.5" — never "q29.0"). Exposed for

@@ -335,7 +335,12 @@ IngestStats IngestCsv(std::istream& in, const std::string& source,
   std::string text;
   if (!chunks.Next(text)) return stats;
   const int workers = OnWorkerThread() ? 1 : ResolveThreadCount(opts.threads);
-  const bool dedup = opts.drop_consecutive_duplicates;
+  // A non-strict policy also drops a data row identical (byte-for-byte)
+  // to its predecessor: at-least-once log shippers duplicate on
+  // redelivery, and the FaultInjector's duplicate fault models exactly
+  // that. Strict keeps them, since legitimate streams may contain
+  // identical adjacent events.
+  const bool dedup = opts.policy != IngestPolicy::kStrict;
 
   if (workers == 1 || chunks.exhausted()) {
     // Serial: the caller parses each chunk straight into the catalog

@@ -10,8 +10,9 @@
 //
 // Reading is policy-driven (common/faults.h): strict mode throws on the
 // first malformed row (with file:line context), permissive mode skips
-// bad rows under a bounded error budget, quarantine mode additionally
-// copies every rejected raw row to a sink. Telemetry:
+// bad rows under a bounded error budget and drops consecutive duplicate
+// rows, quarantine mode additionally copies every rejected raw row to a
+// sink. Telemetry:
 // logs.rows_read / rows_rejected / rows_quarantined / rows_deduped.
 // The catalog/sink readers are the ones the tools use; the LogStore
 // overloads buffer into a store for the trace driver and the tests.

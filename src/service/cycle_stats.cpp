@@ -1,21 +1,11 @@
 #include "service/cycle_stats.h"
 
 #include <algorithm>
-#include <cmath>
 
+#include "common/stats.h"
 #include "common/telemetry.h"
 
 namespace acobe::service {
-
-double NearestRank(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  // Nearest-rank: ceil(q * N), 1-based; q=0 maps to the minimum.
-  const double rank = std::ceil(q * static_cast<double>(values.size()));
-  std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  idx = std::min(idx, values.size() - 1);
-  return values[idx];
-}
 
 CycleStatsRing::CycleStatsRing(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {
@@ -71,8 +61,8 @@ CycleStatsRing::Rollup RollupOf(const std::vector<double>& values) {
   CycleStatsRing::Rollup r;
   r.count = values.size();
   if (values.empty()) return r;
-  r.p50 = NearestRank(values, 0.50);
-  r.p95 = NearestRank(values, 0.95);
+  r.p50 = NearestRankQuantile(values, 0.50);
+  r.p95 = NearestRankQuantile(values, 0.95);
   r.max = *std::max_element(values.begin(), values.end());
   return r;
 }

@@ -91,8 +91,4 @@ class CycleStatsRing {
   std::uint64_t total_ = 0;
 };
 
-/// Nearest-rank percentile (q in [0,1]) of an unsorted sample set.
-/// Returns 0 for an empty set. Exposed for tests.
-double NearestRank(std::vector<double> values, double q);
-
 }  // namespace acobe::service

@@ -8,7 +8,6 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "common/date.h"
 #include "common/health.h"
@@ -24,7 +23,6 @@
 #include "logs/entity_catalog.h"
 #include "logs/log_io.h"
 #include "logs/spool.h"
-#include "service/retry.h"
 
 namespace acobe {
 namespace fs = std::filesystem;
@@ -113,9 +111,6 @@ struct ServiceSupervisor::ShardOutcome {
 // One shard's state. The caller appends to `window` while parsing; the
 // shard's pool task owns all of it during RunShards.
 struct ServiceSupervisor::ShardRuntime {
-  // Retry before quarantine under BackoffConfig's defaults: three
-  // retries from 100 ms, doubling, capped at 30 s, seeded jitter.
-  BackoffPolicy backoff;
   struct DeptRuntime {
     const ServiceDirectory::Dept* dept = nullptr;
     MonitorState monitor;
@@ -515,9 +510,9 @@ std::vector<ServiceSupervisor::ShardOutcome> ServiceSupervisor::RunShards(
     try {
       out = RunShardCycle(shard, task);
     } catch (const std::exception& e) {
-      // A failure outside the retried compute phase (window upkeep,
-      // monitor bookkeeping) is not survivable for this shard:
-      // quarantine it rather than killing the process.
+      // Detection is deterministic and reads only the in-memory window,
+      // so a retry would throw again: quarantine the shard on its first
+      // failure rather than killing the process.
       shard.quarantined = true;
       out = ShardOutcome{};
       out.quarantined = true;
@@ -804,9 +799,6 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
     return out;
   }
 
-  // Compute phase, retried under the shard's backoff policy. Monitors
-  // are untouched until the whole phase succeeds, so a retry never
-  // double-feeds a day.
   DetectorSpec spec = AcobeSpec(config_.omega, config_.epochs, config_.votes);
   spec.name = "acobe-serve";
   spec.ensemble.seed = config_.seed;
@@ -829,29 +821,8 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
       .train_end = config_.train_days,
       .score_begin = static_cast<int>(task.scored_from - task.win_start),
       .score_end = win_len};  // scored_to is always win_end
-  std::vector<DetectionOutput> computed;
-  for (;;) {
-    try {
-      computed = DetectDepartments(one_shard, days, /*threads=*/1);
-      shard.backoff.OnSuccess();
-      break;
-    } catch (const std::exception& e) {
-      shard.failures += 1;
-      out.failures = shard.failures;
-      const std::optional<double> delay = shard.backoff.OnFailure();
-      if (!delay) {
-        shard.quarantined = true;
-        out.quarantined = true;
-        out.quarantined_now = true;
-        out.error = e.what();
-        report_open_alerts();
-        return out;
-      }
-      ACOBE_COUNT("service.cycle_retries", 1);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(*delay));
-    }
-  }
+  std::vector<DetectionOutput> computed =
+      DetectDepartments(one_shard, days, /*threads=*/1);
 
   // Commit phase: feed the monitors the scored days and collect closures.
   for (std::size_t j = 0; j < computed.size(); ++j) {

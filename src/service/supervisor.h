@@ -26,14 +26,14 @@
 //       monitors, and re-runs the interrupted cycle — producing the
 //       same bytes it would have produced uninterrupted.
 //
-//   supervision  A shard whose cycle computation throws is retried
-//       under a seeded BackoffPolicy; when retries exhaust, the shard
-//       is quarantined — its departments drop out of the report stream
+//   supervision  A shard whose cycle throws is quarantined on its
+//       first failure (detection is deterministic, so a retry would
+//       throw again) — its departments drop out of the report stream
 //       (a "shard_quarantined" ledger event says so) and the remaining
 //       shards keep serving.
 //
 // Threading: the daemon owns no thread. A shard's task touches only
-// that shard's window, monitors and backoff state, and the pool's join
+// that shard's window and monitors, and the pool's join
 // orders it before the caller reads the results, so the plane is
 // ThreadSanitizer-clean by construction. Ingest never overlaps
 // compute, so nothing sits between the parser and the windows.

@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""The five command-line tools agree on usage errors, --help and --version.
+
+For acobe_detect, acobe_serve, acobe_gen, acobe_top and acobe_explain:
+
+  - each malformed flag value and an unknown flag exit 2 with exactly
+    one "<tool>: ..." line on stderr (the usage text follows it there);
+  - --help exits 0 with the usage on stdout;
+  - --version exits 0 and prints the shared build-identity line,
+    "<tool> VERSION (build: B, simd: S, telemetry: on|off[, nn-backend: N])".
+
+Usage:
+    cli_test.py --detect DETECT --serve SERVE --gen GEN --top TOP \
+        --explain EXPLAIN
+
+Exit status 0 on pass, 1 on any mismatch.
+"""
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+VERSION_LINE = re.compile(
+    r"^(?P<tool>\S+) \S+ \(build: [^,()]+, simd: [^,()]+, "
+    r"telemetry: (on|off)(, nn-backend: [^,()]+)?\)\n$")
+
+
+def run(argv):
+    proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          timeout=60)
+    return (proc.returncode, proc.stdout.decode(errors="replace"),
+            proc.stderr.decode(errors="replace"))
+
+
+def check_usage_error(binary, tool, args, failures):
+    code, _, err = run([binary] + args)
+    tagged = [line for line in err.splitlines()
+              if line.startswith(tool + ":")]
+    if code != 2 or len(tagged) != 1:
+        failures.append(f"{tool} {' '.join(args)}: exit {code}, "
+                        f"{len(tagged)} '{tool}:' line(s), stderr:\n{err}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    for name in ("detect", "serve", "gen", "top", "explain"):
+        ap.add_argument(f"--{name}", required=True)
+    args = ap.parse_args()
+
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="acobe-cli-") as tmp:
+        d = os.path.join(tmp, "d")
+        serve = [f"--watch={d}", f"--out={d}", f"--roster={d}/ldap.csv"]
+        tools = {
+            "acobe-detect": (args.detect, [
+                [f"--in={d}", "--train-end=2010-02-15", "--epochs=abc"],
+                [f"--in={d}", "--train-end=2010-02-30"],
+            ]),
+            "acobe-serve": (args.serve, [
+                serve + ["--epochs=abc"],
+                serve + ["--shards=0"],
+                serve + ["--error-budget=2"],
+                serve + ["--seed=-1"],
+            ]),
+            "acobe-gen": (args.gen, [
+                [f"--out={d}", "--users=abc"],
+                [f"--out={d}", "--scenario1=0:2010-01-10"],
+            ]),
+            "acobe-top": (args.top, [["--interval-ms=abc"]]),
+            "acobe-explain": (args.explain, [["--in="]]),
+        }
+        for tool, (binary, malformed) in tools.items():
+            for bad in malformed:
+                check_usage_error(binary, tool, bad, failures)
+            check_usage_error(binary, tool, ["--bogus"], failures)
+
+            code, out, err = run([binary, "--help"])
+            if code != 0 or not out.strip():
+                failures.append(f"{tool} --help: exit {code}, "
+                                f"stdout {out!r}, stderr {err!r}")
+
+            code, out, _ = run([binary, "--version"])
+            m = VERSION_LINE.match(out)
+            if code != 0 or not m or m.group("tool") != tool:
+                failures.append(f"{tool} --version: exit {code}, {out!r}")
+
+        if os.path.exists(d):
+            failures.append(f"a usage error left {d} behind")
+
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

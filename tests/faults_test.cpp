@@ -200,7 +200,6 @@ IngestOptions PermissiveOptions() {
   IngestOptions options;
   options.policy = IngestPolicy::kPermissive;
   options.error_budget = 1.0;
-  options.drop_consecutive_duplicates = true;
   return options;
 }
 
@@ -335,14 +334,13 @@ std::vector<NamedOptions> ChunkPolicies() {
   permissive.error_budget = 1.0;
   IngestOptions quarantine = permissive;
   quarantine.policy = IngestPolicy::kQuarantine;
-  quarantine.drop_consecutive_duplicates = true;
   // Trips part-way through a heavily corrupted file.
   IngestOptions budget = quarantine;
   budget.error_budget = 0.2;
   budget.budget_min_rows = 8;
   return {{"strict", strict},
           {"permissive", permissive},
-          {"quarantine+dedup", quarantine},
+          {"quarantine", quarantine},
           {"budget", budget}};
 }
 

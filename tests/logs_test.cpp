@@ -239,8 +239,8 @@ TEST(IngestPolicyTest, PermissiveSkipsBadRowsAndCounts) {
   EXPECT_EQ(stats.rows_read, 7u);
   EXPECT_EQ(stats.rows_rejected, 3u);
   EXPECT_EQ(stats.rows_quarantined, 0u);
-  EXPECT_EQ(stats.rows_deduped, 0u);  // dedupe off: duplicate accepted
-  EXPECT_EQ(store.devices().size(), 4u);
+  EXPECT_EQ(stats.rows_deduped, 1u);  // the redelivered 300,bob row
+  EXPECT_EQ(store.devices().size(), 3u);
   EXPECT_NE(stats.first_error.find("device.csv:3:"), std::string::npos);
   // Entity tables hold only users from accepted rows: validation runs
   // before interning, so a rejected row pollutes nothing.
@@ -248,16 +248,18 @@ TEST(IngestPolicyTest, PermissiveSkipsBadRowsAndCounts) {
   EXPECT_NE(store.users().Lookup("dave"), kInvalidId);
 }
 
-TEST(IngestPolicyTest, DedupeDropsConsecutiveDuplicates) {
-  std::stringstream ss(kMixedDeviceCsv);
+TEST(IngestPolicyTest, StrictKeepsConsecutiveDuplicates) {
+  // Identical adjacent events can be legitimate; only the non-strict
+  // policies treat them as redeliveries.
+  std::stringstream ss(
+      "ts,user,pc,activity\n"
+      "300,bob,pc2,disconnect\n"
+      "300,bob,pc2,disconnect\n");
   LogStore store;
-  IngestOptions opts;
-  opts.policy = IngestPolicy::kPermissive;
-  opts.error_budget = 1.0;
-  opts.drop_consecutive_duplicates = true;
-  const IngestStats stats = ReadDeviceCsv(ss, store, opts, "device.csv");
-  EXPECT_EQ(stats.rows_deduped, 1u);
-  EXPECT_EQ(store.devices().size(), 3u);
+  const IngestStats stats =
+      ReadDeviceCsv(ss, store, IngestOptions{}, "device.csv");
+  EXPECT_EQ(stats.rows_deduped, 0u);
+  EXPECT_EQ(store.devices().size(), 2u);
 }
 
 TEST(IngestPolicyTest, QuarantineCapturesRawRows) {
@@ -377,8 +379,7 @@ TEST(ChunkedIngestTest, DedupSeesAcrossChunkBoundaries) {
       "100,alice,pc1,connect\n"
       "200,bob,pc2,connect\n");
   LogStore store;
-  IngestOptions opts = ChunkedOptions(IngestPolicy::kPermissive);
-  opts.drop_consecutive_duplicates = true;
+  const IngestOptions opts = ChunkedOptions(IngestPolicy::kPermissive);
   const IngestStats stats = ReadDeviceCsv(ss, store, opts, "device.csv");
   EXPECT_EQ(stats.rows_read, 5u);
   EXPECT_EQ(stats.rows_rejected, 1u);

@@ -19,6 +19,7 @@
 #include "common/json.h"
 #include "common/ledger.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "core/attribution.h"
 #include "core/critic.h"
 #include "core/detector.h"
@@ -271,6 +272,13 @@ TEST(DriftTest, NearestRankQuantile) {
   EXPECT_DOUBLE_EQ(NearestRankQuantile(v, 1.0), 10.0);  // max
   EXPECT_DOUBLE_EQ(NearestRankQuantile({}, 0.5), 0.0);  // empty
   EXPECT_DOUBLE_EQ(NearestRankQuantile({3.5}, 0.25), 3.5);
+  // rank = ceil(q * N) over the sorted samples, 1-based.
+  const std::vector<double> five = {5, 1, 4, 2, 3};
+  EXPECT_DOUBLE_EQ(NearestRankQuantile(five, 0.50), 3.0);
+  EXPECT_DOUBLE_EQ(NearestRankQuantile(five, 0.95), 5.0);
+  EXPECT_DOUBLE_EQ(NearestRankQuantile(five, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(NearestRankQuantile(five, 1.0), 5.0);
+  EXPECT_DOUBLE_EQ(NearestRankQuantile({7.0}, 0.5), 7.0);
 }
 
 TEST(DriftTest, NearZeroReferenceNeedsAbsoluteShiftToAlert) {

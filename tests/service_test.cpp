@@ -1,8 +1,8 @@
-// The resident service's building blocks: seeded backoff, the CRC'd
-// cycle journal with its truncate-to-committed append logs, the
-// incremental MonitorState drive matching the batch monitor, and
-// in-process supervisor drains (shard-count identity, batch digests,
-// cycle time buckets).
+// The resident service's building blocks: the CRC'd cycle journal with
+// its truncate-to-committed append logs, the incremental MonitorState
+// drive matching the batch monitor, and in-process supervisor drains
+// (shard-count identity, batch digests, cycle time buckets, redelivered
+// batches under the permissive policy).
 
 #include <gtest/gtest.h>
 
@@ -30,9 +30,9 @@
 #include "logs/log_store.h"
 #include "service/cycle_stats.h"
 #include "service/journal.h"
-#include "service/retry.h"
 #include "service/supervisor.h"
 #include "simdata/cert_simulator.h"
+#include "simdata/fault_injector.h"
 
 using namespace acobe;
 
@@ -61,88 +61,6 @@ class TempDir {
   static int counter_;
 };
 int TempDir::counter_ = 0;
-
-// --- BackoffPolicy ---------------------------------------------------------
-
-TEST(BackoffPolicyTest, DelaysAreDeterministicFromSeed) {
-  BackoffConfig cfg;
-  cfg.max_retries = 5;
-  cfg.seed = 42;
-  BackoffPolicy a(cfg), b(cfg);
-  for (int i = 0; i < 5; ++i) {
-    const auto da = a.OnFailure();
-    const auto db = b.OnFailure();
-    ASSERT_TRUE(da.has_value());
-    ASSERT_TRUE(db.has_value());
-    EXPECT_DOUBLE_EQ(*da, *db) << "attempt " << i;
-  }
-  // A different seed jitters differently (same exponential skeleton).
-  BackoffConfig other = cfg;
-  other.seed = 43;
-  BackoffPolicy c(other), e(cfg);
-  bool any_differ = false;
-  for (int i = 0; i < 5; ++i) {
-    if (*c.OnFailure() != *e.OnFailure()) any_differ = true;
-  }
-  EXPECT_TRUE(any_differ);
-}
-
-TEST(BackoffPolicyTest, GrowsExponentiallyUpToCap) {
-  BackoffConfig cfg;
-  cfg.max_retries = 10;
-  cfg.base_ms = 100.0;
-  cfg.multiplier = 2.0;
-  cfg.cap_ms = 400.0;
-  cfg.jitter = 0.0;  // exact delays
-  BackoffPolicy p(cfg);
-  EXPECT_DOUBLE_EQ(*p.OnFailure(), 100.0);
-  EXPECT_DOUBLE_EQ(*p.OnFailure(), 200.0);
-  EXPECT_DOUBLE_EQ(*p.OnFailure(), 400.0);
-  EXPECT_DOUBLE_EQ(*p.OnFailure(), 400.0);  // capped from here on
-  EXPECT_DOUBLE_EQ(*p.OnFailure(), 400.0);
-}
-
-TEST(BackoffPolicyTest, JitterStaysWithinBand) {
-  BackoffConfig cfg;
-  cfg.max_retries = 1;
-  cfg.base_ms = 1000.0;
-  cfg.jitter = 0.25;
-  for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    cfg.seed = seed;
-    BackoffPolicy p(cfg);
-    const auto d = p.OnFailure();
-    ASSERT_TRUE(d.has_value());
-    EXPECT_GE(*d, 750.0);
-    EXPECT_LE(*d, 1250.0);
-  }
-}
-
-TEST(BackoffPolicyTest, SuccessResetsBothCounterAndJitterStream) {
-  BackoffConfig cfg;
-  cfg.max_retries = 3;
-  cfg.seed = 7;
-  BackoffPolicy p(cfg);
-  std::vector<double> first;
-  for (int i = 0; i < 3; ++i) first.push_back(*p.OnFailure());
-  EXPECT_EQ(p.failures(), 3);
-  p.OnSuccess();
-  EXPECT_EQ(p.failures(), 0);
-  // The post-success sequence replays the fresh-policy sequence
-  // exactly: retry behavior is a pure function of failures since the
-  // last success.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(*p.OnFailure(), first[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_FALSE(p.OnFailure().has_value());  // retries exhausted
-}
-
-TEST(BackoffPolicyTest, ZeroRetriesQuarantinesImmediately) {
-  BackoffConfig cfg;
-  cfg.max_retries = 0;
-  BackoffPolicy p(cfg);
-  EXPECT_FALSE(p.OnFailure().has_value());
-  EXPECT_EQ(p.failures(), 1);
-}
 
 // --- Journal ---------------------------------------------------------------
 
@@ -363,17 +281,6 @@ service::CycleStat MakeStat(std::uint64_t cycle, double total_s,
   s.total_s = total_s;
   s.alert_latency_s = latency_s;
   return s;
-}
-
-TEST(CycleStatsTest, NearestRankMatchesDefinition) {
-  // rank = ceil(q * N) over the sorted samples, 1-based.
-  std::vector<double> v = {5, 1, 4, 2, 3};
-  EXPECT_DOUBLE_EQ(service::NearestRank(v, 0.50), 3.0);
-  EXPECT_DOUBLE_EQ(service::NearestRank(v, 0.95), 5.0);
-  EXPECT_DOUBLE_EQ(service::NearestRank(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(service::NearestRank(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(service::NearestRank({7.0}, 0.5), 7.0);
-  EXPECT_DOUBLE_EQ(service::NearestRank({}, 0.5), 0.0);
 }
 
 TEST(CycleStatsTest, EmptyRingRollsUpToZero) {
@@ -680,6 +587,60 @@ TEST(SupervisorTest, JournaledBatchDigestIsTheCrcOfTheConcatenatedFiles) {
     }
     EXPECT_EQ(b.digest, Crc32(concat)) << b.name;
   }
+}
+
+// The ledger's detection events (score digests and lists), one per line.
+std::string DetectionLines(const std::string& ledger) {
+  std::istringstream in(ledger);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"event\": \"detection\"") != std::string::npos) {
+      out += line + "\n";
+    }
+  }
+  return out;
+}
+
+// At-least-once shipping redelivers: a garbled row is followed by its
+// clean retransmission, and some rows arrive twice. Drained permissive,
+// such batches must detect exactly what the clean ones do drained strict.
+TEST(SupervisorTest, PermissiveDrainOfRedeliveredBatchesMatchesCleanStrict) {
+  TempDir dir;
+  const std::string watch = dir.file("watch");
+  const std::string roster = dir.file("ldap.csv");
+  WriteTinyOrg(watch, roster);
+  const DrainResult clean =
+      DrainInProcess(TinyConfig(watch, dir.file("clean"), roster, 2));
+
+  sim::FaultInjectorConfig faults;
+  faults.rate = 0.05;
+  faults.seed = 5;
+  faults.redeliver = true;
+  const sim::FaultInjector injector(faults);
+  std::size_t duplicated = 0, garbled = 0;
+  for (const auto& batch : fs::directory_iterator(watch)) {
+    for (const char* csv : kTinyBatchCsvs) {
+      const fs::path path = batch.path() / csv;
+      if (!fs::exists(path)) continue;
+      std::string text = ReadFile(path.string());
+      const sim::FaultReport report = injector.Corrupt(
+          text, Crc32(batch.path().filename().string() + "/" + csv));
+      duplicated += report.rows_duplicated;
+      garbled += report.rows_corrupted - report.rows_duplicated;
+      std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    }
+  }
+  ASSERT_GT(duplicated, 0u);
+  ASSERT_GT(garbled, 0u);
+
+  ServiceConfig cfg = TinyConfig(watch, dir.file("redelivered"), roster, 2);
+  cfg.ingest.policy = IngestPolicy::kPermissive;
+  cfg.ingest.error_budget = 0.5;  // a 100-row file can draw 6% garbles
+  const DrainResult redelivered = DrainInProcess(cfg);
+  EXPECT_FALSE(clean.alerts.empty());
+  EXPECT_EQ(redelivered.alerts, clean.alerts);
+  EXPECT_NE(DetectionLines(clean.ledger), "");
+  EXPECT_EQ(DetectionLines(redelivered.ledger), DetectionLines(clean.ledger));
 }
 
 TEST(SupervisorTest, OnlyTheBlockAdmissionPolicyParses) {

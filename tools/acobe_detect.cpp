@@ -82,13 +82,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -125,46 +123,44 @@ constexpr int kMaxDaySpan = 44000;
 // resident memory (pages become resident as the buffers fill).
 constexpr std::size_t kSpoolBufferBytes = 16u << 20;
 
-void Usage() {
-  std::printf(
-      "acobe-detect --in=DIR --train-end=YYYY-MM-DD\n"
-      "             [--test-end=YYYY-MM-DD] [--omega=N] [--epochs=N]\n"
-      "             [--votes=N] [--top=N] [--threads=N]\n"
-      "             [--ingest=strict|permissive|quarantine]\n"
-      "             [--error-budget=R] [--quarantine-dir=DIR]\n"
-      "             [--stream] [--shards=N] [--spool-dir=DIR]\n"
-      "             [--checkpoint-dir=DIR] [--resume]\n"
-      "             [--explain-out=FILE] [--ledger-out=FILE]\n"
-      "             [--metrics-out=FILE] [--trace-out=FILE]\n"
-      "             [--health-out=FILE] [--health-interval-ms=N]\n"
-      "             [--prom-out=FILE] [--version]\n"
-      "  --omega=N           deviation window, days (>= 2; default 14)\n"
-      "  --epochs=N          training epochs per aspect (>= 1; default 25)\n"
-      "  --votes=N           critic votes (>= 1; default 2)\n"
-      "  --top=N             list entries printed per department (>= 1)\n"
-      "  --threads=N         worker threads for CSV parsing and detection\n"
-      "                      (0 = ACOBE_THREADS/hardware)\n"
-      "  --ingest=POLICY     malformed-row policy (default strict)\n"
-      "  --error-budget=R    abort past this rejected-row fraction (def 0.05)\n"
-      "  --quarantine-dir=D  write rejected raw rows under D\n"
-      "  --stream            accepted for compatibility; does nothing\n"
-      "  --shards=N          department shards spooled; at most two\n"
-      "                      are replayed into memory at once (def 8)\n"
-      "  --spool-dir=D       spool-file directory (def DIR/.acobe-spool)\n"
-      "  --checkpoint-dir=D  save per-aspect models under D as they train\n"
-      "  --resume            reuse matching checkpoints from a killed run\n"
-      "  --explain-out=F     write per-detection attribution JSON to F\n"
-      "  --ledger-out=F      write the run-ledger JSONL to F\n"
-      "  --metrics-out=F     write telemetry metrics JSON to F\n"
-      "  --trace-out=F       write chrome://tracing trace JSON to F\n"
-      "  --health-out=F      append live heartbeat JSONL to F; a crash\n"
-      "                      dumps flight data to F.crash.json\n"
-      "  --health-interval-ms=N  heartbeat period (default 1000)\n"
-      "  --prom-out=F        write final metrics as Prometheus text to F\n"
-      "  --version           print build identity and exit\n"
-      "exit codes: 0 ok, 1 failure, 2 usage, 3 bad input, 4 corrupt "
-      "artifact\n");
-}
+constexpr const char kUsage[] =
+    "acobe-detect --in=DIR --train-end=YYYY-MM-DD\n"
+    "             [--test-end=YYYY-MM-DD] [--omega=N] [--epochs=N]\n"
+    "             [--votes=N] [--top=N] [--threads=N]\n"
+    "             [--ingest=strict|permissive|quarantine]\n"
+    "             [--error-budget=R] [--quarantine-dir=DIR]\n"
+    "             [--stream] [--shards=N] [--spool-dir=DIR]\n"
+    "             [--checkpoint-dir=DIR] [--resume]\n"
+    "             [--explain-out=FILE] [--ledger-out=FILE]\n"
+    "             [--metrics-out=FILE] [--trace-out=FILE]\n"
+    "             [--health-out=FILE] [--health-interval-ms=N]\n"
+    "             [--prom-out=FILE] [--version]\n"
+    "  --omega=N           deviation window, days (>= 2; default 14)\n"
+    "  --epochs=N          training epochs per aspect (>= 1; default 25)\n"
+    "  --votes=N           critic votes (>= 1; default 2)\n"
+    "  --top=N             list entries printed per department (>= 1)\n"
+    "  --threads=N         worker threads for CSV parsing and detection\n"
+    "                      (0 = ACOBE_THREADS/hardware)\n"
+    "  --ingest=POLICY     malformed-row policy (default strict)\n"
+    "  --error-budget=R    abort past this rejected-row fraction (def 0.05)\n"
+    "  --quarantine-dir=D  write rejected raw rows under D\n"
+    "  --stream            accepted for compatibility; does nothing\n"
+    "  --shards=N          department shards spooled; at most two\n"
+    "                      are replayed into memory at once (def 8)\n"
+    "  --spool-dir=D       spool-file directory (def DIR/.acobe-spool)\n"
+    "  --checkpoint-dir=D  save per-aspect models under D as they train\n"
+    "  --resume            reuse matching checkpoints from a killed run\n"
+    "  --explain-out=F     write per-detection attribution JSON to F\n"
+    "  --ledger-out=F      write the run-ledger JSONL to F\n"
+    "  --metrics-out=F     write telemetry metrics JSON to F\n"
+    "  --trace-out=F       write chrome://tracing trace JSON to F\n"
+    "  --health-out=F      append live heartbeat JSONL to F; a crash\n"
+    "                      dumps flight data to F.crash.json\n"
+    "  --health-interval-ms=N  heartbeat period (default 1000)\n"
+    "  --prom-out=F        write final metrics as Prometheus text to F\n"
+    "  --version           print build identity and exit\n"
+    "exit codes: 0 ok, 1 failure, 2 usage, 3 bad input, 4 corrupt "
+    "artifact\n";
 
 /// Each input CSV's read stats (for its byte count and CRC), by name.
 using FileDigests = std::map<std::string, IngestStats>;
@@ -563,104 +559,42 @@ void AppendDeptLedger(RunLedger& ledger, const DeptResult& result,
 
 int main(int argc, char** argv) {
   std::string in_dir;
-  std::string train_end_text, test_end_text;
-  std::string metrics_out, trace_out;
+  Date train_end_date;
+  std::optional<Date> test_end_date;
   std::string explain_out, ledger_out;
-  std::string health_out, prom_out;
   std::string quarantine_dir, checkpoint_dir, spool_dir;
   int omega = 14, epochs = 25, votes = 2, top = 10, threads = 0;
-  int shards = 8, health_interval_ms = 1000;
+  int shards = 8;
   bool resume = false;
   IngestOptions ingest;
   ingest.ts_min = kPlausibleTsMin;
   ingest.ts_max = kPlausibleTsMax;
 
-  const int kMaxInt = std::numeric_limits<int>::max();
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--in=", 5) == 0) {
-        in_dir = arg + 5;
-      } else if (std::strncmp(arg, "--train-end=", 12) == 0) {
-        train_end_text = arg + 12;
-      } else if (std::strncmp(arg, "--test-end=", 11) == 0) {
-        test_end_text = arg + 11;
-      } else if (std::strncmp(arg, "--omega=", 8) == 0) {
-        omega = static_cast<int>(cli::ParseInt(arg, arg + 8, 2, kMaxInt));
-      } else if (std::strncmp(arg, "--epochs=", 9) == 0) {
-        epochs = static_cast<int>(cli::ParseInt(arg, arg + 9, 1, kMaxInt));
-      } else if (std::strncmp(arg, "--votes=", 8) == 0) {
-        votes = static_cast<int>(cli::ParseInt(arg, arg + 8, 1, kMaxInt));
-      } else if (std::strncmp(arg, "--top=", 6) == 0) {
-        top = static_cast<int>(cli::ParseInt(arg, arg + 6, 1, kMaxInt));
-      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-        threads = static_cast<int>(cli::ParseInt(arg, arg + 10, 0, kMaxInt));
-      } else if (std::strncmp(arg, "--ingest=", 9) == 0) {
-        ingest.policy = IngestPolicyFromString(arg + 9);
-      } else if (std::strncmp(arg, "--error-budget=", 15) == 0) {
-        ingest.error_budget = cli::ParseDouble(arg, arg + 15, 0.0, 1.0);
-      } else if (std::strncmp(arg, "--quarantine-dir=", 17) == 0) {
-        quarantine_dir = arg + 17;
-      } else if (std::strcmp(arg, "--stream") == 0) {
-        // Accepted and ignored: spooling is the only data plane.
-      } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-        shards = static_cast<int>(cli::ParseInt(arg, arg + 9, 1, 65536));
-      } else if (std::strncmp(arg, "--spool-dir=", 12) == 0) {
-        spool_dir = arg + 12;
-      } else if (std::strncmp(arg, "--checkpoint-dir=", 17) == 0) {
-        checkpoint_dir = arg + 17;
-      } else if (std::strcmp(arg, "--resume") == 0) {
-        resume = true;
-      } else if (std::strncmp(arg, "--explain-out=", 14) == 0) {
-        explain_out = arg + 14;
-      } else if (std::strncmp(arg, "--ledger-out=", 13) == 0) {
-        ledger_out = arg + 13;
-      } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-        metrics_out = arg + 14;
-      } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-        trace_out = arg + 12;
-      } else if (std::strncmp(arg, "--health-out=", 13) == 0) {
-        health_out = arg + 13;
-      } else if (std::strncmp(arg, "--health-interval-ms=", 21) == 0) {
-        health_interval_ms =
-            static_cast<int>(cli::ParseInt(arg, arg + 21, 10, 3600000));
-      } else if (std::strncmp(arg, "--prom-out=", 11) == 0) {
-        prom_out = arg + 11;
-      } else if (std::strcmp(arg, "--version") == 0) {
-        cli::PrintVersionInfo("acobe-detect", DetectBuildInfo());
-        return 0;
-      } else if (std::strcmp(arg, "--help") == 0) {
-        Usage();
-        return 0;
-      } else {
-        std::fprintf(stderr, "acobe-detect: unknown argument '%s'\n", arg);
-        Usage();
-        return kExitUsage;
-      }
-    }
-  } catch (const cli::FlagError& e) {
-    std::fprintf(stderr, "acobe-detect: %s\n", e.what());
-    Usage();
-    return kExitUsage;
-  } catch (const std::invalid_argument& e) {  // IngestPolicyFromString
-    std::fprintf(stderr, "acobe-detect: %s\n", e.what());
-    Usage();
-    return kExitUsage;
-  }
-  if (in_dir.empty() || train_end_text.empty()) {
-    std::fprintf(stderr, "acobe-detect: --in and --train-end are required\n");
-    Usage();
-    return kExitUsage;
-  }
+  cli::Flags flags("acobe-detect", kUsage, DetectBuildInfo());
+  flags.Str("--in", &in_dir, cli::kRequired)
+      .Day("--train-end", &train_end_date, cli::kRequired)
+      .Day("--test-end", &test_end_date)
+      .Int("--omega", &omega, 2)
+      .Int("--epochs", &epochs, 1)
+      .Int("--votes", &votes, 1)
+      .Int("--top", &top, 1)
+      .Int("--threads", &threads, 0)
+      .Value("--ingest",
+             [&](const char* v) { ingest.policy = IngestPolicyFromString(v); })
+      .Real("--error-budget", &ingest.error_budget, 0.0, 1.0)
+      .Str("--quarantine-dir", &quarantine_dir)
+      .Switch("--stream", nullptr)  // spooling is the only data plane
+      .Int("--shards", &shards, 1, 65536)
+      .Str("--spool-dir", &spool_dir)
+      .Str("--checkpoint-dir", &checkpoint_dir)
+      .Switch("--resume", &resume)
+      .Str("--explain-out", &explain_out)
+      .Str("--ledger-out", &ledger_out);
+  cli::Observability obs(flags, cli::kMetricsOut | cli::kTraceOut |
+                                    cli::kHealthOut | cli::kPromOut);
+  flags.Parse(argc, argv);
   if (resume && checkpoint_dir.empty()) {
-    std::fprintf(stderr, "acobe-detect: --resume requires --checkpoint-dir\n");
-    Usage();
-    return kExitUsage;
-  }
-  // Redelivered (duplicated) rows are a fault the permissive policies
-  // recover from, so they imply consecutive-duplicate suppression.
-  if (ingest.policy != IngestPolicy::kStrict) {
-    ingest.drop_consecutive_duplicates = true;
+    flags.UsageError("--resume requires --checkpoint-dir");
   }
   ingest.threads = threads;
   if (ingest.policy == IngestPolicy::kQuarantine && !quarantine_dir.empty()) {
@@ -678,16 +612,7 @@ int main(int argc, char** argv) {
   // the detection path runs exactly as before (bit-identical scores).
   const bool provenance = !explain_out.empty() || !ledger_out.empty();
 
-  InstallShutdownHandler();
-  telemetry::EnableMetrics(true);
-  telemetry::EnableTracing(!trace_out.empty());
-  if (!health_out.empty()) {
-    health::HealthOptions health_opts;
-    health_opts.path = health_out;
-    health_opts.interval_ms = health_interval_ms;
-    health_opts.tool = "acobe-detect";
-    if (!health::StartHealth(health_opts)) return kExitFailure;
-  }
+  if (!obs.Start()) return kExitFailure;
   health::SetStage("ingest", 5);  // the five CERT CSVs
 
   // --- ingest (pass A) -----------------------------------------------------
@@ -726,11 +651,7 @@ int main(int argc, char** argv) {
                      ledger_out.c_str());
       }
     }
-    health::SetStage("aborted");
-    health::StopHealth();
-    telemetry::FlushTelemetry("acobe-detect", metrics_out, trace_out,
-                              std::cerr);
-    return kExitAborted;
+    return obs.Finish("aborted", kExitAborted);
   };
 
   // Spool I/O failure: the spooler throws filesystem_error or
@@ -822,20 +743,12 @@ int main(int argc, char** argv) {
     return kExitBadInput;
   }
 
-  int train_end = 0, test_end = 0;
-  try {
-    train_end = static_cast<int>(
-        DaysBetween(start, Date::FromString(train_end_text)));
-    test_end =
-        test_end_text.empty()
-            ? days
-            : static_cast<int>(
-                  DaysBetween(start, Date::FromString(test_end_text))) + 1;
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "acobe-detect: %s\n", e.what());
-    Usage();
-    return kExitUsage;
-  }
+  const int train_end =
+      static_cast<int>(DaysBetween(start, train_end_date));
+  const int test_end =
+      test_end_date
+          ? static_cast<int>(DaysBetween(start, *test_end_date)) + 1
+          : days;
   if (train_end <= 0 || train_end >= test_end) {
     std::fprintf(stderr,
                  "acobe-detect: bad train/test split (train-end must fall "
@@ -1008,21 +921,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  health::SetStage("done");
-  health::StopHealth();  // final heartbeat carries the full span profile
-
-  if (!telemetry::FlushTelemetry("acobe-detect", metrics_out, trace_out,
-                                 std::cerr)) {
-    exit_code = kExitFailure;
-  }
-  if (!prom_out.empty()) {
-    if (telemetry::WriteMetricsPromFile(prom_out)) {
-      std::fprintf(stderr, "wrote %s\n", prom_out.c_str());
-    } else {
-      std::fprintf(stderr, "acobe-detect: cannot write %s\n",
-                   prom_out.c_str());
-      exit_code = kExitFailure;
-    }
-  }
-  return exit_code;
+  return obs.Finish("done", exit_code);
 }

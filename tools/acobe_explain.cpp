@@ -13,7 +13,6 @@
 // Exit codes: 0 ok, 2 usage, 3 unreadable/malformed artifact.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -27,13 +26,11 @@ using namespace acobe;
 
 namespace {
 
-void Usage() {
-  std::printf(
-      "acobe-explain --in=FILE [--department=NAME] [--version]\n"
-      "  FILE: an explain report (acobe-detect --explain-out) or a run\n"
-      "  ledger (--ledger-out); the kind is auto-detected.\n"
-      "exit codes: 0 ok, 2 usage, 3 bad artifact\n");
-}
+constexpr const char kUsage[] =
+    "acobe-explain --in=FILE [--department=NAME] [--version]\n"
+    "  FILE: an explain report (acobe-detect --explain-out) or a run\n"
+    "  ledger (--ledger-out); the kind is auto-detected.\n"
+    "exit codes: 0 ok, 2 usage, 3 bad artifact\n";
 
 void PrintCells(const json::Value& cells, const char* indent) {
   for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -236,29 +233,9 @@ int RenderLedger(const std::vector<json::Value>& events) {
 
 int main(int argc, char** argv) {
   std::string in_path, department;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--in=", 5) == 0) {
-      in_path = arg + 5;
-    } else if (std::strncmp(arg, "--department=", 13) == 0) {
-      department = arg + 13;
-    } else if (std::strcmp(arg, "--version") == 0) {
-      cli::PrintVersion("acobe-explain");
-      return 0;
-    } else if (std::strcmp(arg, "--help") == 0) {
-      Usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "acobe-explain: unknown argument '%s'\n", arg);
-      Usage();
-      return kExitUsage;
-    }
-  }
-  if (in_path.empty()) {
-    std::fprintf(stderr, "acobe-explain: --in is required\n");
-    Usage();
-    return kExitUsage;
-  }
+  cli::Flags flags("acobe-explain", kUsage);
+  flags.Str("--in", &in_path, cli::kRequired).Str("--department", &department);
+  flags.Parse(argc, argv);
 
   std::ifstream in(in_path, std::ios::binary);
   if (!in) {

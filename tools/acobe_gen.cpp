@@ -35,11 +35,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
-#include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -66,15 +65,15 @@ struct ScenarioArg {
   int days;
 };
 
-bool ParseScenario(const char* text, sim::InsiderScenarioKind kind,
-                   std::vector<ScenarioArg>& out) {
+/// Parses "DEPT:YYYY-MM-DD:DAYS".
+ScenarioArg ParseScenario(const char* text, sim::InsiderScenarioKind kind) {
   int dept = 0, days = 0;
   char date[16] = {};
   if (std::sscanf(text, "%d:%10[0-9-]:%d", &dept, date, &days) != 3) {
-    return false;
+    throw std::invalid_argument("want DEPT:YYYY-MM-DD:DAYS, got '" +
+                                std::string(text) + "'");
   }
-  out.push_back({kind, dept, Date::FromString(date), days});
-  return true;
+  return {kind, dept, Date::FromString(date), days};
 }
 
 /// Plants one scenario and narrates it. False, after a one-line
@@ -94,25 +93,23 @@ bool Plant(sim::CertSimulator& simulator, const ScenarioArg& sc) {
   }
 }
 
-void Usage() {
-  std::printf(
-      "acobe-gen --out=DIR [--users=N] [--departments=N] [--seed=S]\n"
-      "          [--start=YYYY-MM-DD] [--end=YYYY-MM-DD] [--rate=R]\n"
-      "          [--scenario1=DEPT:DATE:DAYS] [--scenario2=DEPT:DATE:DAYS]\n"
-      "          [--stream] [--shards=N]\n"
-      "          [--corrupt-rate=R] [--corrupt-seed=S]\n"
-      "          [--metrics-out=FILE] [--trace-out=FILE]\n"
-      "          [--health-out=FILE] [--health-interval-ms=N] [--version]\n"
-      "  --stream          generate in department shards, appending to the\n"
-      "                    CSVs as each shard completes (bounded memory)\n"
-      "  --shards=N        department shards in --stream mode (default 16)\n"
-      "  --corrupt-rate=R  corrupt fraction R of event-CSV rows (0..1)\n"
-      "  --corrupt-seed=S  fault-injection seed (default 99)\n"
-      "  --health-out=F    append live heartbeat JSONL to F (watch with\n"
-      "                    acobe-top); crashes dump to F.crash.json\n"
-      "  --health-interval-ms=N  heartbeat period (default 1000)\n"
-      "  --version         print build identity and exit\n");
-}
+constexpr const char kUsage[] =
+    "acobe-gen --out=DIR [--users=N] [--departments=N] [--seed=S]\n"
+    "          [--start=YYYY-MM-DD] [--end=YYYY-MM-DD] [--rate=R]\n"
+    "          [--scenario1=DEPT:DATE:DAYS] [--scenario2=DEPT:DATE:DAYS]\n"
+    "          [--stream] [--shards=N]\n"
+    "          [--corrupt-rate=R] [--corrupt-seed=S]\n"
+    "          [--metrics-out=FILE] [--trace-out=FILE]\n"
+    "          [--health-out=FILE] [--health-interval-ms=N] [--version]\n"
+    "  --stream          generate in department shards, appending to the\n"
+    "                    CSVs as each shard completes (bounded memory)\n"
+    "  --shards=N        department shards in --stream mode (default 16)\n"
+    "  --corrupt-rate=R  corrupt fraction R of event-CSV rows (0..1)\n"
+    "  --corrupt-seed=S  fault-injection seed (default 99)\n"
+    "  --health-out=F    append live heartbeat JSONL to F (watch with\n"
+    "                    acobe-top); crashes dump to F.crash.json\n"
+    "  --health-interval-ms=N  heartbeat period (default 1000)\n"
+    "  --version         print build identity and exit\n";
 
 /// One output CSV landed with the same tmp-then-rename discipline as
 /// WriteFileAtomic, but held open across the shard loop so rows stream
@@ -386,9 +383,6 @@ int GenerateInMemory(const sim::CertSimConfig& config,
 
 int main(int argc, char** argv) {
   std::string out_dir;
-  std::string metrics_out, trace_out;
-  std::string health_out;
-  int health_interval_ms = 1000;
   sim::CertSimConfig config;
   config.org.departments = 2;
   config.org.users_per_department = 20;
@@ -400,75 +394,30 @@ int main(int argc, char** argv) {
   bool stream = false;
   int shards = 16;
 
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--out=", 6) == 0) {
-        out_dir = arg + 6;
-      } else if (std::strncmp(arg, "--users=", 8) == 0) {
-        config.org.users_per_department =
-            static_cast<int>(cli::ParseInt(arg, arg + 8, 1, 1000000));
-      } else if (std::strncmp(arg, "--departments=", 14) == 0) {
-        config.org.departments =
-            static_cast<int>(cli::ParseInt(arg, arg + 14, 1, 10000));
-      } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-        config.seed = cli::ParseU64(arg, arg + 7);
-      } else if (std::strncmp(arg, "--start=", 8) == 0) {
-        config.start = Date::FromString(arg + 8);
-      } else if (std::strncmp(arg, "--end=", 6) == 0) {
-        config.end = Date::FromString(arg + 6);
-      } else if (std::strncmp(arg, "--rate=", 7) == 0) {
-        config.profiles.rate_scale = cli::ParseDouble(arg, arg + 7, 0.0, 1e6);
-      } else if (std::strcmp(arg, "--stream") == 0) {
-        stream = true;
-      } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-        shards = static_cast<int>(cli::ParseInt(arg, arg + 9, 1, 65536));
-      } else if (std::strncmp(arg, "--corrupt-rate=", 15) == 0) {
-        corrupt_rate = cli::ParseDouble(arg, arg + 15, 0.0, 1.0);
-      } else if (std::strncmp(arg, "--corrupt-seed=", 15) == 0) {
-        corrupt_seed = cli::ParseU64(arg, arg + 15);
-      } else if (std::strncmp(arg, "--scenario1=", 12) == 0) {
-        if (!ParseScenario(arg + 12, sim::InsiderScenarioKind::kScenario1,
-                           scenarios)) {
-          Usage();
-          return kExitUsage;
-        }
-      } else if (std::strncmp(arg, "--scenario2=", 12) == 0) {
-        if (!ParseScenario(arg + 12, sim::InsiderScenarioKind::kScenario2,
-                           scenarios)) {
-          Usage();
-          return kExitUsage;
-        }
-      } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-        metrics_out = arg + 14;
-      } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-        trace_out = arg + 12;
-      } else if (std::strncmp(arg, "--health-out=", 13) == 0) {
-        health_out = arg + 13;
-      } else if (std::strncmp(arg, "--health-interval-ms=", 21) == 0) {
-        health_interval_ms =
-            static_cast<int>(cli::ParseInt(arg, arg + 21, 10, 3600000));
-      } else if (std::strcmp(arg, "--version") == 0) {
-        cli::PrintVersion("acobe-gen");
-        return 0;
-      } else {
-        Usage();
-        return std::strcmp(arg, "--help") == 0 ? 0 : kExitUsage;
-      }
-    }
-  } catch (const cli::FlagError& e) {
-    std::fprintf(stderr, "acobe-gen: %s\n", e.what());
-    Usage();
-    return kExitUsage;
-  } catch (const std::invalid_argument& e) {  // Date::FromString
-    std::fprintf(stderr, "acobe-gen: %s\n", e.what());
-    Usage();
-    return kExitUsage;
-  }
-  if (out_dir.empty()) {
-    Usage();
-    return kExitUsage;
-  }
+  cli::Flags flags("acobe-gen", kUsage);
+  flags.Str("--out", &out_dir, cli::kRequired)
+      .Int("--users", &config.org.users_per_department, 1, 1000000)
+      .Int("--departments", &config.org.departments, 1, 10000)
+      .U64("--seed", &config.seed)
+      .Day("--start", &config.start)
+      .Day("--end", &config.end)
+      .Real("--rate", &config.profiles.rate_scale, 0.0, 1e6)
+      .Switch("--stream", &stream)
+      .Int("--shards", &shards, 1, 65536)
+      .Real("--corrupt-rate", &corrupt_rate, 0.0, 1.0)
+      .U64("--corrupt-seed", &corrupt_seed)
+      .Value("--scenario1",
+             [&](const char* v) {
+               scenarios.push_back(
+                   ParseScenario(v, sim::InsiderScenarioKind::kScenario1));
+             })
+      .Value("--scenario2", [&](const char* v) {
+        scenarios.push_back(
+            ParseScenario(v, sim::InsiderScenarioKind::kScenario2));
+      });
+  cli::Observability obs(
+      flags, cli::kMetricsOut | cli::kTraceOut | cli::kHealthOut);
+  flags.Parse(argc, argv);
   for (const ScenarioArg& s : scenarios) {
     if (s.department < 0 || s.department >= config.org.departments) {
       std::fprintf(stderr, "acobe-gen: scenario department %d out of range\n",
@@ -477,22 +426,11 @@ int main(int argc, char** argv) {
     }
   }
   if (stream && corrupt_rate > 0.0) {
-    std::fprintf(stderr,
-                 "acobe-gen: --corrupt-rate is not supported with --stream "
-                 "(fault injection needs the rendered file in memory)\n");
-    return kExitUsage;
+    flags.UsageError(
+        "--corrupt-rate is not supported with --stream (fault injection "
+        "needs the rendered file in memory)");
   }
-
-  InstallShutdownHandler();
-  telemetry::EnableMetrics(true);
-  telemetry::EnableTracing(!trace_out.empty());
-  if (!health_out.empty()) {
-    health::HealthOptions health_opts;
-    health_opts.path = health_out;
-    health_opts.interval_ms = health_interval_ms;
-    health_opts.tool = "acobe-gen";
-    if (!health::StartHealth(health_opts)) return kExitFailure;
-  }
+  if (!obs.Start()) return kExitFailure;
 
   const int code =
       stream ? GenerateStreamed(config, scenarios, out_dir, shards)
@@ -500,12 +438,8 @@ int main(int argc, char** argv) {
                                 corrupt_seed);
   // The final heartbeat lands in every outcome, so a supervisor
   // watching the health file sees how the run ended.
-  health::SetStage(code == 0 ? "done"
-                             : code == kExitAborted ? "aborted" : "failed");
-  health::StopHealth();
-  if (!telemetry::FlushTelemetry("acobe-gen", metrics_out, trace_out,
-                                 std::cerr)) {
-    return code != 0 ? code : kExitFailure;
-  }
-  return code;
+  return obs.Finish(code == 0                ? "done"
+                    : code == kExitAborted ? "aborted"
+                                           : "failed",
+                    code);
 }

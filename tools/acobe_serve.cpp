@@ -20,11 +20,14 @@
 // marker appears; the journal stores their digests and refuses to
 // resume over mutated inputs.
 //
-// Supervision: a shard whose detection cycle keeps throwing is retried
-// under seeded exponential backoff (three retries from 100 ms) and then
-// quarantined — its departments stop reporting (a "shard_quarantined"
-// ledger event records why) while the rest of the service keeps going.
+// Supervision: a shard whose detection cycle throws is quarantined on
+// its first failure (detection is deterministic, so a retry would throw
+// again) — its departments stop reporting (a "shard_quarantined" ledger
+// event records why) while the rest of the service keeps going.
 //
+// --ingest means what it means to acobe_detect: a non-strict policy
+// skips malformed batch rows under --error-budget and drops consecutive
+// duplicate rows (redeliveries). The roster is always read strict.
 // --admission=block is accepted as a no-op: admission is always
 // lossless. Departments with fewer than 3 members are skipped, as in
 // acobe_detect.
@@ -41,8 +44,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -63,43 +64,40 @@ using namespace acobe;
 
 namespace {
 
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: acobe_serve --watch=DIR --out=DIR --roster=FILE\n"
-      "             [--window-days=N] [--train-days=N] [--omega=N]\n"
-      "             [--epochs=N] [--votes=N] [--top=N] [--seed=N]\n"
-      "             [--alert-top=N] [--persistence-days=N] [--cooloff-days=N]\n"
-      "             [--shards=N] [--ingest=strict|permissive]\n"
-      "             [--error-budget=X] [--poll-ms=N] [--drain]\n"
-      "             [--health-out=F] [--health-interval-ms=N]\n"
-      "             [--metrics-out=F] [--listen=ADDR:PORT] [--version]\n"
-      "\n"
-      "  --watch=DIR         drop directory scanned for READY batches\n"
-      "  --out=DIR           journal + alerts.jsonl + ledger.jsonl\n"
-      "  --roster=FILE       ldap.csv naming users and departments\n"
-      "  --window-days=N     sliding event window (default 28)\n"
-      "  --train-days=N      training prefix of the window (default 14)\n"
-      "  --omega=N           deviation window omega (default 7)\n"
-      "  --epochs=N          training epochs per aspect (default 6)\n"
-      "  --votes=N           critic votes N (default 2)\n"
-      "  --top=N             investigation-list length in ledger (default 10)\n"
-      "  --seed=N            ensemble seed (default 1234)\n"
-      "  --alert-top=N       daily positions that count as firing (default 3)\n"
-      "  --persistence-days=N  days of firing that open an alert (default 2)\n"
-      "  --cooloff-days=N    quiet days that close an alert (default 2)\n"
-      "  --shards=N          parallel detection shards (default 2, capped at\n"
-      "                      #depts; output is identical at any value)\n"
-      "  --ingest=P          batch CSV row policy (default strict)\n"
-      "  --error-budget=X    permissive-mode bad-row budget (default 0.05)\n"
-      "  --poll-ms=N         watch-directory poll interval (default 500)\n"
-      "  --drain             process pending batches, then exit\n"
-      "  --health-out=F      heartbeat JSONL (tools/check_health.py)\n"
-      "  --metrics-out=F     write telemetry metrics JSON to F\n"
-      "  --listen=[A:]P      serve GET /metrics /healthz /readyz /statusz\n"
-      "                      /cycles on address A (default 127.0.0.1) port P\n"
-      "                      (0 = ephemeral; the pick lands in OUT/http.addr)\n");
-}
+constexpr const char kUsage[] =
+    "usage: acobe_serve --watch=DIR --out=DIR --roster=FILE\n"
+    "             [--window-days=N] [--train-days=N] [--omega=N]\n"
+    "             [--epochs=N] [--votes=N] [--top=N] [--seed=N]\n"
+    "             [--alert-top=N] [--persistence-days=N] [--cooloff-days=N]\n"
+    "             [--shards=N] [--ingest=strict|permissive]\n"
+    "             [--error-budget=X] [--poll-ms=N] [--drain]\n"
+    "             [--health-out=F] [--health-interval-ms=N]\n"
+    "             [--metrics-out=F] [--listen=ADDR:PORT] [--version]\n"
+    "\n"
+    "  --watch=DIR         drop directory scanned for READY batches\n"
+    "  --out=DIR           journal + alerts.jsonl + ledger.jsonl\n"
+    "  --roster=FILE       ldap.csv naming users and departments\n"
+    "  --window-days=N     sliding event window (default 28)\n"
+    "  --train-days=N      training prefix of the window (default 14)\n"
+    "  --omega=N           deviation window omega (default 7)\n"
+    "  --epochs=N          training epochs per aspect (default 6)\n"
+    "  --votes=N           critic votes N (default 2)\n"
+    "  --top=N             investigation-list length in ledger (default 10)\n"
+    "  --seed=N            ensemble seed (default 1234)\n"
+    "  --alert-top=N       daily positions that count as firing (default 3)\n"
+    "  --persistence-days=N  days of firing that open an alert (default 2)\n"
+    "  --cooloff-days=N    quiet days that close an alert (default 2)\n"
+    "  --shards=N          parallel detection shards (default 2, capped at\n"
+    "                      #depts; output is identical at any value)\n"
+    "  --ingest=P          batch CSV row policy (default strict)\n"
+    "  --error-budget=X    permissive-mode bad-row budget (default 0.05)\n"
+    "  --poll-ms=N         watch-directory poll interval (default 500)\n"
+    "  --drain             process pending batches, then exit\n"
+    "  --health-out=F      heartbeat JSONL (tools/check_health.py)\n"
+    "  --metrics-out=F     write telemetry metrics JSON to F\n"
+    "  --listen=[A:]P      serve GET /metrics /healthz /readyz /statusz\n"
+    "                      /cycles on address A (default 127.0.0.1) port P\n"
+    "                      (0 = ephemeral; the pick lands in OUT/http.addr)\n";
 
 // --- Observability endpoint JSON composition. The supervisor hands out
 // --- plain snapshot structs; the JSON shape (and its schema tags) is
@@ -281,108 +279,45 @@ int main(int argc, char** argv) {
   ServiceConfig cfg;
   cfg.ingest.ts_min = kPlausibleTsMin;
   cfg.ingest.ts_max = kPlausibleTsMax;
-  std::string health_out, metrics_out;
-  int health_interval_ms = 1000;
   int poll_ms = 500;
   bool drain = false;
   bool listen_enabled = false;
   std::string listen_address;
   std::uint16_t listen_port = 0;
 
-  const long long kMaxInt = std::numeric_limits<int>::max();
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--watch=", 8) == 0) {
-        cfg.watch_dir = arg + 8;
-      } else if (std::strncmp(arg, "--out=", 6) == 0) {
-        cfg.out_dir = arg + 6;
-      } else if (std::strncmp(arg, "--roster=", 9) == 0) {
-        cfg.roster_path = arg + 9;
-      } else if (std::strncmp(arg, "--window-days=", 14) == 0) {
-        cfg.window_days =
-            static_cast<int>(cli::ParseInt(arg, arg + 14, 3, kMaxInt));
-      } else if (std::strncmp(arg, "--train-days=", 13) == 0) {
-        cfg.train_days =
-            static_cast<int>(cli::ParseInt(arg, arg + 13, 2, kMaxInt));
-      } else if (std::strncmp(arg, "--omega=", 8) == 0) {
-        cfg.omega = static_cast<int>(cli::ParseInt(arg, arg + 8, 2, kMaxInt));
-      } else if (std::strncmp(arg, "--epochs=", 9) == 0) {
-        cfg.epochs = static_cast<int>(cli::ParseInt(arg, arg + 9, 1, kMaxInt));
-      } else if (std::strncmp(arg, "--votes=", 8) == 0) {
-        cfg.votes = static_cast<int>(cli::ParseInt(arg, arg + 8, 1, kMaxInt));
-      } else if (std::strncmp(arg, "--top=", 6) == 0) {
-        cfg.top = static_cast<int>(cli::ParseInt(arg, arg + 6, 1, kMaxInt));
-      } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-        cfg.seed = static_cast<std::uint64_t>(
-            cli::ParseInt(arg, arg + 7, 0, std::numeric_limits<long long>::max()));
-      } else if (std::strncmp(arg, "--alert-top=", 12) == 0) {
-        cfg.top_positions =
-            static_cast<int>(cli::ParseInt(arg, arg + 12, 1, kMaxInt));
-      } else if (std::strncmp(arg, "--persistence-days=", 19) == 0) {
-        cfg.persistence_days =
-            static_cast<int>(cli::ParseInt(arg, arg + 19, 1, kMaxInt));
-      } else if (std::strncmp(arg, "--cooloff-days=", 15) == 0) {
-        cfg.cooloff_days =
-            static_cast<int>(cli::ParseInt(arg, arg + 15, 1, kMaxInt));
-      } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-        cfg.shards = static_cast<int>(cli::ParseInt(arg, arg + 9, 1, 65536));
-      } else if (std::strncmp(arg, "--admission=", 12) == 0) {
-        cfg.admission = AdmissionPolicyFromString(arg + 12);  // block only
-      } else if (std::strncmp(arg, "--ingest=", 9) == 0) {
-        cfg.ingest.policy = IngestPolicyFromString(arg + 9);
-      } else if (std::strncmp(arg, "--error-budget=", 15) == 0) {
-        cfg.ingest.error_budget = cli::ParseDouble(arg, arg + 15, 0.0, 1.0);
-      } else if (std::strncmp(arg, "--poll-ms=", 10) == 0) {
-        poll_ms = static_cast<int>(cli::ParseInt(arg, arg + 10, 10, 3600000));
-      } else if (std::strcmp(arg, "--drain") == 0) {
-        drain = true;
-      } else if (std::strncmp(arg, "--health-out=", 13) == 0) {
-        health_out = arg + 13;
-      } else if (std::strncmp(arg, "--health-interval-ms=", 21) == 0) {
-        health_interval_ms =
-            static_cast<int>(cli::ParseInt(arg, arg + 21, 10, 3600000));
-      } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-        metrics_out = arg + 14;
-      } else if (std::strncmp(arg, "--listen=", 9) == 0) {
-        net::ParseListenSpec(arg + 9, &listen_address, &listen_port);
+  cli::Flags flags("acobe-serve", kUsage);
+  flags.Str("--watch", &cfg.watch_dir, cli::kRequired)
+      .Str("--out", &cfg.out_dir, cli::kRequired)
+      .Str("--roster", &cfg.roster_path, cli::kRequired)
+      .Int("--window-days", &cfg.window_days, 3)
+      .Int("--train-days", &cfg.train_days, 2)
+      .Int("--omega", &cfg.omega, 2)
+      .Int("--epochs", &cfg.epochs, 1)
+      .Int("--votes", &cfg.votes, 1)
+      .Int("--top", &cfg.top, 1)
+      .Int("--seed", &cfg.seed, 0, std::numeric_limits<long long>::max())
+      .Int("--alert-top", &cfg.top_positions, 1)
+      .Int("--persistence-days", &cfg.persistence_days, 1)
+      .Int("--cooloff-days", &cfg.cooloff_days, 1)
+      .Int("--shards", &cfg.shards, 1, 65536)
+      .Value("--admission",  // block only
+             [&](const char* v) {
+               cfg.admission = AdmissionPolicyFromString(v);
+             })
+      .Value("--ingest",
+             [&](const char* v) {
+               cfg.ingest.policy = IngestPolicyFromString(v);
+             })
+      .Real("--error-budget", &cfg.ingest.error_budget, 0.0, 1.0)
+      .Int("--poll-ms", &poll_ms, 10, 3600000)
+      .Switch("--drain", &drain)
+      .Value("--listen", [&](const char* v) {
+        net::ParseListenSpec(v, &listen_address, &listen_port);
         listen_enabled = true;
-      } else if (std::strcmp(arg, "--version") == 0) {
-        const BuildInfo info = GetBuildInfo();
-        std::printf("acobe-serve %s (%s, %s)\n", info.version.c_str(),
-                    info.build_type.c_str(), info.simd.c_str());
-        return 0;
-      } else if (std::strcmp(arg, "--help") == 0) {
-        Usage();
-        return 0;
-      } else {
-        std::fprintf(stderr, "acobe-serve: unknown argument %s\n", arg);
-        Usage();
-        return kExitUsage;
-      }
-    }
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "acobe-serve: %s\n", e.what());
-    Usage();
-    return kExitUsage;
-  }
-  if (cfg.watch_dir.empty() || cfg.out_dir.empty() ||
-      cfg.roster_path.empty()) {
-    std::fprintf(stderr,
-                 "acobe-serve: --watch, --out and --roster are required\n");
-    Usage();
-    return kExitUsage;
-  }
-
-  InstallShutdownHandler();
-  telemetry::EnableMetrics(true);
-  if (!health_out.empty()) {
-    health::HealthOptions opts;
-    opts.path = health_out;
-    opts.interval_ms = health_interval_ms;
-    opts.tool = "acobe-serve";
-    if (!health::StartHealth(opts)) return kExitFailure;
-  }
+      });
+  cli::Observability obs(flags, cli::kHealthOut | cli::kMetricsOut);
+  flags.Parse(argc, argv);
+  if (!obs.Start()) return kExitFailure;
 
   int exit_code = 0;
   try {
@@ -478,10 +413,5 @@ int main(int argc, char** argv) {
     exit_code = kExitFailure;
   }
 
-  health::SetStage("done");
-  health::StopHealth();
-  if (!telemetry::FlushTelemetry("acobe-serve", metrics_out, "", std::cerr)) {
-    exit_code = exit_code ? exit_code : kExitFailure;
-  }
-  return exit_code;
+  return obs.Finish("done", exit_code);
 }

@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -47,17 +46,15 @@ using namespace acobe;
 
 namespace {
 
-void Usage() {
-  std::printf(
-      "acobe-top HEALTH_FILE [--once] [--interval-ms=N] [--spans=N]\n"
-      "acobe-top --url=http://HOST:PORT [--once] [--interval-ms=N]\n"
-      "  --once            render the latest heartbeat once and exit\n"
-      "  --interval-ms=N   repaint period in follow mode (default 1000)\n"
-      "  --spans=N         span-profile rows shown (default 12)\n"
-      "  --url=U           poll a running acobe-serve daemon's /statusz\n"
-      "                    and /cycles instead of reading a file\n"
-      "  --version         print build identity and exit\n");
-}
+constexpr const char kUsage[] =
+    "acobe-top HEALTH_FILE [--once] [--interval-ms=N] [--spans=N]\n"
+    "acobe-top --url=http://HOST:PORT [--once] [--interval-ms=N]\n"
+    "  --once            render the latest heartbeat once and exit\n"
+    "  --interval-ms=N   repaint period in follow mode (default 1000)\n"
+    "  --spans=N         span-profile rows shown (default 12)\n"
+    "  --url=U           poll a running acobe-serve daemon's /statusz\n"
+    "                    and /cycles instead of reading a file\n"
+    "  --version         print build identity and exit\n";
 
 /// Last line of `path` that parses as a JSON object. Null type when the
 /// file is missing, empty, or holds only torn lines.
@@ -345,15 +342,8 @@ void RenderStatus(std::ostream& out, const json::Value& status,
 }
 
 /// Remote mode main loop; mirrors the file-mode once/follow contract.
-int RunRemote(const std::string& url, bool once, int interval_ms) {
-  net::ParsedUrl base;
-  try {
-    base = net::ParseHttpUrl(url);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "acobe-top: %s\n", e.what());
-    return kExitUsage;
-  }
-
+int RunRemote(const net::ParsedUrl& base, const std::string& url, bool once,
+              int interval_ms) {
   for (;;) {
     std::ostringstream frame;
     bool fetched = false;
@@ -378,57 +368,27 @@ int RunRemote(const std::string& url, bool once, int interval_ms) {
 int main(int argc, char** argv) {
   std::string path;
   std::string url;
+  net::ParsedUrl base;
   bool once = false;
   int interval_ms = 1000;
   int span_rows = 12;
 
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strcmp(arg, "--once") == 0) {
-        once = true;
-      } else if (std::strncmp(arg, "--url=", 6) == 0) {
-        url = arg + 6;
-      } else if (std::strncmp(arg, "--interval-ms=", 14) == 0) {
-        interval_ms =
-            static_cast<int>(cli::ParseInt(arg, arg + 14, 10, 3600000));
-      } else if (std::strncmp(arg, "--spans=", 8) == 0) {
-        span_rows = static_cast<int>(cli::ParseInt(arg, arg + 8, 1, 1000));
-      } else if (std::strcmp(arg, "--version") == 0) {
-        cli::PrintVersion("acobe-top");
-        return 0;
-      } else if (std::strcmp(arg, "--help") == 0) {
-        Usage();
-        return 0;
-      } else if (arg[0] == '-') {
-        std::fprintf(stderr, "acobe-top: unknown argument '%s'\n", arg);
-        Usage();
-        return kExitUsage;
-      } else if (path.empty()) {
-        path = arg;
-      } else {
-        Usage();
-        return kExitUsage;
-      }
-    }
-  } catch (const cli::FlagError& e) {
-    std::fprintf(stderr, "acobe-top: %s\n", e.what());
-    Usage();
-    return kExitUsage;
-  }
+  cli::Flags flags("acobe-top", kUsage);
+  flags.Positional(&path)
+      .Switch("--once", &once)
+      .Value("--url",
+             [&](const char* v) {
+               base = net::ParseHttpUrl(v);
+               url = v;
+             })
+      .Int("--interval-ms", &interval_ms, 10, 3600000)
+      .Int("--spans", &span_rows, 1, 1000);
+  flags.Parse(argc, argv);
   if (!url.empty()) {
-    if (!path.empty()) {
-      std::fprintf(stderr,
-                   "acobe-top: --url and HEALTH_FILE are exclusive\n");
-      Usage();
-      return kExitUsage;
-    }
-    return RunRemote(url, once, interval_ms);
+    if (!path.empty()) flags.UsageError("--url and HEALTH_FILE are exclusive");
+    return RunRemote(base, url, once, interval_ms);
   }
-  if (path.empty()) {
-    Usage();
-    return kExitUsage;
-  }
+  if (path.empty()) flags.UsageError("HEALTH_FILE or --url is required");
 
   if (once) {
     const json::Value hb = LastHeartbeat(path);
