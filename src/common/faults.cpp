@@ -159,33 +159,39 @@ std::uint64_t DirFsyncCount() {
 
 void WriteFileAtomic(const std::string& path,
                      const std::function<void(std::ostream&)>& writer) {
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      errno = 0;
-      throw std::runtime_error("WriteFileAtomic: cannot open " + tmp);
-    }
-    try {
-      writer(out);
-    } catch (...) {
-      out.close();
-      std::remove(tmp.c_str());
-      throw;
-    }
-    out.flush();
-    if (!out) FailAtomicWrite(tmp, "write payload");
+  AtomicFile file(path);
+  writer(file.stream());  // a throw unlinks the temporary
+  file.Commit();
+}
+
+AtomicFile::AtomicFile(std::string path)
+    : path_(std::move(path)),
+      tmp_(path_ + ".tmp." + std::to_string(static_cast<long>(::getpid()))),
+      out_(tmp_, std::ios::binary | std::ios::trunc) {
+  if (!out_) throw std::runtime_error("WriteFileAtomic: cannot open " + tmp_);
+}
+
+AtomicFile::~AtomicFile() {
+  if (!committed_) {
+    out_.close();
+    std::remove(tmp_.c_str());
   }
-  FsyncPath(tmp, O_WRONLY, tmp, "temporary");
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    FailAtomicWrite(tmp, "rename into place");
+}
+
+void AtomicFile::Commit() {
+  out_.flush();
+  if (!out_) FailAtomicWrite(tmp_, "write payload");
+  out_.close();
+  FsyncPath(tmp_, O_WRONLY, tmp_, "temporary");
+  if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    FailAtomicWrite(tmp_, "rename into place");
   }
+  committed_ = true;
   // Make the rename itself durable: sync the containing directory.
-  const std::size_t slash = path.find_last_of('/');
+  const std::size_t slash = path_.find_last_of('/');
   const std::string dir = slash == std::string::npos
                               ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
+                              : path_.substr(0, slash == 0 ? 1 : slash);
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dfd >= 0) {  // best-effort: some filesystems refuse directory fsync
     if (::fsync(dfd) == 0) {

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <iosfwd>
 #include <limits>
@@ -133,6 +134,33 @@ std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
 /// cannot be written durably.
 void WriteFileAtomic(const std::string& path,
                      const std::function<void(std::ostream&)>& writer);
+
+/// WriteFileAtomic for a payload written over time: the stream is the
+/// temporary file next to `path`, and Commit lands it the same way.
+/// Destroyed uncommitted, it unlinks the temporary, so an interrupted
+/// writer never leaves a torn file under `path`. Throws
+/// std::runtime_error when the temporary cannot be created.
+class AtomicFile {
+ public:
+  explicit AtomicFile(std::string path);
+  ~AtomicFile();
+  AtomicFile(const AtomicFile&) = delete;
+  AtomicFile& operator=(const AtomicFile&) = delete;
+
+  std::ostream& stream() { return out_; }
+  const std::string& path() const { return path_; }
+
+  /// Flushes and fsyncs the temporary, renames it over `path` and
+  /// syncs the directory. Throws std::runtime_error (unlinking the
+  /// temporary) when the payload cannot be written durably.
+  void Commit();
+
+ private:
+  std::string path_;
+  std::string tmp_;
+  std::ofstream out_;
+  bool committed_ = false;
+};
 
 /// Process-wide count of successful parent-directory fsyncs performed
 /// by WriteFileAtomic after its rename. The directory sync is what

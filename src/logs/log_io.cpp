@@ -577,10 +577,9 @@ IngestStats ReadLdapCsv(std::istream& in, LogStore& store,
   return ReadLdapCsv(in, static_cast<EntityCatalog&>(store), opts, source);
 }
 
-void WriteLdapCsv(const EntityCatalog& tables, std::ostream& out,
-                  bool write_header) {
+void WriteLdapCsv(const EntityCatalog& tables, std::ostream& out) {
   CsvWriter w(out);
-  if (write_header) w.WriteRow({"user", "department", "team", "role"});
+  w.WriteRow({"user", "department", "team", "role"});
   for (const LdapRecord& r : tables.ldap()) {
     w.WriteRow({r.user_name, r.department, r.team, r.role});
   }
@@ -588,13 +587,12 @@ void WriteLdapCsv(const EntityCatalog& tables, std::ostream& out,
 
 CsvEventSink::CsvEventSink(const EntityCatalog& tables, std::ostream* logon,
                            std::ostream* device, std::ostream* file,
-                           std::ostream* http, bool write_headers)
+                           std::ostream* http)
     : tables_(tables),
       logon_(logon),
       device_(device),
       file_(file),
       http_(http) {
-  if (!write_headers) return;
   if (logon_) CsvWriter(*logon_).WriteRow({"ts", "user", "pc", "activity"});
   if (device_) CsvWriter(*device_).WriteRow({"ts", "user", "pc", "activity"});
   if (file_) {

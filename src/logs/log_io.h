@@ -122,10 +122,8 @@ class ScopedIngestChunkBytes {
 
 }  // namespace detail
 
-/// Writes the LDAP roster ("user,department,team,role"), preceded by
-/// its header when `write_header` is true.
-void WriteLdapCsv(const EntityCatalog& tables, std::ostream& out,
-                  bool write_header = true);
+/// Writes the LDAP roster ("user,department,team,role") with its header.
+void WriteLdapCsv(const EntityCatalog& tables, std::ostream& out);
 
 /// The one event-CSV writer: a LogSink that renders events as
 /// CERT-layout rows the moment they are consumed, resolving ids through
@@ -137,14 +135,11 @@ void WriteLdapCsv(const EntityCatalog& tables, std::ostream& out,
 /// dropped (no CERT-layout file).
 class CsvEventSink : public LogSink {
  public:
-  /// With `write_headers`, each non-null stream gets its header line
-  /// here, before any row, so a stream that never sees an event still
-  /// holds a valid (header-only) CSV. Without, rows are appended to
-  /// streams that already carry one (sharded generation: shard 0 writes
-  /// the headers, the rest append).
+  /// Each non-null stream gets its header line here, before any row, so
+  /// a stream that never sees an event still holds a valid
+  /// (header-only) CSV.
   CsvEventSink(const EntityCatalog& tables, std::ostream* logon,
-               std::ostream* device, std::ostream* file, std::ostream* http,
-               bool write_headers = true);
+               std::ostream* device, std::ostream* file, std::ostream* http);
 
   void Consume(const LogonEvent& e) override;
   void Consume(const DeviceEvent& e) override;

@@ -148,28 +148,30 @@ const InsiderScenario& CertSimulator::InjectScenario(InsiderScenarioKind kind,
 }
 
 void CertSimulator::Run(LogSink& sink) {
-  const std::int64_t days = DaysBetween(config_.start, config_.end) + 1;
-  for (std::int64_t di = 0; di < days; ++di) {
-    const Date date = config_.start.AddDays(di);
-    const double busy = calendar_.BusyFactor(date);
-    const EnvChange* active_env = nullptr;
-    for (const EnvChange& env : env_changes_) {
-      if (env.start <= date && date < env.start.AddDays(env.duration_days)) {
-        active_env = &env;
-        break;
-      }
+  for (Date date = config_.start; date <= config_.end; date = date.AddDays(1)) {
+    RunDay(date, sink);
+  }
+}
+
+void CertSimulator::RunDay(const Date& date, LogSink& sink) {
+  const double busy = calendar_.BusyFactor(date);
+  const EnvChange* active_env = nullptr;
+  for (const EnvChange& env : env_changes_) {
+    if (env.start <= date && date < env.start.AddDays(env.duration_days)) {
+      active_env = &env;
+      break;
     }
-    for (const OrgUser& user : org_->org_users()) {
-      auto sit = scenario_by_user_.find(user.id);
-      if (sit != scenario_by_user_.end() && sit->second.leave_date < date) {
-        continue;  // the insider has left the organization
-      }
-      Rng rng = master_rng_.Fork((static_cast<std::uint64_t>(user.id) << 20) ^
-                                 static_cast<std::uint64_t>(date.DayNumber()));
-      SimulateUserDay(user, date, busy, active_env, rng, sink);
-      if (sit != scenario_by_user_.end()) {
-        EmitScenarioExtras(sit->second, user, date, rng, sink);
-      }
+  }
+  for (const OrgUser& user : org_->org_users()) {
+    auto sit = scenario_by_user_.find(user.id);
+    if (sit != scenario_by_user_.end() && sit->second.leave_date < date) {
+      continue;  // the insider has left the organization
+    }
+    Rng rng = master_rng_.Fork((static_cast<std::uint64_t>(user.id) << 20) ^
+                               static_cast<std::uint64_t>(date.DayNumber()));
+    SimulateUserDay(user, date, busy, active_env, rng, sink);
+    if (sit != scenario_by_user_.end()) {
+      EmitScenarioExtras(sit->second, user, date, rng, sink);
     }
   }
 }

@@ -59,17 +59,17 @@ class CertSimulator {
                                         int department, Date anomaly_start,
                                         int span_days);
 
-  /// Generates all events into `sink`, day by day.
+  /// Generates all events into `sink`: RunDay over every simulated day,
+  /// in order.
   void Run(LogSink& sink);
 
+  /// Generates one day's events for the whole org into `sink`, user by
+  /// user. Every event is stamped at or after `date`'s midnight; an
+  /// event may run past the next midnight (a late logoff).
+  void RunDay(const Date& date, LogSink& sink);
+
   const OrgModel& org() const { return *org_; }
-  /// The resolved environmental-change schedule (config-supplied or the
-  /// defaults sampled from the seed). Sharded generation probes this
-  /// once from a minimal simulator and passes it to every shard via
-  /// CertSimConfig::env_changes, so org-wide bursts stay org-wide.
-  const std::vector<EnvChange>& env_changes() const { return env_changes_; }
   const GroundTruth& truth() const { return truth_; }
-  const OrgCalendar& calendar() const { return calendar_; }
   const std::vector<InsiderScenario>& scenarios() const { return scenarios_; }
   const UserProfile& profile(UserId user) const;
 

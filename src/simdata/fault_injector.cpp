@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string_view>
-#include <vector>
 
 #include "common/rng.h"
 
@@ -47,12 +46,6 @@ void TruncateRow(std::string& row, Rng& rng, FaultReport& report) {
 
 FaultReport FaultInjector::Corrupt(std::string& csv, std::uint64_t key) const {
   FaultReport report;
-  std::vector<FaultKind> kinds;
-  if (config_.byte_flips) kinds.push_back(FaultKind::kByteFlip);
-  if (config_.truncate_rows) kinds.push_back(FaultKind::kTruncateRow);
-  if (config_.duplicate_rows) kinds.push_back(FaultKind::kDuplicateRow);
-
-  const Rng base = Rng(config_.seed).Fork(key);
   std::string out;
   out.reserve(csv.size() + csv.size() / 16);
 
@@ -63,61 +56,22 @@ FaultReport FaultInjector::Corrupt(std::string& csv, std::uint64_t key) const {
     std::size_t eol = csv.find('\n', pos);
     const bool had_newline = eol != std::string::npos;
     if (!had_newline) eol = csv.size();
-    std::string row = csv.substr(pos, eol - pos);
+    const std::string_view row(csv.data() + pos, eol - pos);
     pos = had_newline ? eol + 1 : csv.size();
 
-    if (header || row.empty() || kinds.empty()) {
+    if (header || row.empty()) {
       header = false;
       out += row;
-      if (had_newline) out += '\n';
-      continue;
-    }
-
-    ++report.rows_seen;
-    // Every row gets its own forked stream, so whether row k is
-    // corrupted is independent of the faults drawn for rows < k.
-    Rng rng = base.Fork(row_index++);
-    if (!rng.NextBernoulli(config_.rate)) {
-      out += row;
-      if (had_newline) out += '\n';
-      continue;
-    }
-
-    ++report.rows_corrupted;
-    switch (kinds[rng.NextBounded(kinds.size())]) {
-      case FaultKind::kByteFlip: {
-        std::string garbled = row;
-        FlipBytes(garbled, rng, report);
-        out += garbled;
-        if (config_.redeliver) {
-          out += '\n';
-          out += row;
-        }
-        break;
-      }
-      case FaultKind::kTruncateRow: {
-        std::string garbled = row;
-        TruncateRow(garbled, rng, report);
-        out += garbled;
-        if (config_.redeliver) {
-          out += '\n';
-          out += row;
-        }
-        break;
-      }
-      case FaultKind::kDuplicateRow:
-        ++report.rows_duplicated;
-        out += row;
-        out += '\n';
-        out += row;
-        break;
+    } else {
+      CorruptRow(row, key, row_index++, out, report);
     }
     if (had_newline) out += '\n';
   }
 
   if (config_.truncate_file && out.size() > 1) {
     // A crashed writer: keep at least half, cut somewhere in the rest.
-    Rng rng = base.Fork(0xF11E);  // distinct from any row stream key
+    // 0xF11E is distinct from any row stream key.
+    Rng rng = Rng(config_.seed).Fork(key).Fork(0xF11E);
     const std::size_t keep =
         out.size() / 2 + rng.NextBounded(out.size() - out.size() / 2);
     out.resize(std::max<std::size_t>(keep, 1));
@@ -126,6 +80,50 @@ FaultReport FaultInjector::Corrupt(std::string& csv, std::uint64_t key) const {
 
   csv = std::move(out);
   return report;
+}
+
+void FaultInjector::CorruptRow(std::string_view row, std::uint64_t key,
+                               std::size_t row_index, std::string& out,
+                               FaultReport& report) const {
+  FaultKind kinds[3];
+  std::size_t n_kinds = 0;
+  if (config_.byte_flips) kinds[n_kinds++] = FaultKind::kByteFlip;
+  if (config_.truncate_rows) kinds[n_kinds++] = FaultKind::kTruncateRow;
+  if (config_.duplicate_rows) kinds[n_kinds++] = FaultKind::kDuplicateRow;
+  if (n_kinds == 0) {
+    out += row;
+    return;
+  }
+
+  ++report.rows_seen;
+  // Every row gets its own forked stream, so whether row k is
+  // corrupted is independent of the faults drawn for rows < k.
+  Rng rng = Rng(config_.seed).Fork(key).Fork(row_index);
+  if (!rng.NextBernoulli(config_.rate)) {
+    out += row;
+    return;
+  }
+
+  ++report.rows_corrupted;
+  const FaultKind kind = kinds[rng.NextBounded(n_kinds)];
+  if (kind == FaultKind::kDuplicateRow) {
+    ++report.rows_duplicated;
+    out += row;
+    out += '\n';
+    out += row;
+    return;
+  }
+  std::string garbled(row);
+  if (kind == FaultKind::kByteFlip) {
+    FlipBytes(garbled, rng, report);
+  } else {
+    TruncateRow(garbled, rng, report);
+  }
+  out += garbled;
+  if (config_.redeliver) {
+    out += '\n';
+    out += row;
+  }
 }
 
 }  // namespace acobe::sim

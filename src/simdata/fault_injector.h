@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace acobe::sim {
 
@@ -61,8 +62,20 @@ class FaultInjector {
 
   /// Corrupts `csv` in place. `key` names the file (e.g. a hash of its
   /// basename) so each file in a dataset draws an independent fault
-  /// stream from the same seed.
+  /// stream from the same seed. The first line is the header; every
+  /// later non-empty line goes through CorruptRow, numbered from 0.
   FaultReport Corrupt(std::string& csv, std::uint64_t key) const;
+
+  /// Appends `row` (one data row, without its newline) to `out`, as the
+  /// `row_index`-th data row of the file keyed `key`: corrupted when
+  /// that row's fork of the (seed, key) stream draws a fault, so a
+  /// writer can corrupt rows as it emits them and land the same bytes
+  /// Corrupt() makes of the whole file. A garbled row is followed by
+  /// the original under `redeliver`, and a duplicated row by its copy,
+  /// each on a line of its own. truncate_file is Corrupt()'s alone.
+  void CorruptRow(std::string_view row, std::uint64_t key,
+                  std::size_t row_index, std::string& out,
+                  FaultReport& report) const;
 
   /// Out-of-place convenience for tests.
   std::string Corrupted(std::string csv, std::uint64_t key) const {

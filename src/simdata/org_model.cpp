@@ -24,19 +24,17 @@ OrgModel::OrgModel(const OrgConfig& config, LogStore& store) {
   }
   Rng rng(config.seed);
   for (int d = 0; d < config.departments; ++d) {
-    departments_.push_back(
-        "Department-" + std::to_string(config.first_department + d + 1));
+    departments_.push_back("Department-" + std::to_string(d + 1));
   }
-  int ordinal = config.first_ordinal;
+  int ordinal = 0;
   for (int d = 0; d < config.departments; ++d) {
-    const int global_dept = config.first_department + d;
-    const int count = config.users_per_department +
-                      (global_dept == 0 ? config.extra_users : 0);
+    const int count =
+        config.users_per_department + (d == 0 ? config.extra_users : 0);
     for (int i = 0; i < count; ++i, ++ordinal) {
       OrgUser user;
       user.name = MakeUserName(rng, ordinal);
       user.id = store.users().Intern(user.name);
-      user.department = global_dept;
+      user.department = d;
       user.own_pc = store.pcs().Intern("PC-" + std::to_string(ordinal));
       users_.push_back(user);
 
@@ -57,13 +55,6 @@ std::vector<UserId> OrgModel::DepartmentMembers(int dept) const {
     if (u.department == dept) out.push_back(u.id);
   }
   return out;
-}
-
-const OrgUser& OrgModel::UserById(UserId id) const {
-  for (const OrgUser& u : users_) {
-    if (u.id == id) return u;
-  }
-  throw std::out_of_range("OrgModel::UserById: unknown user");
 }
 
 }  // namespace acobe::sim

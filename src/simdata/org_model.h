@@ -18,19 +18,12 @@ struct OrgConfig {
   /// Extra users appended to the first department to hit odd totals.
   int extra_users = 1;
   std::uint64_t seed = 0xACBE;
-  /// Global offsets for sharded generation: this model covers
-  /// departments [first_department, first_department + departments)
-  /// of a larger organization, numbering users from first_ordinal so
-  /// names and PCs stay globally unique. `extra_users` applies to
-  /// global department 0 only. Both 0 for a whole-org model.
-  int first_department = 0;
-  int first_ordinal = 0;
 };
 
 struct OrgUser {
   UserId id = kInvalidId;
   std::string name;       // CERT-style, e.g. "JPH1910"
-  int department = 0;     // global department index
+  int department = 0;     // department index
   PcId own_pc = kInvalidId;
 };
 
@@ -44,10 +37,8 @@ class OrgModel {
     return departments_;
   }
 
-  /// Users belonging to global department index `dept`.
+  /// Users belonging to department index `dept`.
   std::vector<UserId> DepartmentMembers(int dept) const;
-
-  const OrgUser& UserById(UserId id) const;
 
   int user_count() const { return static_cast<int>(users_.size()); }
 

@@ -9,6 +9,12 @@ For acobe_detect, acobe_serve, acobe_gen, acobe_top and acobe_explain:
   - --version exits 0 and prints the shared build-identity line,
     "<tool> VERSION (build: B, simd: S, telemetry: on|off[, nn-backend: N])".
 
+A run that fails after it started still lands its observability files:
+a strict acobe_detect on a corrupted dataset (exit 3), acobe_serve on a
+missing --watch directory (exit 1) and acobe_gen on an --out it cannot
+create (exit 1) each write --metrics-out and end their --health-out
+file with a final heartbeat at stage "failed".
+
 Usage:
     cli_test.py --detect DETECT --serve SERVE --gen GEN --top TOP \
         --explain EXPLAIN
@@ -17,6 +23,7 @@ Exit status 0 on pass, 1 on any mismatch.
 """
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -42,6 +49,31 @@ def check_usage_error(binary, tool, args, failures):
     if code != 2 or len(tagged) != 1:
         failures.append(f"{tool} {' '.join(args)}: exit {code}, "
                         f"{len(tagged)} '{tool}:' line(s), stderr:\n{err}")
+
+
+def check_failed_run(binary, tool, args, want_code, tmp, failures):
+    metrics = os.path.join(tmp, "metrics.json")
+    health = os.path.join(tmp, "health.jsonl")
+    for path in (metrics, health):
+        if os.path.exists(path):
+            os.remove(path)
+    code, _, err = run([binary] + args + [f"--metrics-out={metrics}",
+                                          f"--health-out={health}"])
+    label = f"{tool} {' '.join(args)}"
+    if code != want_code:
+        failures.append(f"{label}: exit {code}, want {want_code}, "
+                        f"stderr:\n{err}")
+    if not os.path.exists(metrics):
+        failures.append(f"{label}: no --metrics-out file")
+    try:
+        with open(health) as fh:
+            last = json.loads(fh.read().splitlines()[-1])
+    except (OSError, IndexError, ValueError) as e:
+        failures.append(f"{label}: unreadable --health-out file: {e}")
+        return
+    if not last.get("final") or last["stage"]["name"] != "failed":
+        failures.append(f"{label}: last heartbeat {last!r}, want a final "
+                        "beat at stage 'failed'")
 
 
 def main():
@@ -89,6 +121,26 @@ def main():
 
         if os.path.exists(d):
             failures.append(f"a usage error left {d} behind")
+
+        data = os.path.join(tmp, "corrupt")
+        code, _, err = run([args.gen, f"--out={data}", "--users=6",
+                            "--departments=2", "--start=2010-01-04",
+                            "--end=2010-02-28", "--corrupt-rate=0.01"])
+        if code != 0:
+            failures.append(f"acobe-gen --corrupt-rate: exit {code}: {err}")
+        check_failed_run(args.detect, "acobe-detect",
+                         [f"--in={data}", "--train-end=2010-02-01",
+                          "--epochs=1"], 3, tmp, failures)
+        missing = os.path.join(tmp, "missing")
+        check_failed_run(args.serve, "acobe-serve",
+                         [f"--watch={missing}",
+                          f"--out={os.path.join(tmp, 'serve-out')}",
+                          f"--roster={missing}/ldap.csv"], 1, tmp, failures)
+        blocker = os.path.join(tmp, "blocker")
+        open(blocker, "w").close()
+        check_failed_run(args.gen, "acobe-gen",
+                         [f"--out={os.path.join(blocker, 'data')}"], 1, tmp,
+                         failures)
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

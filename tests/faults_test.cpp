@@ -17,6 +17,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "behavior/normalized_day.h"
@@ -191,6 +192,47 @@ TEST(FaultInjectorTest, RedeliverKeepsEveryOriginalRow) {
     const auto it = have.find(line);
     ASSERT_NE(it, have.end()) << "lost row: " << line;
     have.erase(it);
+  }
+}
+
+// A writer that corrupts rows as it emits them (acobe_gen) must land the
+// bytes Corrupt() makes of the finished file.
+TEST(FaultInjectorTest, RowByRowEqualsWholeFile) {
+  const LogStore store = MakeRichStore();
+  for (const bool redeliver : {false, true}) {
+    for (const Stream& stream : AllStreams()) {
+      SCOPED_TRACE(std::string(stream.name) +
+                   (redeliver ? " redeliver" : " destructive"));
+      const std::string clean = Render(stream, store);
+      FaultInjectorConfig cfg;
+      cfg.rate = 0.4;
+      cfg.seed = 21;
+      cfg.redeliver = redeliver;
+      const FaultInjector inj(cfg);
+      const std::uint64_t key = Crc32(std::string(stream.name));
+
+      std::string whole = clean;
+      const FaultReport expected = inj.Corrupt(whole, key);
+      ASSERT_GT(expected.rows_corrupted, 0u);
+
+      const std::size_t header_end = clean.find('\n') + 1;
+      std::string rows = clean.substr(0, header_end);
+      FaultReport report;
+      std::size_t index = 0;
+      for (std::size_t pos = header_end; pos < clean.size();) {
+        const std::size_t eol = clean.find('\n', pos);
+        inj.CorruptRow(std::string_view(clean).substr(pos, eol - pos), key,
+                       index++, rows, report);
+        rows += '\n';
+        pos = eol + 1;
+      }
+      EXPECT_EQ(rows, whole);
+      EXPECT_EQ(report.rows_seen, expected.rows_seen);
+      EXPECT_EQ(report.rows_corrupted, expected.rows_corrupted);
+      EXPECT_EQ(report.bytes_flipped, expected.bytes_flipped);
+      EXPECT_EQ(report.rows_truncated, expected.rows_truncated);
+      EXPECT_EQ(report.rows_duplicated, expected.rows_duplicated);
+    }
   }
 }
 

@@ -555,9 +555,8 @@ void AppendDeptLedger(RunLedger& ledger, const DeptResult& result,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The parsed command line.
+struct DetectArgs {
   std::string in_dir;
   Date train_end_date;
   std::optional<Date> test_end_date;
@@ -567,53 +566,16 @@ int main(int argc, char** argv) {
   int shards = 8;
   bool resume = false;
   IngestOptions ingest;
-  ingest.ts_min = kPlausibleTsMin;
-  ingest.ts_max = kPlausibleTsMax;
+};
 
-  cli::Flags flags("acobe-detect", kUsage, DetectBuildInfo());
-  flags.Str("--in", &in_dir, cli::kRequired)
-      .Day("--train-end", &train_end_date, cli::kRequired)
-      .Day("--test-end", &test_end_date)
-      .Int("--omega", &omega, 2)
-      .Int("--epochs", &epochs, 1)
-      .Int("--votes", &votes, 1)
-      .Int("--top", &top, 1)
-      .Int("--threads", &threads, 0)
-      .Value("--ingest",
-             [&](const char* v) { ingest.policy = IngestPolicyFromString(v); })
-      .Real("--error-budget", &ingest.error_budget, 0.0, 1.0)
-      .Str("--quarantine-dir", &quarantine_dir)
-      .Switch("--stream", nullptr)  // spooling is the only data plane
-      .Int("--shards", &shards, 1, 65536)
-      .Str("--spool-dir", &spool_dir)
-      .Str("--checkpoint-dir", &checkpoint_dir)
-      .Switch("--resume", &resume)
-      .Str("--explain-out", &explain_out)
-      .Str("--ledger-out", &ledger_out);
-  cli::Observability obs(flags, cli::kMetricsOut | cli::kTraceOut |
-                                    cli::kHealthOut | cli::kPromOut);
-  flags.Parse(argc, argv);
-  if (resume && checkpoint_dir.empty()) {
-    flags.UsageError("--resume requires --checkpoint-dir");
-  }
-  ingest.threads = threads;
-  if (ingest.policy == IngestPolicy::kQuarantine && !quarantine_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(quarantine_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "acobe-detect: cannot create %s: %s\n",
-                   quarantine_dir.c_str(), ec.message().c_str());
-      return kExitFailure;
-    }
-  }
-  if (spool_dir.empty()) spool_dir = in_dir + "/.acobe-spool";
+/// One run, from ingest to the written outputs. Returns the exit code.
+int Run(const DetectArgs& args) {
+  health::SetStage("ingest", 5);  // the five CERT CSVs
   // Provenance is driven by the output flags: asking for an explain
   // report or a ledger turns attribution + drift on; neither flag, and
   // the detection path runs exactly as before (bit-identical scores).
-  const bool provenance = !explain_out.empty() || !ledger_out.empty();
-
-  if (!obs.Start()) return kExitFailure;
-  health::SetStage("ingest", 5);  // the five CERT CSVs
+  const bool provenance =
+      !args.explain_out.empty() || !args.ledger_out.empty();
 
   // --- ingest (pass A) -----------------------------------------------------
   // Only the entity catalog stays resident; packed events spool to
@@ -635,7 +597,7 @@ int main(int argc, char** argv) {
                  "cleanly\n",
                  where);
     if (spooler) spooler->Remove();
-    if (!ledger_out.empty()) {
+    if (!args.ledger_out.empty()) {
       RunLedger aborted;
       aborted.Append(MakeManifestEvent("acobe-detect", DetectBuildInfo()));
       LedgerEvent ev("run_aborted");
@@ -644,14 +606,14 @@ int main(int argc, char** argv) {
           .Str("stage", where)
           .Raw("stages", health::StageTimesJson());
       aborted.Append(ev);
-      if (aborted.WriteFile(ledger_out)) {
-        std::fprintf(stderr, "wrote %s (aborted)\n", ledger_out.c_str());
+      if (aborted.WriteFile(args.ledger_out)) {
+        std::fprintf(stderr, "wrote %s (aborted)\n", args.ledger_out.c_str());
       } else {
         std::fprintf(stderr, "acobe-detect: cannot write %s\n",
-                     ledger_out.c_str());
+                     args.ledger_out.c_str());
       }
     }
-    return obs.Finish("aborted", kExitAborted);
+    return kExitAborted;
   };
 
   // Spool I/O failure: the spooler throws filesystem_error or
@@ -662,28 +624,29 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "acobe-detect: cannot spool under %s: %s (use "
                  "--spool-dir=DIR to spool elsewhere)\n",
-                 spool_dir.c_str(), e.what());
+                 args.spool_dir.c_str(), e.what());
     return kExitFailure;
   };
 
   try {
     // The roster first: departments define the shard routing. Always
     // strict — a dropped ldap row silently deletes a user.
-    IngestOptions roster = ingest;
+    IngestOptions roster = args.ingest;
     roster.policy = IngestPolicy::kStrict;
     const bool have_roster = ReadOneCsv(
-        in_dir, "ldap.csv", roster, quarantine_dir, ingest_stats,
+        args.in_dir, "ldap.csv", roster, args.quarantine_dir, ingest_stats,
         file_digests, [&](std::istream& in, const IngestOptions& opts) {
           return ReadLdapCsv(in, tables, opts, "ldap.csv");
         });
     if (!have_roster || tables.ldap().empty()) {
-      std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
+      std::fprintf(stderr, "no readable logs under %s\n", args.in_dir.c_str());
       return kExitBadInput;
     }
     departments = tables.Departments();
     const int n_shards =
-        std::max(1, std::min(shards, static_cast<int>(departments.size())));
-    spooler = std::make_unique<ShardSpooler>(spool_dir, n_shards,
+        std::max(1, std::min(args.shards,
+                             static_cast<int>(departments.size())));
+    spooler = std::make_unique<ShardSpooler>(args.spool_dir, n_shards,
                                              kSpoolBufferBytes);
     std::map<std::string, int> dept_shard;
     for (std::size_t d = 0; d < departments.size(); ++d) {
@@ -695,13 +658,13 @@ int main(int argc, char** argv) {
     bool any = false;
     for (const CertEventCsv& csv : kCertEventCsvs) {
       any |= ReadOneCsv(
-          in_dir, csv.name, ingest, quarantine_dir, ingest_stats,
+          args.in_dir, csv.name, args.ingest, args.quarantine_dir, ingest_stats,
           file_digests, [&](std::istream& in, const IngestOptions& opts) {
             return csv.read(in, tables, *spooler, opts, csv.name);
           });
     }
     if (!any) {
-      std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
+      std::fprintf(stderr, "no readable logs under %s\n", args.in_dir.c_str());
       return kExitBadInput;
     }
     if (ShutdownRequested()) return abort_run("ingest");
@@ -744,10 +707,10 @@ int main(int argc, char** argv) {
   }
 
   const int train_end =
-      static_cast<int>(DaysBetween(start, train_end_date));
+      static_cast<int>(DaysBetween(start, args.train_end_date));
   const int test_end =
-      test_end_date
-          ? static_cast<int>(DaysBetween(start, *test_end_date)) + 1
+      args.test_end_date
+          ? static_cast<int>(DaysBetween(start, *args.test_end_date)) + 1
           : days;
   if (train_end <= 0 || train_end >= test_end) {
     std::fprintf(stderr,
@@ -756,36 +719,36 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
 
-  DetectorSpec spec = AcobeSpec(omega, epochs, votes);
-  spec.ensemble.threads = threads;  // deviation inherits via Detector::Run
-  spec.ensemble.resume = resume;
+  DetectorSpec spec = AcobeSpec(args.omega, args.epochs, args.votes);
+  spec.ensemble.threads = args.threads;  // deviation inherits via Detector::Run
+  spec.ensemble.resume = args.resume;
   if (provenance) {
     spec.attribution.enabled = true;
-    spec.attribution.top_users = top;
+    spec.attribution.top_users = args.top;
     spec.drift.enabled = true;
   }
 
   // Ledger groundwork: the answer key (provenance-only, skipped without
   // --explain-out/--ledger-out) and the dataset digest.
   std::map<std::string, std::pair<Date, Date>> truth;
-  if (provenance) truth = LoadTruth(in_dir);
+  if (provenance) truth = LoadTruth(args.in_dir);
   const std::uint32_t dataset_digest = DigestDataset(file_digests);
 
   RunLedger ledger;
-  if (!ledger_out.empty()) {
+  if (!args.ledger_out.empty()) {
     LedgerEvent manifest =
         MakeManifestEvent("acobe-detect", DetectBuildInfo());
-    manifest.Str("in", in_dir)
+    manifest.Str("in", args.in_dir)
         .Int("dataset_digest", dataset_digest)
         .Str("start", start.ToString())
         .Str("train_end", start.AddDays(train_end).ToString())
         .Str("test_end", start.AddDays(test_end).ToString())
-        .Int("omega", omega)
-        .Int("epochs", epochs)
-        .Int("votes", votes)
-        .Int("threads", threads)
+        .Int("omega", args.omega)
+        .Int("epochs", args.epochs)
+        .Int("votes", args.votes)
+        .Int("threads", args.threads)
         .Int("seed", static_cast<std::int64_t>(spec.ensemble.seed))
-        .Bool("resume", resume)
+        .Bool("resume", args.resume)
         .Bool("truth_present", !truth.empty());
     ledger.Append(manifest);
   }
@@ -823,9 +786,9 @@ int main(int argc, char** argv) {
     if (members.size() < kMinDepartmentUsers) continue;
     std::vector<DepartmentJob>& jobs = detect_shards[d % n_shards].jobs;
     jobs.push_back({departments[d], std::move(members), spec});
-    if (!checkpoint_dir.empty()) {
+    if (!args.checkpoint_dir.empty()) {
       jobs.back().spec.ensemble.checkpoint_dir =
-          checkpoint_dir + "/" + SanitizePathComponent(departments[d]);
+          args.checkpoint_dir + "/" + SanitizePathComponent(departments[d]);
     }
   }
   std::vector<const std::string*> job_names;  // (shard, job) order
@@ -840,7 +803,7 @@ int main(int argc, char** argv) {
   health::SetStage("detect", job_names.size() * dept_units);
   std::vector<DetectionOutput> outs;
   try {
-    outs = DetectDepartments(detect_shards, window, threads, proceed);
+    outs = DetectDepartments(detect_shards, window, args.threads, proceed);
   } catch (const CheckpointMismatch& e) {
     std::fprintf(stderr, "acobe-detect: corrupt artifact: %s\n", e.what());
     return kExitCorruptArtifact;
@@ -884,42 +847,94 @@ int main(int argc, char** argv) {
   health::SetStage("write");
   for (const DeptResult& result : results) {
     PrintDeptResult(result, tables, meta.catalog(), meta.partition(), start,
-                    top);
-    if (!ledger_out.empty()) {
-      AppendDeptLedger(ledger, result, tables, top, truth);
+                    args.top);
+    if (!args.ledger_out.empty()) {
+      AppendDeptLedger(ledger, result, tables, args.top, truth);
     }
   }
 
   int exit_code = 0;
-  if (!explain_out.empty()) {
+  if (!args.explain_out.empty()) {
     try {
-      WriteFileAtomic(explain_out, [&](std::ostream& out) {
+      WriteFileAtomic(args.explain_out, [&](std::ostream& out) {
         WriteExplainJson(out, results, tables, meta.catalog(),
-                         meta.partition(), start, in_dir, dataset_digest,
-                         train_end, test_end, top);
+                         meta.partition(), start, args.in_dir, dataset_digest,
+                         train_end, test_end, args.top);
       });
-      std::fprintf(stderr, "wrote %s\n", explain_out.c_str());
+      std::fprintf(stderr, "wrote %s\n", args.explain_out.c_str());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "acobe-detect: cannot write %s: %s\n",
-                   explain_out.c_str(), e.what());
+                   args.explain_out.c_str(), e.what());
       exit_code = kExitFailure;
     }
   }
-  if (!ledger_out.empty()) {
+  if (!args.ledger_out.empty()) {
     LedgerEvent done("run_complete");
     done.Int("departments", static_cast<std::int64_t>(results.size()))
         .Int("events", static_cast<std::int64_t>(ledger.event_count() + 1))
         .Int("peak_rss_bytes", static_cast<std::int64_t>(PeakRssBytes()))
         .Raw("stages", health::StageTimesJson());
     ledger.Append(done);
-    if (!ledger.WriteFile(ledger_out)) {
+    if (!ledger.WriteFile(args.ledger_out)) {
       std::fprintf(stderr, "acobe-detect: cannot write %s\n",
-                   ledger_out.c_str());
+                   args.ledger_out.c_str());
       exit_code = kExitFailure;
     } else {
-      std::fprintf(stderr, "wrote %s\n", ledger_out.c_str());
+      std::fprintf(stderr, "wrote %s\n", args.ledger_out.c_str());
     }
   }
 
-  return obs.Finish("done", exit_code);
+  return exit_code;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  DetectArgs args;
+  args.ingest.ts_min = kPlausibleTsMin;
+  args.ingest.ts_max = kPlausibleTsMax;
+
+  cli::Flags flags("acobe-detect", kUsage, DetectBuildInfo());
+  flags.Str("--in", &args.in_dir, cli::kRequired)
+      .Day("--train-end", &args.train_end_date, cli::kRequired)
+      .Day("--test-end", &args.test_end_date)
+      .Int("--omega", &args.omega, 2)
+      .Int("--epochs", &args.epochs, 1)
+      .Int("--votes", &args.votes, 1)
+      .Int("--top", &args.top, 1)
+      .Int("--threads", &args.threads, 0)
+      .Value("--ingest",
+             [&](const char* v) {
+               args.ingest.policy = IngestPolicyFromString(v);
+             })
+      .Real("--error-budget", &args.ingest.error_budget, 0.0, 1.0)
+      .Str("--quarantine-dir", &args.quarantine_dir)
+      .Switch("--stream", nullptr)  // spooling is the only data plane
+      .Int("--shards", &args.shards, 1, 65536)
+      .Str("--spool-dir", &args.spool_dir)
+      .Str("--checkpoint-dir", &args.checkpoint_dir)
+      .Switch("--resume", &args.resume)
+      .Str("--explain-out", &args.explain_out)
+      .Str("--ledger-out", &args.ledger_out);
+  cli::Observability obs(flags, cli::kMetricsOut | cli::kTraceOut |
+                                    cli::kHealthOut | cli::kPromOut);
+  flags.Parse(argc, argv);
+  if (args.resume && args.checkpoint_dir.empty()) {
+    flags.UsageError("--resume requires --checkpoint-dir");
+  }
+  args.ingest.threads = args.threads;
+  if (args.ingest.policy == IngestPolicy::kQuarantine &&
+      !args.quarantine_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(args.quarantine_dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "acobe-detect: cannot create %s: %s\n",
+                   args.quarantine_dir.c_str(), ec.message().c_str());
+      return kExitFailure;
+    }
+  }
+  if (args.spool_dir.empty()) args.spool_dir = args.in_dir + "/.acobe-spool";
+
+  if (!obs.Start()) return kExitFailure;
+  return obs.Finish(Run(args));
 }

@@ -7,48 +7,44 @@
 //             [--start=YYYY-MM-DD] [--end=YYYY-MM-DD] [--rate=R]
 //             [--scenario1=DEPT:YYYY-MM-DD:DAYS]...
 //             [--scenario2=DEPT:YYYY-MM-DD:DAYS]...
-//             [--stream] [--shards=N]
 //             [--corrupt-rate=R] [--corrupt-seed=S]
 //             [--metrics-out=FILE] [--trace-out=FILE]
 //             [--health-out=FILE] [--health-interval-ms=N]
 //
-// --corrupt-rate: after simulation, deterministically corrupt that
-// fraction of data rows in the four event CSVs (byte flips, truncated
-// rows, duplicated rows — see simdata/fault_injector.h) to exercise
+// One whole-org simulator runs day by day and its rows stream straight
+// into the CSVs, each file in stable timestamp order: before day d is
+// simulated, every buffered event stamped before d's midnight is
+// written, so memory holds about one org-day of events plus the entity
+// tables, whatever the org size or date range. DIR is created once the
+// scenarios are planted, and every file is written as an AtomicFile
+// (common/faults.h): a .tmp sibling, fsynced and renamed into place at
+// the end, so an interrupted run leaves no torn CSV.
+//
+// --corrupt-rate: deterministically corrupt that fraction of data rows
+// in the four event CSVs (byte flips, truncated rows, duplicated rows —
+// see simdata/fault_injector.h) as they are written, to exercise
 // ingestion fault tolerance. ldap.csv and truth.csv are never
 // corrupted: they define the population and the answer key, not the
 // event feed under test.
-//
-// Out-of-core mode: --stream simulates the organization in department
-// shards (--shards, default 16), appending each shard's rows straight
-// to the output CSVs instead of materializing every event in memory
-// first, so a 100k-user or 1M-user org generates in bounded RSS. The
-// org-wide environmental-change schedule is resolved once by a probe
-// simulator and shared by every shard, so group-correlated bursts stay
-// org-wide; user names, PCs and the ground truth are identical in
-// structure to the in-memory path. The sampled events themselves are
-// NOT byte-identical to a non-streamed run (each shard draws from its
-// own seeded stream, and rows land ordered by day within shard rather
-// than globally by timestamp) — both detectors re-order by day on
-// ingest, so either layout is valid input. --stream excludes
-// --corrupt-rate, which needs the rendered file in memory.
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
-#include <fstream>
-#include <functional>
+#include <filesystem>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
-
-#include <unistd.h>
 
 #include "cli_util.h"
 #include "common/faults.h"
 #include "common/health.h"
 #include "common/shutdown.h"
 #include "common/telemetry.h"
+#include "common/timeframe.h"
 #include "common/trace.h"
 #include "logs/log_io.h"
 #include "simdata/cert_simulator.h"
@@ -97,13 +93,9 @@ constexpr const char kUsage[] =
     "acobe-gen --out=DIR [--users=N] [--departments=N] [--seed=S]\n"
     "          [--start=YYYY-MM-DD] [--end=YYYY-MM-DD] [--rate=R]\n"
     "          [--scenario1=DEPT:DATE:DAYS] [--scenario2=DEPT:DATE:DAYS]\n"
-    "          [--stream] [--shards=N]\n"
     "          [--corrupt-rate=R] [--corrupt-seed=S]\n"
     "          [--metrics-out=FILE] [--trace-out=FILE]\n"
     "          [--health-out=FILE] [--health-interval-ms=N] [--version]\n"
-    "  --stream          generate in department shards, appending to the\n"
-    "                    CSVs as each shard completes (bounded memory)\n"
-    "  --shards=N        department shards in --stream mode (default 16)\n"
     "  --corrupt-rate=R  corrupt fraction R of event-CSV rows (0..1)\n"
     "  --corrupt-seed=S  fault-injection seed (default 99)\n"
     "  --health-out=F    append live heartbeat JSONL to F (watch with\n"
@@ -111,191 +103,154 @@ constexpr const char kUsage[] =
     "  --health-interval-ms=N  heartbeat period (default 1000)\n"
     "  --version         print build identity and exit\n";
 
-/// One output CSV landed with the same tmp-then-rename discipline as
-/// WriteFileAtomic, but held open across the shard loop so rows stream
-/// straight to disk instead of being rendered in memory first. An
-/// interrupted run leaves only .tmp files behind, never a torn CSV.
-class StreamedCsv {
- public:
-  explicit StreamedCsv(std::string path)
-      : path_(std::move(path)),
-        tmp_(path_ + ".tmp." + std::to_string(static_cast<long>(::getpid()))),
-        out_(tmp_, std::ios::binary | std::ios::trunc) {}
+/// One event CSV: the rows of the current flush, rendered, and the
+/// file they are appended to, corrupted row by row on the way.
+struct EventCsv {
+  EventCsv(const std::string& out_dir, const char* csv_name)
+      : name(csv_name),
+        key(Crc32(csv_name)),
+        file(out_dir + "/" + csv_name) {}
 
-  ~StreamedCsv() {
-    if (!committed_) {
-      out_.close();
-      std::remove(tmp_.c_str());
+  /// Appends the rendered rows to the file. The injector numbers data
+  /// rows across the whole file, as FaultInjector::Corrupt does.
+  void Drain(const sim::FaultInjector* injector) {
+    const std::string text = std::move(rows).str();  // leaves rows empty
+    if (injector == nullptr) {
+      file.stream() << text;
+      return;
     }
+    std::string out;
+    out.reserve(text.size() + text.size() / 16);
+    for (std::size_t pos = 0; pos < text.size();) {
+      std::size_t eol = text.find('\n', pos);
+      if (eol == std::string::npos) eol = text.size();
+      injector->CorruptRow(std::string_view(text).substr(pos, eol - pos), key,
+                           data_rows++, out, faults);
+      out += '\n';
+      pos = eol + 1;
+    }
+    file.stream() << out;
   }
 
-  std::ostream& stream() { return out_; }
-  bool ok() const { return static_cast<bool>(out_); }
-  const std::string& path() const { return path_; }
-
-  /// Flush and rename into place. False on any I/O error.
-  bool Commit() {
-    out_.flush();
-    if (!out_) return false;
-    out_.close();
-    if (std::rename(tmp_.c_str(), path_.c_str()) != 0) return false;
-    committed_ = true;
-    return true;
-  }
-
- private:
-  std::string path_;
-  std::string tmp_;
-  std::ofstream out_;
-  bool committed_ = false;
+  const char* name;
+  std::uint64_t key;  // the injector's per-file fault stream
+  AtomicFile file;
+  std::ostringstream rows;
+  std::size_t data_rows = 0;
+  sim::FaultReport faults;
 };
 
-/// The --stream path: per-shard simulation appended to shared CSVs.
-int GenerateStreamed(sim::CertSimConfig base,
-                     const std::vector<ScenarioArg>& scenarios,
-                     const std::string& out_dir, int shards) {
-  const int total_depts = base.org.departments;
-  const int n_shards = std::max(1, std::min(shards, total_depts));
-
-  // Probe: resolve the org-wide environmental-change schedule once,
-  // from the base seed, and hand the result to every shard. Without
-  // this each shard's mixed seed would sample its own schedule and the
-  // "org-wide" bursts would stop being org-wide.
-  {
-    sim::CertSimConfig probe_cfg = base;
-    probe_cfg.org.departments = 1;
-    probe_cfg.org.users_per_department = 1;
-    probe_cfg.org.extra_users = 0;
-    LogStore probe_store;
-    const sim::CertSimulator probe(probe_cfg, probe_store);
-    base.env_changes = probe.env_changes();
-    base.default_env_changes = false;
+/// The simulator's sink. It buffers the four CERT event streams and
+/// lands each in its file in stable timestamp order, one day at a time:
+/// Flush(midnight(d)) writes every buffered event stamped before d and
+/// keeps the rest (a logoff past midnight). The simulator never stamps
+/// an event before its day's midnight, so the files equal a stable sort
+/// of the whole run's events; an event that breaks that would land out
+/// of order, and Consume throws std::logic_error instead. Email events
+/// have no CERT file and are dropped.
+class DayOrderedCsvWriter : public LogSink {
+ public:
+  DayOrderedCsvWriter(const EntityCatalog& tables, const std::string& out_dir,
+                      const sim::FaultInjector* injector)
+      : logon_(out_dir, "logon.csv"),
+        device_(out_dir, "device.csv"),
+        file_(out_dir, "file.csv"),
+        http_(out_dir, "http.csv"),
+        sink_(tables, &logon_.rows, &device_.rows, &file_.rows, &http_.rows),
+        injector_(injector) {
+    // The headers the sink wrote are not data rows: never corrupted.
+    for (EventCsv* csv : files()) csv->Drain(nullptr);
   }
 
-  StreamedCsv device(out_dir + "/device.csv");
-  StreamedCsv file(out_dir + "/file.csv");
-  StreamedCsv http(out_dir + "/http.csv");
-  StreamedCsv logon(out_dir + "/logon.csv");
-  StreamedCsv ldap(out_dir + "/ldap.csv");
-  for (StreamedCsv* csv : {&device, &file, &http, &logon, &ldap}) {
-    if (!csv->ok()) {
-      std::fprintf(stderr, "acobe-gen: cannot open %s for writing\n",
-                   csv->path().c_str());
-      return kExitFailure;
-    }
+  void Consume(const LogonEvent& e) override { Buffer(logons_, e); }
+  void Consume(const DeviceEvent& e) override { Buffer(devices_, e); }
+  void Consume(const FileEvent& e) override { Buffer(file_events_, e); }
+  void Consume(const HttpEvent& e) override { Buffer(http_events_, e); }
+  void Consume(const EmailEvent&) override {}
+  void Consume(const EnterpriseEvent&) override {}
+  void Consume(const ProxyEvent&) override {}
+
+  /// Writes every buffered event stamped before `bound`; from here on
+  /// an event stamped before `bound` is an error.
+  void Flush(Timestamp bound) {
+    WriteBefore(logons_, bound, logon_);
+    WriteBefore(devices_, bound, device_);
+    WriteBefore(file_events_, bound, file_);
+    WriteBefore(http_events_, bound, http_);
+    floor_ = bound;
   }
 
-  std::vector<sim::InsiderScenario> all_scenarios;
-  std::size_t total_events = 0, total_users = 0;
-  health::SetStage("simulate", static_cast<std::uint64_t>(n_shards));
-  for (int s = 0; s < n_shards; ++s) {
-    if (ShutdownRequested()) {
-      // The StreamedCsv destructors remove the .tmp files; nothing
-      // half-written ever carries the real CSV names.
-      std::fprintf(stderr,
-                   "acobe-gen: shutdown requested during simulate; aborting "
-                   "cleanly\n");
-      return kExitAborted;
-    }
-    health::SetStageDetail("shard " + std::to_string(s + 1) + "/" +
-                           std::to_string(n_shards));
-    const int lo = static_cast<int>(
-        static_cast<std::int64_t>(total_depts) * s / n_shards);
-    const int hi = static_cast<int>(
-        static_cast<std::int64_t>(total_depts) * (s + 1) / n_shards);
-    sim::CertSimConfig cfg = base;
-    cfg.org.first_department = lo;
-    cfg.org.departments = hi - lo;
-    // Users are numbered globally; department 0 carries the extras.
-    cfg.org.first_ordinal = lo * base.org.users_per_department +
-                            (lo > 0 ? base.org.extra_users : 0);
-    // Mix the shard index into the seed: reusing the base seed would
-    // restart every shard's per-user RNG forks at user.id 0 and clone
-    // the same behavior profiles across shards.
-    cfg.seed = base.seed ^ (0x9E3779B97F4A7C15ull * (s + 1));
-
-    LogStore shard_store;
-    sim::CertSimulator simulator(cfg, shard_store);
-    for (const ScenarioArg& sc : scenarios) {
-      if (sc.department < lo || sc.department >= hi) continue;
-      // Returning runs the StreamedCsv destructors, which remove the
-      // .tmp files.
-      if (!Plant(simulator, sc)) return kExitUsage;
-    }
-
-    CsvEventSink sink(shard_store, &logon.stream(), &device.stream(),
-                      &file.stream(), &http.stream(),
-                      /*write_headers=*/s == 0);
-    {
-      telemetry::TraceSpan sim_span("gen.simulate");
-      simulator.Run(sink);
-    }
-    WriteLdapCsv(shard_store, ldap.stream(), /*write_header=*/s == 0);
-    for (const sim::InsiderScenario& sc : simulator.scenarios()) {
-      all_scenarios.push_back(sc);
-    }
-    total_events += sink.rows_written();
-    total_users += shard_store.users().size();
-    health::StageAdvance();
-    std::fprintf(stderr,
-                 "shard %d/%d: departments %d..%d, %zu users, %zu events\n",
-                 s + 1, n_shards, lo, hi - 1, shard_store.users().size(),
-                 sink.rows_written());
+  /// The event files in the CERT layout's write order.
+  std::array<EventCsv*, 4> files() {
+    return {&device_, &file_, &http_, &logon_};
   }
-  ACOBE_COUNT("gen.events_simulated", total_events);
-  ACOBE_GAUGE_SET("gen.users", total_users);
-  std::fprintf(stderr, "simulated %zu events for %zu users\n", total_events,
-               total_users);
+  std::size_t rows_written() const { return sink_.rows_written(); }
 
-  health::SetStage("write");
-  for (StreamedCsv* csv : {&device, &file, &http, &logon, &ldap}) {
-    if (!csv->Commit()) {
-      std::fprintf(stderr, "acobe-gen: cannot write %s\n",
-                   csv->path().c_str());
-      return kExitFailure;
+ private:
+  template <typename Event>
+  void Buffer(std::vector<Event>& events, const Event& e) {
+    if (e.ts < floor_) {
+      throw std::logic_error("event at " + std::to_string(e.ts) +
+                             " stamped before its day's midnight " +
+                             std::to_string(floor_));
     }
-    std::fprintf(stderr, "wrote %s\n", csv->path().c_str());
+    events.push_back(e);
   }
-  const std::string truth_path = out_dir + "/truth.csv";
-  try {
-    WriteFileAtomic(truth_path, [&](std::ostream& out) {
-      out << "user,anomaly_start,anomaly_end\n";
-      for (const sim::InsiderScenario& sc : all_scenarios) {
-        out << sc.user_name << ',' << sc.anomaly_start.ToString() << ','
-            << sc.anomaly_end.ToString() << '\n';
-      }
-    });
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "acobe-gen: cannot write %s: %s\n",
-                 truth_path.c_str(), e.what());
-    return kExitFailure;
+
+  template <typename Event>
+  void WriteBefore(std::vector<Event>& events, Timestamp bound,
+                   EventCsv& csv) {
+    std::stable_sort(
+        events.begin(), events.end(),
+        [](const Event& a, const Event& b) { return a.ts < b.ts; });
+    const auto end = std::partition_point(
+        events.begin(), events.end(),
+        [bound](const Event& e) { return e.ts < bound; });
+    for (auto it = events.begin(); it != end;) {
+      const auto chunk_end = it + std::min(end - it, kDrainRows);
+      for (; it != chunk_end; ++it) sink_.Consume(*it);
+      csv.Drain(injector_);
+    }
+    events.erase(events.begin(), end);
   }
-  std::fprintf(stderr, "wrote %s\n", truth_path.c_str());
-  return 0;
+
+  // Rows rendered per append to the file: bounds the text buffer.
+  static constexpr std::ptrdiff_t kDrainRows = 4096;
+
+  EventCsv logon_, device_, file_, http_;
+  CsvEventSink sink_;
+  const sim::FaultInjector* injector_;
+  Timestamp floor_ = std::numeric_limits<Timestamp>::min();
+  std::vector<LogonEvent> logons_;
+  std::vector<DeviceEvent> devices_;
+  std::vector<FileEvent> file_events_;
+  std::vector<HttpEvent> http_events_;
+};
+
+void Land(AtomicFile& file) {
+  file.Commit();
+  std::fprintf(stderr, "wrote %s\n", file.path().c_str());
 }
 
-/// The default path: simulate the whole org into one sorted store, then
-/// render each CSV in memory (optionally corrupted) and land it.
-int GenerateInMemory(const sim::CertSimConfig& config,
-                     const std::vector<ScenarioArg>& scenarios,
-                     const std::string& out_dir, double corrupt_rate,
-                     std::uint64_t corrupt_seed) {
-  LogStore store;
-  sim::CertSimulator simulator(config, store);
+/// Simulates the org day by day into DIR's six files. Throws
+/// std::runtime_error when an output cannot be written.
+int Generate(const sim::CertSimConfig& config,
+             const std::vector<ScenarioArg>& scenarios,
+             const std::string& out_dir, double corrupt_rate,
+             std::uint64_t corrupt_seed) {
+  LogStore tables;  // entity tables and roster only; events stream out
+  sim::CertSimulator simulator(config, tables);
   for (const ScenarioArg& s : scenarios) {
     if (!Plant(simulator, s)) return kExitUsage;
   }
-  health::SetStage("simulate", 1);
-  {
-    telemetry::TraceSpan sim_span("gen.simulate");
-    simulator.Run(store);
-    store.SortChronologically();
+
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "acobe-gen: cannot create %s: %s\n",
+                 out_dir.c_str(), ec.message().c_str());
+    return kExitFailure;
   }
-  health::StageAdvance();
-  ACOBE_COUNT("gen.events_simulated", store.TotalEvents());
-  ACOBE_GAUGE_SET("gen.users", store.users().size());
-  std::fprintf(stderr, "simulated %zu events for %zu users\n",
-               store.TotalEvents(), store.users().size());
 
   sim::FaultInjectorConfig fault_config;
   fault_config.rate = corrupt_rate;
@@ -306,76 +261,53 @@ int GenerateInMemory(const sim::CertSimConfig& config,
   fault_config.redeliver = true;
   const sim::FaultInjector injector(fault_config);
 
-  // Render in memory, one file at a time, optionally corrupt, then land
-  // on disk atomically so an interrupted acobe-gen never leaves a
-  // half-written CSV behind.
-  health::SetStage("write", 6);  // five CSVs + truth.csv
-  auto write = [&](const char* name, bool corruptible,
-                   const std::function<void(std::ostream&)>& render) {
-    const std::string path = out_dir + "/" + name;
-    std::ostringstream rendered;
-    {
-      ACOBE_SPAN2("logs.write", name);
-      render(rendered);
-    }
-    std::string text = rendered.str();
-    if (corruptible && corrupt_rate > 0.0) {
-      // Per-file key: each CSV draws an independent fault stream.
-      const sim::FaultReport report = injector.Corrupt(text, Crc32(name));
-      ACOBE_COUNT("gen.rows_corrupted", report.rows_corrupted);
-      std::fprintf(stderr, "corrupted %zu/%zu rows in %s\n",
-                   report.rows_corrupted, report.rows_seen, name);
-    }
-    try {
-      WriteFileAtomic(path, [&](std::ostream& out) { out << text; });
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "acobe-gen: cannot write %s: %s\n", path.c_str(),
-                   e.what());
-      std::exit(kExitFailure);
-    }
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-    health::StageAdvance();
-  };
-  // Each event CSV is the one stream of a CsvEventSink fed the store.
-  auto events = [&](std::ostream* logon, std::ostream* device,
-                    std::ostream* file, std::ostream* http) {
-    CsvEventSink(store, logon, device, file, http).ConsumeStore(store);
-  };
-  write("device.csv", /*corruptible=*/true, [&](std::ostream& out) {
-    events(nullptr, &out, nullptr, nullptr);
-  });
-  write("file.csv", /*corruptible=*/true, [&](std::ostream& out) {
-    events(nullptr, nullptr, &out, nullptr);
-  });
-  write("http.csv", /*corruptible=*/true, [&](std::ostream& out) {
-    events(nullptr, nullptr, nullptr, &out);
-  });
-  write("logon.csv", /*corruptible=*/true, [&](std::ostream& out) {
-    events(&out, nullptr, nullptr, nullptr);
-  });
-  write("ldap.csv", /*corruptible=*/false,
-        [&](std::ostream& out) { WriteLdapCsv(store, out); });
-
-  // Ground truth for evaluation (never corrupted: it is the answer key).
-  {
-    const std::string path = out_dir + "/truth.csv";
-    try {
-      WriteFileAtomic(path, [&](std::ostream& out) {
-        out << "user,anomaly_start,anomaly_end\n";
-        for (const auto& scenario : simulator.scenarios()) {
-          out << scenario.user_name << ',' << scenario.anomaly_start.ToString()
-              << ',' << scenario.anomaly_end.ToString() << '\n';
-        }
-      });
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "acobe-gen: cannot write %s: %s\n", path.c_str(),
-                   e.what());
-      return kExitFailure;
-    }
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-    health::StageAdvance();
+  // Every output is opened (and DIR proven writable) before day 1.
+  DayOrderedCsvWriter writer(tables, out_dir,
+                             corrupt_rate > 0.0 ? &injector : nullptr);
+  AtomicFile ldap(out_dir + "/ldap.csv");
+  AtomicFile truth(out_dir + "/truth.csv");
+  // The roster and the answer key are fixed once the scenarios are in.
+  WriteLdapCsv(tables, ldap.stream());
+  truth.stream() << "user,anomaly_start,anomaly_end\n";
+  for (const sim::InsiderScenario& sc : simulator.scenarios()) {
+    truth.stream() << sc.user_name << ',' << sc.anomaly_start.ToString()
+                   << ',' << sc.anomaly_end.ToString() << '\n';
   }
 
+  const std::int64_t days = DaysBetween(config.start, config.end) + 1;
+  health::SetStage("simulate", static_cast<std::uint64_t>(days));
+  for (Date date = config.start; date <= config.end; date = date.AddDays(1)) {
+    if (ShutdownRequested()) {
+      // Returning runs the AtomicFile destructors, which remove the
+      // .tmp files.
+      std::fprintf(stderr,
+                   "acobe-gen: shutdown requested during simulate; aborting "
+                   "cleanly\n");
+      return kExitAborted;
+    }
+    writer.Flush(MakeTimestamp(date, 0));
+    telemetry::TraceSpan sim_span("gen.simulate");
+    simulator.RunDay(date, writer);
+    health::StageAdvance();
+  }
+  writer.Flush(std::numeric_limits<Timestamp>::max());
+  ACOBE_COUNT("gen.events_simulated", writer.rows_written());
+  ACOBE_GAUGE_SET("gen.users", tables.users().size());
+  std::fprintf(stderr, "simulated %zu events for %zu users\n",
+               writer.rows_written(), tables.users().size());
+  if (corrupt_rate > 0.0) {
+    for (const EventCsv* csv : writer.files()) {
+      ACOBE_COUNT("gen.rows_corrupted", csv->faults.rows_corrupted);
+      std::fprintf(stderr, "corrupted %zu/%zu rows in %s\n",
+                   csv->faults.rows_corrupted, csv->faults.rows_seen,
+                   csv->name);
+    }
+  }
+
+  health::SetStage("write");
+  for (EventCsv* csv : writer.files()) Land(csv->file);
+  Land(ldap);
+  Land(truth);
   return 0;
 }
 
@@ -391,8 +323,6 @@ int main(int argc, char** argv) {
   std::vector<ScenarioArg> scenarios;
   double corrupt_rate = 0.0;
   std::uint64_t corrupt_seed = 99;
-  bool stream = false;
-  int shards = 16;
 
   cli::Flags flags("acobe-gen", kUsage);
   flags.Str("--out", &out_dir, cli::kRequired)
@@ -402,8 +332,6 @@ int main(int argc, char** argv) {
       .Day("--start", &config.start)
       .Day("--end", &config.end)
       .Real("--rate", &config.profiles.rate_scale, 0.0, 1e6)
-      .Switch("--stream", &stream)
-      .Int("--shards", &shards, 1, 65536)
       .Real("--corrupt-rate", &corrupt_rate, 0.0, 1.0)
       .U64("--corrupt-seed", &corrupt_seed)
       .Value("--scenario1",
@@ -425,21 +353,14 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
   }
-  if (stream && corrupt_rate > 0.0) {
-    flags.UsageError(
-        "--corrupt-rate is not supported with --stream (fault injection "
-        "needs the rendered file in memory)");
-  }
   if (!obs.Start()) return kExitFailure;
 
-  const int code =
-      stream ? GenerateStreamed(config, scenarios, out_dir, shards)
-             : GenerateInMemory(config, scenarios, out_dir, corrupt_rate,
-                                corrupt_seed);
-  // The final heartbeat lands in every outcome, so a supervisor
-  // watching the health file sees how the run ended.
-  return obs.Finish(code == 0                ? "done"
-                    : code == kExitAborted ? "aborted"
-                                           : "failed",
-                    code);
+  int code;
+  try {
+    code = Generate(config, scenarios, out_dir, corrupt_rate, corrupt_seed);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "acobe-gen: %s\n", e.what());
+    code = kExitFailure;
+  }
+  return obs.Finish(code);
 }

@@ -413,5 +413,5 @@ int main(int argc, char** argv) {
     exit_code = kExitFailure;
   }
 
-  return obs.Finish("done", exit_code);
+  return obs.Finish(exit_code);
 }

@@ -3,8 +3,8 @@
 
 Runs the full pipeline at a configurable scale:
 
-    acobe_gen --stream  ->  acobe_detect --shards=N
-                        ->  acobe_detect --shards=1  (single-shard reference)
+    acobe_gen  ->  acobe_detect --shards=N
+               ->  acobe_detect --shards=1  (single-shard reference)
 
 and writes an acobe.metrics.v1 JSON with throughput (users/sec,
 events/sec, deviation matrices/sec) and peak-RSS gauges for each stage.
@@ -132,12 +132,10 @@ def main():
     gauges[f"{p}.departments"] = args.departments
     gauges[f"{p}.days"] = args.days
     try:
-        # --- generate (streamed) -------------------------------------
+        # --- generate ----------------------------------------------
         gen_metrics = os.path.join(scratch, "gen.json")
         gen_secs = run_timed(
-            [gen, f"--out={data_dir}", "--stream",
-             f"--shards={max(2, args.shards)}",
-             f"--users={args.users}", f"--departments={args.departments}",
+            [gen, f"--out={data_dir}", f"--users={args.users}", f"--departments={args.departments}",
              f"--seed={args.seed}", f"--rate={args.rate}",
              f"--start={start_day}", f"--end={end}",
              f"--metrics-out={gen_metrics}"],

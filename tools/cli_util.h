@@ -282,11 +282,15 @@ class Observability {
     return health::StartHealth(opts);
   }
 
-  /// Lands the final heartbeat at `stage`, the stderr run report and
-  /// the metrics, trace and Prometheus files. Returns `exit_code`, or
-  /// kExitFailure in place of 0 when a file could not be written.
-  int Finish(const char* stage, int exit_code) const {
-    health::SetStage(stage);
+  /// Lands the final heartbeat, the stderr run report and the metrics,
+  /// trace and Prometheus files. The heartbeat's stage follows from
+  /// `exit_code`: 0 is "done", kExitAborted "aborted", anything else
+  /// "failed". Returns `exit_code`, or kExitFailure in place of 0 when
+  /// a file could not be written.
+  int Finish(int exit_code) const {
+    health::SetStage(exit_code == 0              ? "done"
+                     : exit_code == kExitAborted ? "aborted"
+                                                 : "failed");
     health::StopHealth();  // the final heartbeat carries the span profile
     bool ok = telemetry::FlushTelemetry(tool_, metrics_out_, trace_out_,
                                         std::cerr);
