@@ -86,7 +86,6 @@ CertData BuildCertData(const CertExperimentConfig& config) {
         data.start, data.days, TimeFramePartition::Hourly());
     sinks.push_back(data.coarse.get());
   }
-  if (config.buffer_events) sinks.push_back(&data.store);
   TeeSink tee(std::move(sinks));
   simulator.Run(tee);
 

@@ -32,9 +32,6 @@ struct CertExperimentConfig {
   /// testing runs until this many days after them (Section V.A.2).
   int train_gap_days = 30;
   int test_tail_days = 30;
-  /// Also buffer raw events into the store (memory-heavy; only for
-  /// small runs that want CSV export).
-  bool buffer_events = false;
   /// Which cubes to extract (hourly cubes are memory-heavy at paper
   /// scale; skip the ones the planned variants do not need).
   bool build_fine = true;
@@ -48,7 +45,7 @@ struct ScenarioWindows {
 };
 
 struct CertData {
-  LogStore store;  // entity tables, LDAP (+ events when buffered)
+  LogStore store;  // entity tables and LDAP; events go to the extractors
   std::unique_ptr<CertAcobeExtractor> fine;         // T=2 work/off
   std::unique_ptr<CertAcobeExtractor> fine_hourly;  // T=24 (Base-FF)
   std::unique_ptr<CertCoarseExtractor> coarse;      // T=24 (Baseline)

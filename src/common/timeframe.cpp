@@ -10,11 +10,7 @@ Timestamp MakeTimestamp(const Date& date, int hour, int minute, int second) {
   return date.DayNumber() * kSecondsPerDay + hour * 3600 + minute * 60 + second;
 }
 
-Date DateOf(Timestamp ts) {
-  std::int64_t days = ts / kSecondsPerDay;
-  if (ts < 0 && ts % kSecondsPerDay != 0) --days;
-  return Date::FromDayNumber(days);
-}
+Date DateOf(Timestamp ts) { return Date::FromDayNumber(DayOf(ts)); }
 
 int HourOf(Timestamp ts) {
   std::int64_t sod = ts % kSecondsPerDay;

@@ -24,6 +24,12 @@ constexpr std::int64_t kSecondsPerDay = 86400;
 Timestamp MakeTimestamp(const Date& date, int hour, int minute = 0,
                         int second = 0);
 
+/// The day number (days since 1970-01-01) a timestamp falls on, floor-
+/// divided so pre-epoch timestamps land on the right day.
+constexpr std::int64_t DayOf(Timestamp ts) {
+  return ts / kSecondsPerDay - (ts % kSecondsPerDay < 0 ? 1 : 0);
+}
+
 /// The date a timestamp falls on.
 Date DateOf(Timestamp ts);
 

@@ -113,8 +113,8 @@ void ReplayStore(const LogStore& store, LogSink& sink) {
   scan(store.proxy_events());
   if (lo > hi) return;
 
-  const std::int64_t first_day = lo / kSecondsPerDay;
-  const std::int64_t last_day = hi / kSecondsPerDay;
+  const std::int64_t first_day = DayOf(lo);
+  const std::int64_t last_day = DayOf(hi);
   std::size_t replayed = 0;
   for (std::int64_t day = first_day; day <= last_day; ++day) {
     const Timestamp day_end = (day + 1) * kSecondsPerDay;

@@ -12,8 +12,6 @@
 namespace acobe {
 namespace {
 
-std::int64_t DayOf(Timestamp ts) { return ts / kSecondsPerDay; }
-
 /// Most events one shard's replay cursors read at once, together
 /// (1.5 MiB). Replay runs beside other shards' detection
 /// (DetectDepartments), so its read buffers add to peak memory, and a
@@ -66,62 +64,6 @@ class RunCursor {
   std::size_t pos_ = 0;
 };
 
-/// Stable sort by day, with scratch reused across calls. A buffer
-/// usually covers a few days, so a counting sort builds the day-order
-/// permutation in one pass and applies it in place, with 4 bytes of
-/// index per event instead of a second event buffer; a buffer whose day
-/// span exceeds its event count takes std::stable_sort.
-class DaySorter {
- public:
-  void Sort(std::vector<PackedEvent>& events) {
-    const std::size_t n = events.size();
-    if (n < 2) return;
-    auto by_day = [](const PackedEvent& a, const PackedEvent& b) {
-      return DayOf(a.ts) < DayOf(b.ts);
-    };
-    const auto [lo, hi] =
-        std::minmax_element(events.begin(), events.end(), by_day);
-    const std::int64_t first = DayOf(lo->ts);
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(DayOf(hi->ts) - first) + 1;
-    if (span > n || n > std::numeric_limits<std::uint32_t>::max()) {
-      ACOBE_COUNT("spool.sort_fallbacks", 1);
-      std::stable_sort(events.begin(), events.end(), by_day);
-      return;
-    }
-    // next[d]: where the next event of day `first + d` goes.
-    next_.assign(static_cast<std::size_t>(span), 0);
-    for (const PackedEvent& e : events) ++next_[DayOf(e.ts) - first];
-    std::uint32_t at = 0;
-    for (std::uint32_t& slot : next_) at += std::exchange(slot, at);
-    // order_[k]: the arrival index of the k-th event in day order.
-    order_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      order_[next_[DayOf(events[i].ts) - first]++] =
-          static_cast<std::uint32_t>(i);
-    }
-    // Apply the permutation cycle by cycle; a placed slot points at
-    // itself.
-    for (std::size_t k = 0; k < n; ++k) {
-      if (order_[k] == k) continue;
-      const PackedEvent held = events[k];
-      std::size_t dst = k;
-      for (;;) {
-        const std::size_t src = order_[dst];
-        order_[dst] = static_cast<std::uint32_t>(dst);
-        if (src == k) break;
-        events[dst] = events[src];
-        dst = src;
-      }
-      events[dst] = held;
-    }
-  }
-
- private:
-  std::vector<std::uint32_t> next_;
-  std::vector<std::uint32_t> order_;
-};
-
 }  // namespace
 
 ShardSpooler::ShardSpooler(std::string dir, int shards,
@@ -145,16 +87,10 @@ ShardSpooler::ShardSpooler(std::string dir, int shards,
       Remove();  // no destructor runs for a half-built spooler
       throw std::runtime_error("ShardSpooler: cannot create " + shard.path);
     }
+    // reserve() only maps address space: a buffer's pages become
+    // resident as it fills, so the budget bounds RSS, not the
+    // reservation.
     shard.buffer.reserve(buffer_events_per_shard_);
-  }
-  // reserve() only maps address space: a buffer's pages become
-  // resident as it fills, so the budget bounds RSS, not the reservation.
-  run_.reserve(buffer_events_per_shard_);
-  try {
-    writer_ = std::thread(&ShardSpooler::WriterLoop, this);
-  } catch (...) {
-    Remove();
-    throw;
   }
 }
 
@@ -182,89 +118,33 @@ void ShardSpooler::Offer(const PackedEvent& p) {
   Shard& dst = files_[static_cast<std::size_t>(shard)];
   dst.buffer.push_back(p);
   ++events_spooled_;
-  if (dst.buffer.size() >= buffer_events_per_shard_) {
-    HandOff(static_cast<std::size_t>(shard));
-  }
+  if (dst.buffer.size() >= buffer_events_per_shard_) Spill(dst);
 }
 
-void ShardSpooler::HandOff(std::size_t shard) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!writer_.joinable()) {
+void ShardSpooler::Spill(Shard& shard) {
+  if (!shard.out.is_open()) {
     throw std::logic_error("ShardSpooler: spool already finished or removed");
   }
-  if (queued_) {
-    ACOBE_SPAN("spool.wait");
-    cv_.wait(lock, [this] { return !queued_; });
+  ACOBE_SPAN("spool.spill");
+  SortByDay(shard.buffer);
+  const std::uint64_t bytes =
+      static_cast<std::uint64_t>(shard.buffer.size()) * sizeof(PackedEvent);
+  shard.out.write(reinterpret_cast<const char*>(shard.buffer.data()),
+                  static_cast<std::streamsize>(bytes));
+  if (!shard.out) {
+    throw std::runtime_error("ShardSpooler: write failed on " + shard.path);
   }
-  if (!error_.empty()) throw std::runtime_error(error_);
-  run_.swap(files_[shard].buffer);
-  run_shard_ = shard;
-  queued_ = true;
-  lock.unlock();
-  cv_.notify_all();
-}
-
-void ShardSpooler::WriterLoop() {
-  telemetry::SetCurrentThreadName("spool-writer");
-  DaySorter sorter;
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    cv_.wait(lock, [this] { return queued_ || stop_; });
-    if (!queued_) return;
-    Shard& shard = files_[run_shard_];
-    // After a failure the caller throws at its next hand-off; a run
-    // queued meanwhile is dropped.
-    const bool failed = !error_.empty();
-    lock.unlock();
-    std::string error;
-    if (!failed) {
-      try {
-        ACOBE_SPAN("spool.spill");
-        // Stable by day: within a run, same-day events keep arrival
-        // order.
-        sorter.Sort(run_);
-        const std::uint64_t bytes =
-            static_cast<std::uint64_t>(run_.size()) * sizeof(PackedEvent);
-        shard.out.write(reinterpret_cast<const char*>(run_.data()),
-                        static_cast<std::streamsize>(bytes));
-        if (!shard.out) {
-          throw std::runtime_error("ShardSpooler: write failed on " +
-                                   shard.path);
-        }
-        shard.runs.push_back(SpoolRun{
-            shard.bytes_written, static_cast<std::uint64_t>(run_.size())});
-        shard.bytes_written += bytes;
-        ACOBE_COUNT("spool.runs", 1);
-      } catch (const std::exception& e) {
-        error = e.what();
-      }
-    }
-    run_.clear();  // keeps the capacity: this is the caller's next spare
-    lock.lock();
-    if (error_.empty()) error_ = std::move(error);
-    queued_ = false;
-    cv_.notify_all();
-  }
-}
-
-void ShardSpooler::StopWriter() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (writer_.joinable()) writer_.join();
+  shard.runs.push_back(SpoolRun{
+      shard.bytes_written, static_cast<std::uint64_t>(shard.buffer.size())});
+  shard.bytes_written += bytes;
+  shard.buffer.clear();  // keeps the capacity for the next run
+  ACOBE_COUNT("spool.runs", 1);
 }
 
 void ShardSpooler::Finish() {
   if (finished_) return;
-  for (std::size_t s = 0; s < files_.size(); ++s) {
-    if (!files_[s].buffer.empty()) HandOff(s);
-  }
-  StopWriter();
-  // The writer is gone: its state is this thread's now.
-  if (!error_.empty()) throw std::runtime_error(error_);
   for (Shard& shard : files_) {
+    if (!shard.buffer.empty()) Spill(shard);
     // clear() keeps the capacity; swap frees it, so the write buffers
     // are not resident through detection.
     std::vector<PackedEvent>().swap(shard.buffer);
@@ -273,14 +153,12 @@ void ShardSpooler::Finish() {
       throw std::runtime_error("ShardSpooler: write failed on " + shard.path);
     }
   }
-  std::vector<PackedEvent>().swap(run_);
   finished_ = true;
   ACOBE_GAUGE_SET("spool.events", events_spooled_);
   ACOBE_GAUGE_SET("spool.bytes", bytes_spooled());
 }
 
 void ShardSpooler::Remove() {
-  StopWriter();
   for (Shard& shard : files_) {
     if (shard.out.is_open()) shard.out.close();
     std::error_code ec;
@@ -509,6 +387,54 @@ void DeliverPacked(const PackedEvent& p, LogSink& sink) {
     }
     default:
       throw std::runtime_error("spool: unknown record type (corrupt spool?)");
+  }
+}
+
+void SortByDay(std::vector<PackedEvent>& events) {
+  // A run or window usually covers a few days, so a counting sort
+  // builds the day-order permutation in one pass and applies it in
+  // place, with 4 bytes of index per event instead of a second event
+  // buffer; a buffer whose day span exceeds its event count takes
+  // std::stable_sort.
+  const std::size_t n = events.size();
+  if (n < 2) return;
+  auto by_day = [](const PackedEvent& a, const PackedEvent& b) {
+    return DayOf(a.ts) < DayOf(b.ts);
+  };
+  const auto [lo, hi] =
+      std::minmax_element(events.begin(), events.end(), by_day);
+  const std::int64_t first = DayOf(lo->ts);
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(DayOf(hi->ts) - first) + 1;
+  if (span > n || n > std::numeric_limits<std::uint32_t>::max()) {
+    ACOBE_COUNT("spool.sort_fallbacks", 1);
+    std::stable_sort(events.begin(), events.end(), by_day);
+    return;
+  }
+  // next[d]: where the next event of day `first + d` goes.
+  std::vector<std::uint32_t> next(static_cast<std::size_t>(span), 0);
+  for (const PackedEvent& e : events) ++next[DayOf(e.ts) - first];
+  std::uint32_t at = 0;
+  for (std::uint32_t& slot : next) at += std::exchange(slot, at);
+  // order[k]: the arrival index of the k-th event in day order.
+  std::vector<std::uint32_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    order[next[DayOf(events[i].ts) - first]++] = static_cast<std::uint32_t>(i);
+  }
+  // Apply the permutation cycle by cycle; a placed slot points at
+  // itself.
+  for (std::size_t k = 0; k < n; ++k) {
+    if (order[k] == k) continue;
+    const PackedEvent held = events[k];
+    std::size_t dst = k;
+    for (;;) {
+      const std::size_t src = order[dst];
+      order[dst] = static_cast<std::uint32_t>(dst);
+      if (src == k) break;
+      events[dst] = events[src];
+      dst = src;
+    }
+    events[dst] = held;
   }
 }
 

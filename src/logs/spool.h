@@ -8,17 +8,14 @@
 // later pass can process one shard's departments at a time with bounded
 // memory. Events are packed into fixed 24-byte records and written as
 // day-sorted runs. Each shard fills its own buffer (the budget split
-// evenly across shards); a full buffer is handed to one writer thread,
-// which orders it by day and appends it to the shard file as one run
-// while the caller keeps ingesting. The caller continues into a spare
-// buffer that the writer returns once the run is written, so resident
-// packed events never exceed the budget plus that one spare, and no
-// spill allocates after the first few. Replay() k-way-merges a shard's
-// runs back into nondecreasing day order — the only ordering the
-// feature extractors require (first-seen "new-op" semantics are
-// defined per day, and measurements are exact per-event float adds, so
-// within-day order cannot change a cube bit; see
-// features/cert_features.h).
+// evenly across shards); when a buffer fills, the Consume call that
+// filled it sorts it by day (SortByDay), appends it to the shard file
+// as one run and clears it, so resident packed events never exceed the
+// budget. Replay() k-way-merges a shard's runs back into nondecreasing
+// day order — the only ordering the feature extractors require
+// (first-seen "new-op" semantics are defined per day, and measurements
+// are exact per-event float adds, so within-day order cannot change a
+// cube bit; see features/cert_features.h).
 //
 // The spooler also tracks the min/max timestamp over every event it is
 // offered — including events it then drops for lack of a shard
@@ -26,12 +23,9 @@
 // range from all parsed events, and the streaming pipeline must land on
 // the identical range.
 
-#include <condition_variable>
 #include <cstdint>
 #include <fstream>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/timeframe.h"
@@ -67,14 +61,19 @@ PackedEvent PackEvent(const ProxyEvent& e);
 /// record type (corrupt spool).
 void DeliverPacked(const PackedEvent& p, LogSink& sink);
 
+/// Sorts `events` by day (DayOf(ts)), stably: same-day events keep
+/// their order. The spool's runs and the service's shard windows are
+/// both put in day order by this one sort.
+void SortByDay(std::vector<PackedEvent>& events);
+
 class ShardSpooler : public LogSink {
  public:
   /// Spools under `dir` (created if missing) into `shards` files,
   /// buffering at most `buffer_bytes` of packed events in total (at
-  /// least 1024 events per shard), plus the writer's one spare buffer.
+  /// least 1024 events per shard).
   ShardSpooler(std::string dir, int shards, std::size_t buffer_bytes);
   ~ShardSpooler() override;
-  // The writer thread holds `this`.
+  // Owns its spool files, which Remove() deletes.
   ShardSpooler(const ShardSpooler&) = delete;
   ShardSpooler& operator=(const ShardSpooler&) = delete;
 
@@ -91,18 +90,18 @@ class ShardSpooler : public LogSink {
   void Consume(const ProxyEvent& e) override;
   void ConsumePacked(const PackedEvent& p) override;
 
-  /// Writes every shard's remaining buffer, stops the writer and frees
-  /// the buffers. Call once, before Replay. Throws std::runtime_error
-  /// when a run could not be written; a failed spill also throws from
-  /// the Consume call that hands over the next full buffer.
+  /// Writes every shard's remaining buffer as a run, frees the buffers
+  /// and closes the files. Call once, before Replay. Throws
+  /// std::runtime_error when a run could not be written; a failed spill
+  /// also throws from the Consume call whose event filled the buffer.
   void Finish();
 
   /// Decodes one shard back into typed events, delivered to `sink` in
   /// nondecreasing day order. Requires Finish().
   void Replay(int shard, LogSink& sink) const;
 
-  /// Stops the writer (letting a run in flight finish), then deletes
-  /// the spool files (best-effort). Called by the destructor.
+  /// Closes and deletes the spool files (best-effort). Idempotent;
+  /// called by the destructor.
   void Remove();
 
   int shards() const { return static_cast<int>(files_.size()); }
@@ -121,25 +120,18 @@ class ShardSpooler : public LogSink {
   };
   struct Shard {
     std::string path;
-    std::vector<PackedEvent> buffer;  // the caller's
-    // The writer's from construction until Finish() stops it.
-    std::ofstream out;
-    std::vector<SpoolRun> runs;  // in submission order
+    std::vector<PackedEvent> buffer;
+    std::ofstream out;           // open until Finish() or Remove()
+    std::vector<SpoolRun> runs;  // in file order
     std::uint64_t bytes_written = 0;
   };
 
   /// Records the timestamp, then buffers the packed event (or drops it
-  /// when its user has no shard).
+  /// when its user has no shard), spilling the buffer once it is full.
   void Offer(const PackedEvent& p);
-  /// Waits for the writer to return the spare, then swaps it for
-  /// `shard`'s full buffer and queues that as the next run. Throws the
-  /// writer's first error.
-  void HandOff(std::size_t shard);
-  /// The writer thread: one queued run at a time, until StopWriter().
-  void WriterLoop();
-  /// Sets the stop flag and joins the writer once it has written the
-  /// run it holds. Idempotent.
-  void StopWriter();
+  /// Sorts `shard`'s buffer by day, appends it to the file as one run
+  /// and clears it. Throws std::logic_error once the file is closed.
+  void Spill(Shard& shard);
 
   std::string dir_;
   std::vector<Shard> files_;
@@ -150,18 +142,6 @@ class ShardSpooler : public LogSink {
   Timestamp ts_hi_;
   std::size_t events_spooled_ = 0;
   std::size_t events_dropped_ = 0;
-
-  // Caller <-> writer hand-off, guarded by mu_. While `queued_` is
-  // false, `run_` is the empty spare; while true, it is the run the
-  // writer owns (and touches outside the lock) until it clears the flag.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<PackedEvent> run_;
-  std::size_t run_shard_ = 0;
-  bool queued_ = false;
-  bool stop_ = false;
-  std::string error_;  // the first failed write, empty while none
-  std::thread writer_;
 };
 
 }  // namespace acobe

@@ -29,26 +29,4 @@ class Sigmoid : public Layer {
   std::string TypeName() const override { return "sigmoid"; }
 };
 
-/// Inverted dropout: active only in training mode (scales by 1/(1-p) so
-/// inference needs no correction). Deterministic given the seed. The
-/// mask is the one per-layer buffer Backward needs beyond (x, y); it is
-/// resized in place and reused across batches.
-class Dropout : public Layer {
- public:
-  explicit Dropout(float rate, std::uint64_t seed = 7);
-
-  void Forward(const Tensor& x, Tensor& y, bool training) override;
-  void Backward(const Tensor& x, const Tensor& y, const Tensor& g, Tensor& dx,
-                bool need_dx) override;
-  void Infer(MatSpan x, Tensor& y) const override;
-  std::string TypeName() const override { return "dropout"; }
-  float rate() const { return rate_; }
-
- private:
-  float rate_;
-  Rng rng_;
-  Tensor mask_;
-  bool last_training_ = false;
-};
-
 }  // namespace acobe::nn

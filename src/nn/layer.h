@@ -9,9 +9,9 @@
 // dL/d(param) into each Param's grad tensor. Sequential owns the
 // activation tape (see TrainScratch in sequential.h), so layers never
 // deep-copy their inputs; whatever a layer must remember beyond (x, y)
-// -- batch-norm's normalized batch, dropout's mask -- lives in member
-// buffers that are resized in place and reused across batches. After
-// warm-up, a train step performs no heap allocation.
+// -- batch-norm's normalized batch -- lives in member buffers that
+// are resized in place and reused across batches. After warm-up, a
+// train step performs no heap allocation.
 
 #include <cstdint>
 #include <string>
@@ -53,9 +53,9 @@ class Layer {
   /// running-statistics updates), so it is safe to call concurrently on
   /// a shared trained model -- one output tensor per thread. Must
   /// produce bit-identical values to Forward(x, y, /*training=*/false).
-  /// BatchNorm uses running statistics; Dropout is the identity. Takes
-  /// a MatSpan so scoring can stream row blocks of a dataset without
-  /// copying them into a batch tensor.
+  /// BatchNorm uses running statistics. Takes a MatSpan so scoring can
+  /// stream row blocks of a dataset without copying them into a batch
+  /// tensor.
   virtual void Infer(MatSpan x, Tensor& y) const = 0;
 
   /// Trainable parameters (empty for activations).

@@ -1,7 +1,6 @@
 #include "nn/sequential.h"
 
-#include <cmath>
-
+#include <algorithm>
 #include <stdexcept>
 
 namespace acobe::nn {
@@ -84,29 +83,6 @@ float MseLoss(const Tensor& pred, const Tensor& target, Tensor& grad) {
     const float d = pred.data()[i] - target.data()[i];
     loss += static_cast<double>(d) * d;
     grad.data()[i] = scale * d;
-  }
-  return static_cast<float>(loss / static_cast<double>(pred.size()));
-}
-
-float HuberLoss(const Tensor& pred, const Tensor& target, Tensor& grad,
-                float delta) {
-  if (!pred.SameShape(target)) {
-    throw std::invalid_argument("HuberLoss: shape mismatch");
-  }
-  if (delta <= 0.0f) throw std::invalid_argument("HuberLoss: delta <= 0");
-  grad.ResizeUninit(pred.rows(), pred.cols());
-  const float scale = 1.0f / static_cast<float>(pred.size());
-  double loss = 0.0;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    const float d = pred.data()[i] - target.data()[i];
-    const float a = std::fabs(d);
-    if (a <= delta) {
-      loss += 0.5 * static_cast<double>(d) * d;
-      grad.data()[i] = scale * d;
-    } else {
-      loss += delta * (a - 0.5 * delta);
-      grad.data()[i] = scale * (d > 0 ? delta : -delta);
-    }
   }
   return static_cast<float>(loss / static_cast<double>(pred.size()));
 }

@@ -76,7 +76,7 @@ class Sequential {
 
   /// Inference-only forward pass: const and thread-safe on a trained
   /// model (activations live in `scratch`, not in the layers; batch-norm
-  /// uses running statistics, dropout is the identity). Bit-identical to
+  /// uses running statistics). Bit-identical to
   /// Forward(x, /*training=*/false). The returned reference points into
   /// `scratch` and is valid until its next use. Accepts row-block views
   /// (see MatSpan) as well as whole tensors.
@@ -118,11 +118,5 @@ float MseLoss(const Tensor& pred, const Tensor& target, Tensor& grad);
 /// convenience wrapper.
 void PerSampleMse(const Tensor& pred, MatSpan target, float* out);
 std::vector<float> PerSampleMse(const Tensor& pred, MatSpan target);
-
-/// Huber loss (quadratic within `delta`, linear outside): an outlier-
-/// robust alternative to MSE for training on noisy deviations. Writes
-/// dL/dpred into `grad`.
-float HuberLoss(const Tensor& pred, const Tensor& target, Tensor& grad,
-                float delta = 1.0f);
 
 }  // namespace acobe::nn

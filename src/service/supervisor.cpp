@@ -8,6 +8,8 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/date.h"
 #include "common/health.h"
@@ -30,13 +32,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kReadyMarker = "READY";
-
-std::int64_t DayOfTs(std::int64_t ts) {
-  // Floor division: pre-epoch timestamps land on the correct day.
-  std::int64_t d = ts / kSecondsPerDay;
-  if (ts % kSecondsPerDay < 0) --d;
-  return d;
-}
 
 std::ifstream OpenOrThrow(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -154,7 +149,7 @@ class ShardRouter : public LogSink {
       return;
     }
     const PackedEvent p = PackEvent(e);
-    const std::int64_t day = DayOfTs(p.ts);
+    const std::int64_t day = DayOf(p.ts);
     day_lo_ = std::min(day_lo_, day);
     day_hi_ = std::max(day_hi_, day);
     windows_[static_cast<std::size_t>(shard)]->push_back(p);
@@ -237,19 +232,15 @@ void ServiceSupervisor::LoadRoster() {
   // memberships follows the roster's last record, matching the batch
   // tool's streaming path; demux replication covers multi-membership
   // within one shard).
-  d->user_shard.assign(d->tables.users().size(), -1);
-  std::vector<int> dept_shard;  // canonical dept order -> shard
-  dept_shard.reserve(d->depts.size());
+  std::unordered_map<std::string_view, int> dept_shard;  // kept depts only
   for (const auto& dept : d->depts) {
-    dept_shard.push_back(static_cast<int>(dept.order) % config_.shards);
+    dept_shard.emplace(dept.name,
+                       static_cast<int>(dept.order) % config_.shards);
   }
+  d->user_shard.assign(d->tables.users().size(), -1);
   for (const LdapRecord& r : d->tables.ldap()) {
-    for (const auto& dept : d->depts) {
-      if (dept.name == r.department) {
-        d->user_shard[r.user] = dept_shard[dept.order];
-        break;
-      }
-    }
+    const auto it = dept_shard.find(r.department);
+    if (it != dept_shard.end()) d->user_shard[r.user] = it->second;
   }
   dir_ = std::move(d);
 
@@ -267,8 +258,7 @@ void ServiceSupervisor::LoadRoster() {
     ShardRuntime::DeptRuntime rt;
     rt.dept = &dept;
     rt.monitor = MonitorState(mc);
-    shards_[static_cast<std::size_t>(dept_shard[dept.order])]
-        ->depts.push_back(std::move(rt));
+    shards_[dept.order % shards_.size()]->depts.push_back(std::move(rt));
   }
 
   // Config fingerprint: every knob that shapes the output stream.
@@ -788,7 +778,7 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
     shard.window.erase(
         std::remove_if(shard.window.begin(), shard.window.end(),
                        [&](const PackedEvent& e) {
-                         return DayOfTs(e.ts) < task.win_start;
+                         return DayOf(e.ts) < task.win_start;
                        }),
         shard.window.end());
   }
@@ -809,10 +799,7 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
     one_shard[0].jobs.push_back({rt.dept->name, rt.dept->members, spec});
   }
   one_shard[0].feed = [&](LogSink& sink) {
-    std::stable_sort(shard.window.begin(), shard.window.end(),
-                     [](const PackedEvent& a, const PackedEvent& b) {
-                       return DayOfTs(a.ts) < DayOfTs(b.ts);
-                     });
+    SortByDay(shard.window);
     for (const PackedEvent& e : shard.window) DeliverPacked(e, sink);
   };
   const int win_len = static_cast<int>(task.win_end - task.win_start + 1);

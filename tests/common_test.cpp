@@ -101,6 +101,18 @@ TEST(TimeframeTest, MakeTimestampAndBack) {
   EXPECT_EQ(HourOf(ts), 14);
 }
 
+TEST(TimeframeTest, DayOfFloorsPreEpochTimestamps) {
+  EXPECT_EQ(DayOf(0), 0);
+  EXPECT_EQ(DayOf(kSecondsPerDay - 1), 0);
+  EXPECT_EQ(DayOf(kSecondsPerDay), 1);
+  EXPECT_EQ(DayOf(-1), -1);
+  EXPECT_EQ(DayOf(-kSecondsPerDay), -1);
+  EXPECT_EQ(DayOf(-kSecondsPerDay - 1), -2);
+  EXPECT_EQ(DateOf(-1), Date(1969, 12, 31));
+  const Timestamp ts = MakeTimestamp(Date(2010, 6, 15), 23, 59, 59);
+  EXPECT_EQ(DayOf(ts), Date(2010, 6, 15).DayNumber());
+}
+
 TEST(TimeframeTest, WorkOffPartition) {
   const auto p = TimeFramePartition::WorkOff();
   EXPECT_EQ(p.frame_count(), 2);

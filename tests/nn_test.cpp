@@ -376,78 +376,6 @@ TEST(MseLossTest, PerSampleErrors) {
   EXPECT_FLOAT_EQ(errors[1], 2.0f);
 }
 
-TEST(DropoutTest, InferenceIsIdentity) {
-  Dropout dropout(0.5f, 3);
-  Rng rng(61);
-  Tensor x = RandomTensor(4, 6, rng);
-  Tensor y = LForward(dropout, x, /*training=*/false);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_FLOAT_EQ(y.data()[i], x.data()[i]);
-  }
-}
-
-TEST(DropoutTest, TrainingDropsAndScales) {
-  Dropout dropout(0.5f, 3);
-  Tensor x(1, 1000, 1.0f);
-  Tensor y = LForward(dropout, x, /*training=*/true);
-  int zeros = 0;
-  double sum = 0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y.data()[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(y.data()[i], 2.0f);  // inverted scaling 1/(1-0.5)
-    }
-    sum += y.data()[i];
-  }
-  EXPECT_NEAR(zeros / 1000.0, 0.5, 0.06);
-  EXPECT_NEAR(sum / 1000.0, 1.0, 0.12);  // expectation preserved
-}
-
-TEST(DropoutTest, BackwardUsesSameMask) {
-  Dropout dropout(0.3f, 4);
-  Rng rng(62);
-  Tensor x = RandomTensor(2, 50, rng);
-  Tensor y = LForward(dropout, x, true);
-  Tensor g(2, 50, 1.0f);
-  Tensor dx;
-  dropout.Backward(x, y, g, dx, /*need_dx=*/true);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y.data()[i] == 0.0f) {
-      EXPECT_FLOAT_EQ(dx.data()[i], 0.0f);
-    } else {
-      EXPECT_GT(dx.data()[i], 0.0f);
-    }
-  }
-  EXPECT_THROW(Dropout(1.0f), std::invalid_argument);
-  EXPECT_THROW(Dropout(-0.1f), std::invalid_argument);
-}
-
-TEST(HuberLossTest, QuadraticInsideLinearOutside) {
-  Tensor pred = Tensor::FromVector(1, 2, {0.5f, 5.0f});
-  Tensor target = Tensor::FromVector(1, 2, {0.0f, 0.0f});
-  Tensor grad;
-  const float loss = HuberLoss(pred, target, grad, 1.0f);
-  // Element 0: 0.5*0.25 = 0.125; element 1: 1*(5-0.5) = 4.5.
-  EXPECT_NEAR(loss, (0.125f + 4.5f) / 2.0f, 1e-5);
-  EXPECT_FLOAT_EQ(grad(0, 0), 0.5f / 2.0f);   // d/2 inside
-  EXPECT_FLOAT_EQ(grad(0, 1), 1.0f / 2.0f);   // clipped at delta outside
-  EXPECT_THROW(HuberLoss(pred, target, grad, 0.0f), std::invalid_argument);
-}
-
-TEST(HuberLossTest, MatchesMseForSmallErrors) {
-  Rng rng(63);
-  Tensor pred = RandomTensor(3, 4, rng);
-  Tensor target = pred;
-  for (std::size_t i = 0; i < target.size(); ++i) {
-    target.data()[i] += 0.01f;
-  }
-  Tensor g1, g2;
-  const float huber = HuberLoss(pred, target, g1, 1.0f);
-  const float mse = MseLoss(pred, target, g2);
-  EXPECT_NEAR(huber, mse / 2.0f, 1e-6);  // Huber = 0.5 d^2 vs MSE = d^2
-}
-
 // --- Optimizers ----------------------------------------------------------------
 
 TEST(OptimizerTest, StepBeforeAttachThrows) {

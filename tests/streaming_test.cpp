@@ -4,7 +4,10 @@
 // in-memory path on the same dataset.
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -179,7 +182,7 @@ TEST(SpoolTest, RemoveCleansUpShardFilesAndDirectory) {
   EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
-// --- Bounded spool: background writer, recycled buffers ------------------
+// --- Bounded spool: spills on the caller ---------------------------------
 
 std::uint64_t CounterValue(const char* name) {
   return telemetry::GetCounter(name).value();
@@ -266,8 +269,8 @@ TEST(SpoolTest, DecadeSpanningBufferTakesTheStableSortFallback) {
 TEST(SpoolTest, WriteFailureThrowsAndDestructorRemovesFiles) {
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   // Ten events sit in the file buffer until Finish() closes the file.
-  // 20000 fill 1024-event runs: the first spill fails on the writer, and
-  // the Consume that hands over the next full buffer throws.
+  // 20000 fill 1024-event runs: the Consume that fills the first buffer
+  // spills it, the write fails, and that Consume throws.
   for (const std::size_t n : {10u, 20000u}) {
     const std::string dir = SpoolDir("spool_full");
     std::filesystem::create_directories(dir);
@@ -287,24 +290,36 @@ TEST(SpoolTest, WriteFailureThrowsAndDestructorRemovesFiles) {
       } else {
         EXPECT_THROW(consume_all(), std::runtime_error);
       }
-    }  // the destructor joins the writer and removes the files
+    }  // the destructor removes the files
     EXPECT_FALSE(std::filesystem::exists(dir)) << n;
     EXPECT_TRUE(std::filesystem::exists("/dev/full"));
   }
 }
 
-TEST(SpoolTest, RemoveWhileASpillIsInFlight) {
-  const std::string dir = SpoolDir("spool_remove_inflight");
-  ShardSpooler spool(dir, 1, 1 << 10);
-  spool.AssignUser(0, 0);
-  // The last Consume fills the third buffer and hands it to the writer.
-  for (LogonEvent e : NumberedLogons(3 * 1024, 30)) {
-    e.user = 0;
-    spool.Consume(e);
+TEST(SpoolTest, SpillAfterFinishOrRemoveThrowsLogicError) {
+  for (const bool finish : {true, false}) {
+    const std::string dir = SpoolDir("spool_closed");
+    ShardSpooler spool(dir, 1, 1 << 10);
+    spool.AssignUser(0, 0);
+    // The last Consume fills the third buffer and spills it.
+    std::vector<LogonEvent> events = NumberedLogons(4 * 1024, 30);
+    for (LogonEvent& e : events) e.user = 0;
+    for (std::size_t i = 0; i < 3 * 1024; ++i) spool.Consume(events[i]);
+    if (finish) {
+      spool.Finish();
+    } else {
+      spool.Remove();
+      EXPECT_FALSE(std::filesystem::exists(dir));
+    }
+    // The 1024th event after closing fills a buffer: its spill throws.
+    for (std::size_t i = 3 * 1024; i + 1 < events.size(); ++i) {
+      spool.Consume(events[i]);
+    }
+    EXPECT_THROW(spool.Consume(events.back()), std::logic_error) << finish;
+    spool.Remove();
+    EXPECT_FALSE(std::filesystem::exists(dir));
+    spool.Remove();  // idempotent, as the destructor's call will be
   }
-  spool.Remove();
-  EXPECT_FALSE(std::filesystem::exists(dir));
-  spool.Remove();  // idempotent, as the destructor's call will be
 }
 
 /// Simulates a small two-department org and returns the sorted store.
@@ -456,6 +471,73 @@ TEST(StreamingTest, ManyRunSpoolScoresLikeAOneRunSpool) {
   // 1 KiB clamps to 1024-event runs; 64 MiB holds the whole store.
   EXPECT_EQ(digest("spool_many_runs", 1 << 10),
             digest("spool_one_run", 64u << 20));
+}
+
+TEST(StreamingTest, CorruptSpoolFilesReplayOrThrowRuntimeError) {
+  LogStore& store = *SharedCertStore();
+  const std::string dept = store.Departments()[0];
+  const std::vector<UserId> members = store.UsersInDepartment(dept);
+  // 1 KiB clamps to 1024-event runs, so damage lands in several runs.
+  const std::string dir = SpoolDir("spool_corrupt");
+  ShardSpooler spool(dir, 1, 1 << 10);
+  for (UserId user : members) spool.AssignUser(user, 0);
+  ReplayStore(store, spool);
+  spool.Finish();
+  const std::string path = dir + "/shard-0.spool";
+  std::string pristine;
+  {
+    std::ifstream in(path, std::ios::binary);
+    pristine.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(pristine.size(), spool.bytes_spooled());
+  auto write_file = [&](const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  // True when the replay finished, false when it threw runtime_error;
+  // any other exception fails the test.
+  auto replay = [&] {
+    DepartmentDemux demux(kStart, kDays);
+    demux.AddDepartment(dept, members);
+    try {
+      spool.Replay(0, demux);
+      return true;
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+  };
+
+  // Seeded byte flips: 1-8 bytes per round, anywhere in the file (a
+  // timestamp, an id, a type tag, an activity code).
+  std::uint64_t state = 20240521;
+  auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  int finished = 0, threw = 0;
+  for (int round = 0; round < 64; ++round) {
+    std::string bytes = pristine;
+    const int flips = 1 + static_cast<int>(next() % 8);
+    for (int i = 0; i < flips; ++i) {
+      bytes[next() % bytes.size()] ^= static_cast<char>(1 + next() % 255);
+    }
+    write_file(bytes);
+    (replay() ? finished : threw) += 1;
+  }
+  // Both outcomes occur: a flipped type tag is caught, most other flips
+  // decode into a plausible event.
+  EXPECT_GT(finished, 0);
+  EXPECT_GT(threw, 0);
+
+  // Truncation, mid-record and by half: a run's cursor reads short.
+  for (const std::size_t keep :
+       {pristine.size() - 5, pristine.size() / 2, std::size_t{0}}) {
+    write_file(pristine);
+    std::filesystem::resize_file(path, keep);
+    EXPECT_FALSE(replay()) << keep;
+  }
+  write_file(pristine);
+  EXPECT_TRUE(replay());
 }
 
 TEST(DepartmentDemuxTest, RoutesMultiDepartmentUsersToEveryMembership) {

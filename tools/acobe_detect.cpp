@@ -23,9 +23,9 @@
 // Data plane: ldap.csv is read first (its departments route users to
 // shards), then each event CSV is read once and its packed events are
 // spooled into per-shard files (logs/spool.h). Ingest holds at most a
-// fixed 16 MiB of packed events plus one spare buffer: a full shard
-// buffer is day-sorted and written by the spooler's writer thread while
-// parsing goes on. Each shard is then replayed into per-department
+// fixed 16 MiB of packed events: a full shard buffer is day-sorted and
+// appended to its file on this thread, between parsed chunks, and then
+// reused. Each shard is then replayed into per-department
 // cubes, each detected on its own (DetectDepartments, core/detector.h).
 // At most two shards are resident at once — the one detecting and the
 // one replaying — so peak memory is bounded by the largest two shards'
@@ -118,9 +118,9 @@ namespace {
 constexpr int kMaxDaySpan = 44000;
 
 // Packed-event buffer budget for the spooler (pass A) and its replay
-// cursors (pass B). Fixed: full buffers spill on the spooler's writer
-// thread while parsing goes on, so a larger budget buys no speed, only
-// resident memory (pages become resident as the buffers fill).
+// cursors (pass B). Fixed: a spill costs about the same per event at
+// any budget, so a larger one buys no speed, only resident memory
+// (pages become resident as the buffers fill).
 constexpr std::size_t kSpoolBufferBytes = 16u << 20;
 
 constexpr const char kUsage[] =
