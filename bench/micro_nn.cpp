@@ -162,7 +162,7 @@ void BM_AutoencoderTrainStep(benchmark::State& state) {
   spec.encoder_dims = ScaledEncoderDims(8);
   Sequential net = BuildAutoencoder(spec);
   net.InitParams(rng);
-  Adadelta opt;
+  Adam opt;  // the tools' optimizer
   opt.Attach(net.Params());
   const Tensor batch = RandomTensor(64, input_dim, rng);
   Tensor grad;
@@ -186,7 +186,7 @@ void BM_TrainEpoch(benchmark::State& state) {
   spec.encoder_dims = ScaledEncoderDims(8);
   Sequential net = BuildAutoencoder(spec);
   net.InitParams(rng);
-  Adadelta opt;
+  Adam opt;
   const Tensor data = RandomTensor(512, input_dim, rng);
   TrainConfig cfg;
   cfg.epochs = 1;
@@ -275,7 +275,7 @@ void BM_OptimizerStep(benchmark::State& state) {
   Param p;
   p.value = RandomTensor(512, 256, rng);
   p.grad = RandomTensor(512, 256, rng);
-  Adadelta opt;
+  Adam opt;  // the tools' optimizer
   opt.Attach({&p});
   for (auto _ : state) {
     opt.Step();

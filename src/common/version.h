@@ -7,6 +7,8 @@
 
 #include <string>
 
+#include "common/simd.h"
+
 namespace acobe {
 
 /// Repository version; bump on externally visible format changes
@@ -16,7 +18,7 @@ inline constexpr const char kAcobeVersion[] = "0.8.0";
 struct BuildInfo {
   std::string version;     // kAcobeVersion
   std::string build_type;  // CMAKE_BUILD_TYPE baked in at compile time
-  std::string simd;        // "avx2" or "scalar" (runtime dispatch)
+  std::string simd;        // SimdName(CpuSimd()): "avx2" or "scalar"
   bool telemetry = true;   // instrumentation compiled in (always)
   // NN kernel family (nn::kKernelFamily), stamped by acobe_detect. Left
   // empty by tools that do not report it, whose manifests omit the
@@ -24,12 +26,9 @@ struct BuildInfo {
   std::string nn_backend;
 };
 
-/// The active GEMM dispatch decision. Mirrors the runtime check in
-/// nn/gemm.cpp (__builtin_cpu_supports) without linking acobe_nn, so
-/// acobe_gen — which has no neural-net dependency — reports it too.
-inline const char* ActiveSimdName() {
-  return __builtin_cpu_supports("avx2") ? "avx2" : "scalar";
-}
+/// The ISA the NN kernels dispatch on (common/simd.h). Header-only, so
+/// acobe_gen -- which has no neural-net dependency -- reports it too.
+inline const char* ActiveSimdName() { return SimdName(CpuSimd()); }
 
 inline BuildInfo GetBuildInfo() {
   BuildInfo info;

@@ -19,26 +19,45 @@ namespace {
 constexpr std::size_t kReplayReadEvents = std::size_t{1} << 16;
 
 /// Read cursor over one day-sorted run, with a bounded refill buffer.
+/// Each head's day must stay within the days the run was spilled with
+/// and never go backwards; a cursor that sees otherwise throws
+/// std::runtime_error, so a damaged timestamp cannot replay an event
+/// out of day order.
 class RunCursor {
  public:
   RunCursor(std::ifstream& in, std::uint64_t offset, std::uint64_t count,
+            std::int64_t first_day, std::int64_t last_day,
             std::size_t buffer_events)
       : in_(in),
         next_offset_(offset),
         remaining_(count),
-        buffer_events_(std::max<std::size_t>(buffer_events, 256)) {
+        buffer_events_(std::max<std::size_t>(buffer_events, 256)),
+        head_day_(first_day),
+        last_day_(last_day) {
     Refill();
+    CheckHead();
   }
 
   bool empty() const { return pos_ >= buffer_.size() && remaining_ == 0; }
   const PackedEvent& head() const { return buffer_[pos_]; }
-  std::int64_t head_day() const { return DayOf(buffer_[pos_].ts); }
+  std::int64_t head_day() const { return head_day_; }
 
   void Advance() {
     if (++pos_ >= buffer_.size()) Refill();
+    CheckHead();
   }
 
  private:
+  void CheckHead() {
+    if (empty()) return;
+    const std::int64_t day = DayOf(buffer_[pos_].ts);
+    if (day < head_day_ || day > last_day_) {
+      throw std::runtime_error(
+          "spool: event out of its run's day order (corrupt spool file?)");
+    }
+    head_day_ = day;
+  }
+
   void Refill() {
     pos_ = 0;
     buffer_.clear();
@@ -62,6 +81,8 @@ class RunCursor {
   std::size_t buffer_events_;
   std::vector<PackedEvent> buffer_;
   std::size_t pos_ = 0;
+  std::int64_t head_day_;  // the run's first day until the first head
+  std::int64_t last_day_;
 };
 
 }  // namespace
@@ -135,7 +156,8 @@ void ShardSpooler::Spill(Shard& shard) {
     throw std::runtime_error("ShardSpooler: write failed on " + shard.path);
   }
   shard.runs.push_back(SpoolRun{
-      shard.bytes_written, static_cast<std::uint64_t>(shard.buffer.size())});
+      shard.bytes_written, static_cast<std::uint64_t>(shard.buffer.size()),
+      DayOf(shard.buffer.front().ts), DayOf(shard.buffer.back().ts)});
   shard.bytes_written += bytes;
   shard.buffer.clear();  // keeps the capacity for the next run
   ACOBE_COUNT("spool.runs", 1);
@@ -195,7 +217,8 @@ void ShardSpooler::Replay(int shard_idx, LogSink& sink) const {
   std::vector<RunCursor> cursors;
   cursors.reserve(shard.runs.size());
   for (const SpoolRun& run : shard.runs) {
-    cursors.emplace_back(in, run.offset, run.count, per_run);
+    cursors.emplace_back(in, run.offset, run.count, run.first_day,
+                         run.last_day, per_run);
   }
 
   // K-way merge keyed (day, run index): day order is what correctness

@@ -97,7 +97,9 @@ class ShardSpooler : public LogSink {
   void Finish();
 
   /// Decodes one shard back into typed events, delivered to `sink` in
-  /// nondecreasing day order. Requires Finish().
+  /// nondecreasing day order. Requires Finish(). Throws
+  /// std::runtime_error on a short read, an unknown record type, or a
+  /// record whose day is out of its run's order or day range.
   void Replay(int shard, LogSink& sink) const;
 
   /// Closes and deletes the spool files (best-effort). Idempotent;
@@ -117,6 +119,10 @@ class ShardSpooler : public LogSink {
   struct SpoolRun {
     std::uint64_t offset = 0;  // bytes into the shard file
     std::uint64_t count = 0;   // records
+    // DayOf its first and last record; Replay checks every record
+    // against them.
+    std::int64_t first_day = 0;
+    std::int64_t last_day = 0;
   };
   struct Shard {
     std::string path;

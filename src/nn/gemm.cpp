@@ -6,18 +6,25 @@
 #include <vector>
 #include <stdexcept>
 
+#include "common/simd.h"
 #include "common/telemetry.h"
 
-#if defined(__x86_64__) && defined(__GNUC__)
+#ifdef ACOBE_SIMD_X86
 #include <immintrin.h>
-#define ACOBE_GEMM_X86 1
 #endif
 
 namespace acobe::nn {
 
 namespace {
 
-using detail::MicroKernelFn;
+// Full-tile micro-kernel: a kMR x kNR tile of C with per-element
+// accumulator chains in ascending-k order. `ars`/`als` are A's row/term
+// strides, so one kernel serves both the plain and the A-transposed
+// layouts.
+using MicroKernelFn = void (*)(std::size_t k, const float* a,
+                               std::size_t ars, std::size_t als,
+                               const float* b, std::size_t ldb, float* c,
+                               std::size_t ldc, const float* bias);
 
 // Micro-tile geometry shared by every kernel: kMR C-rows by kNR
 // C-columns per full tile (one j-panel is kNR wide).
@@ -146,7 +153,7 @@ void MicroKernelFull(std::size_t k, const float* __restrict a,
   }
 }
 
-#ifdef ACOBE_GEMM_X86
+#ifdef ACOBE_SIMD_X86
 // AVX2 full-tile micro-kernel: 8 ymm accumulators (4 rows x 2 vectors),
 // one broadcast per A term. Deliberately multiply-then-add -- the
 // "avx2" target (without "fma") cannot even emit fused multiply-add --
@@ -263,26 +270,26 @@ thread_local PackArena t_pack_arena;
 // Blocked tile driver.
 // ---------------------------------------------------------------------------
 
-// The CPU's full-tile kernel, resolved once: no-FMA AVX2 where the CPU
-// has it, portable otherwise. Both are bit-identical.
-MicroKernelFn CpuKernel() {
-#ifdef ACOBE_GEMM_X86
-  static const MicroKernelFn kernel =
-      __builtin_cpu_supports("avx2") ? MicroKernelAvx2 : MicroKernelFull;
-  return kernel;
+// The full-tile kernel of one ISA level.
+MicroKernelFn FullTileKernel(Simd level) {
+#ifdef ACOBE_SIMD_X86
+  if (level == Simd::kAvx2) return MicroKernelAvx2;
 #else
-  return MicroKernelFull;
+  (void)level;
 #endif
+  return MicroKernelFull;
 }
 
 // C (m x n, row-major, fully overwritten) = A * B (+ bias per row), with
-// A addressed as a[r * ars + l * als]. Full kMR x kNR tiles run `full`;
-// edge tiles run the portable edge kernel (same accumulation order).
-// The j-panel loop is outermost so the k x kNR panel of B stays
-// cache-resident while A streams past it once per panel.
+// A addressed as a[r * ars + l * als]. Full kMR x kNR tiles run
+// `level`'s full-tile kernel; edge tiles run the portable edge kernel
+// (same accumulation order). The j-panel loop is outermost so the
+// k x kNR panel of B stays cache-resident while A streams past it once
+// per panel.
 void BlockedGemm(std::size_t m, std::size_t k, std::size_t n, const float* pa,
                  std::size_t ars, std::size_t als, const float* pb, float* pc,
-                 const float* bias, MicroKernelFn full) {
+                 const float* bias, Simd level) {
+  const MicroKernelFn full = FullTileKernel(level);
   for (std::size_t j0 = 0; j0 < n; j0 += kNR) {
     const std::size_t nr = n - j0 < kNR ? n - j0 : kNR;
     const float* bpanel = pb + j0;
@@ -321,28 +328,25 @@ void ReleaseThreadScratch() { t_pack_arena.Release(); }
 
 namespace detail {
 
-MicroKernelFn PortableKernel() { return MicroKernelFull; }
-
-void Gemm(MicroKernelFn full, MatSpan a, MatSpan b, Tensor& c,
-          const float* bias) {
+void Gemm(Simd level, MatSpan a, MatSpan b, Tensor& c, const float* bias) {
   const std::size_t m = a.rows, k = a.cols, n = b.cols;
   c.ResizeUninit(m, n);
   AssertNoAlias(c, a, b);
   BlockedGemm(m, k, n, a.data, /*ars=*/k, /*als=*/1, b.data, c.data(), bias,
-              full);
+              level);
 }
 
-void GemmTransA(MicroKernelFn full, MatSpan a, MatSpan b, Tensor& c) {
+void GemmTransA(Simd level, MatSpan a, MatSpan b, Tensor& c) {
   const std::size_t k = a.rows, m = a.cols, n = b.cols;
   c.ResizeUninit(m, n);
   AssertNoAlias(c, a, b);
   // C[i][j] = sum_l A[l][i] * B[l][j]: row stride through A is 1, term
   // stride is the A row length m.
   BlockedGemm(m, k, n, a.data, /*ars=*/1, /*als=*/m, b.data, c.data(),
-              nullptr, full);
+              nullptr, level);
 }
 
-void GemmTransB(MicroKernelFn full, MatSpan a, MatSpan b, Tensor& c) {
+void GemmTransB(Simd level, MatSpan a, MatSpan b, Tensor& c) {
   const std::size_t m = a.rows, k = a.cols, n = b.rows;
   c.ResizeUninit(m, n);
   AssertNoAlias(c, a, b);
@@ -361,20 +365,20 @@ void GemmTransB(MicroKernelFn full, MatSpan a, MatSpan b, Tensor& c) {
     for (std::size_t l = 0; l < k; ++l) bt[l * n + j] = brow[l];
   }
   BlockedGemm(m, k, n, a.data, /*ars=*/k, /*als=*/1, bt, c.data(), nullptr,
-              full);
+              level);
 }
 
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Public entry points: validate shapes, time the call, and run the CPU's
-// kernel.
+// full-tile kernel (CpuSimd() is resolved once per process).
 // ---------------------------------------------------------------------------
 
 void Gemm(MatSpan a, MatSpan b, Tensor& c, const float* bias) {
   if (a.cols != b.rows) throw std::invalid_argument("Gemm: shape mismatch");
   const GemmTimer timer;
-  detail::Gemm(CpuKernel(), a, b, c, bias);
+  detail::Gemm(CpuSimd(), a, b, c, bias);
   timer.Finish(a.rows, a.cols, b.cols);
 }
 
@@ -383,7 +387,7 @@ void GemmTransA(MatSpan a, MatSpan b, Tensor& c) {
     throw std::invalid_argument("GemmTransA: shape mismatch");
   }
   const GemmTimer timer;
-  detail::GemmTransA(CpuKernel(), a, b, c);
+  detail::GemmTransA(CpuSimd(), a, b, c);
   timer.Finish(a.cols, a.rows, b.cols);
 }
 
@@ -392,7 +396,7 @@ void GemmTransB(MatSpan a, MatSpan b, Tensor& c) {
     throw std::invalid_argument("GemmTransB: shape mismatch");
   }
   const GemmTimer timer;
-  detail::GemmTransB(CpuKernel(), a, b, c);
+  detail::GemmTransB(CpuSimd(), a, b, c);
   timer.Finish(a.rows, a.cols, b.rows);
 }
 

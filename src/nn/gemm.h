@@ -5,17 +5,18 @@
 //
 // One kernel family, chosen from the CPU once and never configured: the
 // kernels are cache-blocked and register-tiled, a 4x16 micro-kernel
-// driven over contiguous n-panels of B, with a no-FMA AVX2 full-tile
-// kernel where the CPU supports it and a portable auto-vectorized one
-// otherwise. The outer per-aspect/per-user parallelism owns the cores,
-// so a single GEMM always runs on the calling thread.
+// driven over contiguous n-panels of B. The full tile runs a no-FMA
+// AVX2 kernel where the CPU supports it (CpuSimd(), common/simd.h) and
+// a portable auto-vectorized one otherwise. The outer
+// per-aspect/per-user parallelism owns the cores, so a single GEMM
+// always runs on the calling thread.
 //
 // Determinism contract: every output element accumulates its k terms in
 // ascending-l order into a single accumulator chain, exactly like the
-// original scalar kernels (kept below under reference::), and the AVX2
-// path uses separate multiply and add (never FMA; gemm.cpp is compiled
+// original scalar kernels (kept below under reference::), and the vector
+// paths use separate multiply and add (never FMA; acobe_nn is compiled
 // with -ffp-contract=off). Results are therefore bit-identical to the
-// scalar reference on every shape with either full-tile kernel --
+// scalar reference on every shape with every full-tile kernel --
 // pinned by tests/gemm_test.cpp -- which is what keeps trained models
 // and score grids reproducible across CPUs and kernel generations.
 //
@@ -32,6 +33,7 @@
 
 #include <cstddef>
 
+#include "common/simd.h"
 #include "nn/tensor.h"
 
 namespace acobe::nn {
@@ -72,27 +74,14 @@ void GemmTransB(MatSpan a, MatSpan b, Tensor& c);
 
 namespace detail {
 
-/// Full-tile GEMM micro-kernel: computes a 4 x 16 tile of C with
-/// per-element accumulator chains in ascending-k order. `ars`/`als` are
-/// A's row/term strides, so one kernel serves both the plain and the
-/// A-transposed layouts.
-using MicroKernelFn = void (*)(std::size_t k, const float* a,
-                               std::size_t ars, std::size_t als,
-                               const float* b, std::size_t ldb, float* c,
-                               std::size_t ldc, const float* bias);
-
-/// The portable full-tile kernel: the one the public entry points run
-/// on CPUs without AVX2.
-MicroKernelFn PortableKernel();
-
-/// The three GEMM forms with an explicit full-tile kernel and no shape
-/// checks or telemetry. The public entry points above call these with
-/// the CPU's kernel; tests call them with PortableKernel() so the
-/// non-AVX2 path is parity-checked on every host.
-void Gemm(MicroKernelFn full, MatSpan a, MatSpan b, Tensor& c,
-          const float* bias);
-void GemmTransA(MicroKernelFn full, MatSpan a, MatSpan b, Tensor& c);
-void GemmTransB(MicroKernelFn full, MatSpan a, MatSpan b, Tensor& c);
+/// The three GEMM forms on the full-tile kernel of an explicit ISA level,
+/// with no shape checks or telemetry. The public entry points above call
+/// these with CpuSimd(); tests call them with every level the host
+/// supports, so each is parity-checked whichever one the CPU picks.
+/// Only pass a level the CPU supports (level <= CpuSimd()).
+void Gemm(Simd level, MatSpan a, MatSpan b, Tensor& c, const float* bias);
+void GemmTransA(Simd level, MatSpan a, MatSpan b, Tensor& c);
+void GemmTransB(Simd level, MatSpan a, MatSpan b, Tensor& c);
 
 }  // namespace detail
 

@@ -7,7 +7,9 @@ For acobe_detect, acobe_serve, acobe_gen, acobe_top and acobe_explain:
     one "<tool>: ..." line on stderr (the usage text follows it there);
   - --help exits 0 with the usage on stdout;
   - --version exits 0 and prints the shared build-identity line,
-    "<tool> VERSION (build: B, simd: S, telemetry: on|off[, nn-backend: N])".
+    "<tool> VERSION (build: B, simd: S, telemetry: on|off[, nn-backend: N])",
+    where S names the NN kernels' ISA ("avx2" or "scalar") and is the
+    same for all five.
 
 A run that fails after it started still lands its observability files:
 a strict acobe_detect on a corrupted dataset (exit 3), acobe_serve on a
@@ -31,7 +33,7 @@ import sys
 import tempfile
 
 VERSION_LINE = re.compile(
-    r"^(?P<tool>\S+) \S+ \(build: [^,()]+, simd: [^,()]+, "
+    r"^(?P<tool>\S+) \S+ \(build: [^,()]+, simd: (?P<simd>avx2|scalar), "
     r"telemetry: (on|off)(, nn-backend: [^,()]+)?\)\n$")
 
 
@@ -104,6 +106,7 @@ def main():
             "acobe-top": (args.top, [["--interval-ms=abc"]]),
             "acobe-explain": (args.explain, [["--in="]]),
         }
+        simds = set()
         for tool, (binary, malformed) in tools.items():
             for bad in malformed:
                 check_usage_error(binary, tool, bad, failures)
@@ -118,6 +121,10 @@ def main():
             m = VERSION_LINE.match(out)
             if code != 0 or not m or m.group("tool") != tool:
                 failures.append(f"{tool} --version: exit {code}, {out!r}")
+            else:
+                simds.add(m.group("simd"))
+        if len(simds) > 1:
+            failures.append(f"the tools name different ISAs: {sorted(simds)}")
 
         if os.path.exists(d):
             failures.append(f"a usage error left {d} behind")

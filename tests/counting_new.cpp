@@ -3,6 +3,9 @@
 // They live in their own translation unit so the compiler never inlines
 // a replaced delete's free() next to the new-expression that allocated
 // the pointer (which it would flag as a mismatched new/delete pair).
+// The nothrow forms are replaced too (std::stable_sort's temporary
+// buffer allocates through them and frees through plain delete), so
+// every allocation pairs with the malloc-based deletes under ASan.
 
 #include <atomic>
 #include <cstdint>
@@ -34,6 +37,26 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+  void* p = nullptr;
+  if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1)) {
+    return nullptr;
+  }
+  return p;
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, align, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -44,5 +67,17 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }

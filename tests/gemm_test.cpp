@@ -3,7 +3,8 @@
 //   - the blocked/vectorized kernels must be BIT-identical to the scalar
 //     reference kernels for every shape class (interior tiles, row/col
 //     edges, k = 1, vector widths straddling the 4x16 micro-tile), with
-//     the CPU's full-tile kernel and with the portable one;
+//     the CPU's full-tile kernel and with every one the host supports
+//     (portable, AVX2);
 //   - pack-arena accounting: PackBytesInUse grows with GemmTransB
 //     staging, ReleaseThreadScratch returns it, oversized retained
 //     capacity shrinks back on the next small request;
@@ -17,10 +18,12 @@
 
 #include <cinttypes>
 #include <cstring>
+#include <string>
 
 #include "behavior/normalized_day.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/telemetry.h"
 #include "core/critic.h"
 #include "core/ensemble.h"
@@ -128,21 +131,31 @@ TEST(GemmParityTest, BlockedMatchesReferenceBitwise) {
       [](MatSpan a, MatSpan b, Tensor& c) { GemmTransB(a, b, c); });
 }
 
-// The portable full-tile kernel is the one CPUs without AVX2 run; the
-// detail:: entry points reach it on every host.
-TEST(GemmParityTest, PortableKernelMatchesReferenceBitwise) {
-  const detail::MicroKernelFn portable = detail::PortableKernel();
+// Every full-tile kernel the host can run, through the detail:: entry
+// points: the public ones above only reach the CPU's widest kernel, so
+// on an AVX2 host the portable kernel is checked here.
+class FullTileKernelParityTest : public ::testing::TestWithParam<Simd> {};
+
+TEST_P(FullTileKernelParityTest, MatchesReferenceBitwise) {
+  const Simd level = GetParam();
+  if (CpuSimd() < level) GTEST_SKIP() << "CPU lacks " << SimdName(level);
   ExpectSweepMatchesReference(
       [&](MatSpan a, MatSpan b, Tensor& c, const float* bias) {
-        detail::Gemm(portable, a, b, c, bias);
+        detail::Gemm(level, a, b, c, bias);
       },
       [&](MatSpan a, MatSpan b, Tensor& c) {
-        detail::GemmTransA(portable, a, b, c);
+        detail::GemmTransA(level, a, b, c);
       },
       [&](MatSpan a, MatSpan b, Tensor& c) {
-        detail::GemmTransB(portable, a, b, c);
+        detail::GemmTransB(level, a, b, c);
       });
 }
+
+INSTANTIATE_TEST_SUITE_P(Kernels, FullTileKernelParityTest,
+                         ::testing::Values(Simd::kScalar, Simd::kAvx2),
+                         [](const ::testing::TestParamInfo<Simd>& info) {
+                           return std::string(SimdName(info.param));
+                         });
 
 TEST(GemmParityTest, SparseInputsMatchReferenceBitwise) {
   // Zero entries make the reference kernels skip accumulator updates the

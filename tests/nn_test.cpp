@@ -409,6 +409,95 @@ TEST(OptimizerTest, AllOptimizersReduceQuadratic) {
   EXPECT_LT(MinimizeQuadratic(Adadelta(1.0f), 3000), 1.0);
 }
 
+// --- Vector kernels vs their scalar formulas -----------------------------------
+//
+// On an AVX2 host ReLU::Backward and Adam::Step run 8-lane kernels with a
+// scalar tail; they must match the scalar formulas bit for bit. Lengths
+// 1..33 cover empty and partial vector bodies and every tail length;
+// the values cover signed zeros, denormals, infinities and NaN.
+
+std::uint32_t Bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+const float kEdgeValues[] = {0.0f,
+                             -0.0f,
+                             std::numeric_limits<float>::denorm_min(),
+                             -std::numeric_limits<float>::denorm_min(),
+                             -3e-39f,
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN(),
+                             1.5f,
+                             -0.75f,
+                             3e-4f,
+                             -6e4f};
+constexpr std::size_t kNumEdgeValues = sizeof(kEdgeValues) / sizeof(float);
+
+// Edge values at staggered positions between Gaussian draws.
+Tensor EdgeTensor(std::size_t n, std::size_t salt, Rng& rng) {
+  Tensor t(1, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    t.data()[i] = (i + salt) % 3 == 0
+                      ? static_cast<float>(rng.NextGaussian())
+                      : kEdgeValues[(i * 5 + salt) % kNumEdgeValues];
+  }
+  return t;
+}
+
+TEST(VectorKernelTest, ReluBackwardMatchesScalarFormulaBitwise) {
+  Rng rng(31);
+  ReLU relu;
+  for (std::size_t n = 1; n <= 33; ++n) {
+    for (std::size_t salt = 0; salt < kNumEdgeValues; ++salt) {
+      const Tensor y = EdgeTensor(n, salt, rng);
+      const Tensor g = EdgeTensor(n, salt + 1, rng);
+      Tensor dx;
+      relu.Backward(y, y, g, dx, /*need_dx=*/true);
+      ASSERT_EQ(dx.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const float want = g.data()[i] * (y.data()[i] > 0.0f ? 1.0f : 0.0f);
+        ASSERT_EQ(Bits(dx.data()[i]), Bits(want))
+            << "n=" << n << " salt=" << salt << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(VectorKernelTest, AdamStepMatchesScalarFormulaBitwise) {
+  Rng rng(32);
+  const float lr = 0.01f, b1 = 0.9f, b2 = 0.999f, eps = 1e-7f;
+  for (std::size_t n = 1; n <= 33; ++n) {
+    for (std::size_t salt = 0; salt < kNumEdgeValues; ++salt) {
+      Param p;
+      p.value = EdgeTensor(n, salt, rng);
+      Adam adam(lr, b1, b2, eps);
+      adam.Attach({&p});
+      std::vector<float> w(p.value.data(), p.value.data() + n);
+      std::vector<float> m(n, 0.0f), v(n, 0.0f);
+      // Two steps, so the second starts from non-zero (and non-finite)
+      // moments.
+      for (int t = 1; t <= 2; ++t) {
+        p.grad = EdgeTensor(n, salt + static_cast<std::size_t>(t), rng);
+        adam.Step();
+        const float bc1 = 1.0f - std::pow(b1, static_cast<float>(t));
+        const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t));
+        for (std::size_t j = 0; j < n; ++j) {
+          const float g = p.grad.data()[j];
+          m[j] = b1 * m[j] + (1.0f - b1) * g;
+          v[j] = b2 * v[j] + (1.0f - b2) * g * g;
+          w[j] -= lr * (m[j] / bc1) / (std::sqrt(v[j] / bc2) + eps);
+          ASSERT_EQ(Bits(p.value.data()[j]), Bits(w[j]))
+              << "n=" << n << " salt=" << salt << " step=" << t
+              << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
 // --- Autoencoder & trainer -----------------------------------------------------
 
 TEST(AutoencoderTest, BuildsSymmetricStack) {
@@ -677,12 +766,6 @@ TEST(TrainerTest, NonFiniteLossThrowsTrainingDiverged) {
 }
 
 // --- TrainStream ---------------------------------------------------------------
-
-std::uint32_t Bits(float f) {
-  std::uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  return u;
-}
 
 Tensor TrainingData(std::uint64_t seed) {
   Rng rng(seed);

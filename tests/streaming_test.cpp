@@ -540,6 +540,40 @@ TEST(StreamingTest, CorruptSpoolFilesReplayOrThrowRuntimeError) {
   EXPECT_TRUE(replay());
 }
 
+TEST(StreamingTest, TimestampFlipMidRunThrowsRuntimeError) {
+  LogStore& store = *SharedCertStore();
+  const std::string dept = store.Departments()[0];
+  const std::vector<UserId> members = store.UsersInDepartment(dept);
+  // 1 KiB clamps to 1024-event runs; the flip lands inside the first.
+  const std::string dir = SpoolDir("spool_ts_flip");
+  ShardSpooler spool(dir, 1, 1 << 10);
+  for (UserId user : members) spool.AssignUser(user, 0);
+  ReplayStore(store, spool);
+  spool.Finish();
+  ASSERT_GT(spool.events_spooled(), 1024u);
+  const std::string path = dir + "/shard-0.spool";
+  {
+    // Bit 24 of record 512's ts (PackedEvent::ts leads each 24-byte
+    // record, little-endian) moves it 194 days, out of its run's days.
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    const std::streamoff at = 512 * sizeof(PackedEvent) + 3;
+    f.seekg(at);
+    const char byte = static_cast<char>(f.get() ^ 0x01);
+    f.seekp(at);
+    f.put(byte);
+    ASSERT_TRUE(f.good());
+  }
+  DepartmentDemux demux(kStart, kDays);
+  demux.AddDepartment(dept, members);
+  try {
+    spool.Replay(0, demux);
+    FAIL() << "replay of a run with a flipped timestamp did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("day order"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(DepartmentDemuxTest, RoutesMultiDepartmentUsersToEveryMembership) {
   DepartmentDemux demux(kStart, 10);
   const int a = demux.AddDepartment("A", {1, 2});
